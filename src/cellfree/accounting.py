@@ -62,7 +62,8 @@ def multiplication_count(scheme: str, k: int, assignment, cfg: SimulationConfig)
             "combining": (n * n + n) // 2 * K + n * n + (n**3 - n) // 3,
         }
     if scheme == "P-MMSE":
-        P_k = int(clustering.compute_partners(assignment)[k].sum())
+        # UE k's row of the partner matrix: UEs served by any AP of M_k
+        P_k = int(assignment.serves[assignment.serving_aps(k)].any(axis=0).sum())
         return {
             "estimation": est_unit * P_k * M_k,
             "combining": (n * n + n) // 2 * P_k + n * n + (n**3 - n) // 3,

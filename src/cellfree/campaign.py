@@ -5,9 +5,14 @@ UEs once and then averages the SE bounds over num_realizations channel draws,
 processed in batches. Channel and noise draws come from counter-based streams
 keyed by (seed, setup, purpose, batch), so batches can run on any number of
 threads - partial results are merged in batch order and outputs are
-byte-identical regardless of parallelism. Downlink evaluation needs the
-precoder normalization constants E{v^H D v}, which are Monte-Carlo means over
-the whole setup, so it re-generates the same realizations in a second pass.
+byte-identical regardless of parallelism.
+
+Pass 1 accumulates the uplink bound of every scheme and the combiner-norm
+sums of se.combiner_norms (inside UatfAccumulator in distributed mode). The
+downlink precoders are normalized by those sums, E{v^H D v} as Monte-Carlo
+means over the whole setup, so pass 2 re-generates the same realizations to
+accumulate the hardening bound; each batch's stderr replica uses precoders
+normalized by that batch's own norm sums.
 """
 
 import concurrent.futures
@@ -31,6 +36,7 @@ from .se import (
     ErgodicLogAccumulator,
     UatfAccumulator,
     cdf_statistics,
+    combiner_norms,
     instantaneous_sinr,
 )
 from .topology import generate_topology, sample_channels
@@ -86,31 +92,9 @@ def _batch_sizes(cfg: SimulationConfig) -> list:
     return sizes
 
 
-def _norm_partial(v: np.ndarray) -> dict:
-    return {
-        "n": v.shape[0],
-        "norm": np.sum(np.abs(v) ** 2, axis=(2, 3)).sum(axis=0),
-        "norm_local": np.sum(np.abs(v) ** 2, axis=3).sum(axis=0),
-    }
-
-
-class _NormAccumulator:
-    def __init__(self, num_ues, num_aps):
-        self.n = 0
-        self.norm = np.zeros(num_ues)
-        self.norm_local = np.zeros((num_ues, num_aps))
-
-    def merge(self, partial):
-        self.n += partial["n"]
-        self.norm += partial["norm"]
-        self.norm_local += partial["norm_local"]
-
-
 def run_campaign(cfg: SimulationConfig, threads: int = 1) -> SEReport:
     """Run the full campaign described by cfg. Deterministic given the seed."""
     cfg.validate()
-    if cfg.num_realizations < 1:
-        raise ValueError("no realizations (run.num_realizations must be >= 1)")
     need_ul = cfg.ul_data_len > 0
     need_dl = cfg.dl_data_len > 0
     directions = tuple(
@@ -178,20 +162,20 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                     sinr = instantaneous_sinr(v, bundle, p)
                     entry["ul"] = ErgodicLogAccumulator.batch_partial(sinr)
                 if need_dl:
-                    entry["norm"] = _norm_partial(v)
+                    entry["norm"] = combiner_norms(v)
             else:
-                entry["uatf"] = UatfAccumulator.batch_partial(
+                entry["ul"] = UatfAccumulator.batch_partial(
                     v, h, p, cfg.noise_ul_w, prelog_ul
                 )
             out[scheme] = entry
         return out
 
     ul_acc = {}
-    norm_acc = {}
+    norm_sums = {}      # centralized: combiner-norm sums for the DL normalization
     for scheme in cfg.schemes:
         if centralized:
             ul_acc[scheme] = ErgodicLogAccumulator(K)
-            norm_acc[scheme] = _NormAccumulator(K, L)
+            norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
         else:
             ul_acc[scheme] = UatfAccumulator(K, L)
 
@@ -200,9 +184,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
             if "ul" in entry:
                 ul_acc[scheme].merge(entry["ul"])
             if "norm" in entry:
-                norm_acc[scheme].merge(entry["norm"])
-            if "uatf" in entry:
-                ul_acc[scheme].merge(entry["uatf"])
+                norm_sums[scheme] = tuple(map(np.add, norm_sums[scheme], entry["norm"]))
 
     results = {"assignment_json": assignment.to_json()}
     for scheme in cfg.schemes:
@@ -223,21 +205,24 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         rho_dist = dl_distributed_proportional(assignment, topology, cfg)
         global_norm = {}
         for scheme in cfg.schemes:
-            acc = norm_acc[scheme] if centralized else ul_acc[scheme]
-            global_norm[scheme] = (acc.norm / acc.n, acc.norm_local / acc.n)
+            if centralized:
+                sums = norm_sums[scheme]
+            else:
+                sums = (ul_acc[scheme].norm, ul_acc[scheme].norm_local)
+            global_norm[scheme] = tuple(total / cfg.num_realizations for total in sums)
 
         def pass2(b):
             h, bundle = realizations(b)
             out = {}
             for scheme in cfg.schemes:
                 v = compute_combiners(scheme, bundle)
-                batch = _norm_partial(v)
+                norm, norm_local = (total / v.shape[0] for total in combiner_norms(v))
                 if centralized:
                     wg = build_precoders_centralized(v, rho_central, global_norm[scheme][0])
-                    wb = build_precoders_centralized(v, rho_central, batch["norm"] / batch["n"])
+                    wb = build_precoders_centralized(v, rho_central, norm)
                 else:
                     wg = build_precoders_distributed(v, rho_dist, global_norm[scheme][1])
-                    wb = build_precoders_distributed(v, rho_dist, batch["norm_local"] / batch["n"])
+                    wb = build_precoders_distributed(v, rho_dist, norm_local)
                 out[scheme] = DownlinkAccumulator.batch_partial(
                     wg, wb, h, cfg.noise_dl_w, prelog_dl
                 )

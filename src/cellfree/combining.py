@@ -52,22 +52,27 @@ class OpCounter:
         return self.estimates * (num_antennas * pilot_len + num_antennas**2)
 
 
+def _gram(p: np.ndarray, hh: np.ndarray) -> np.ndarray:
+    """sum_i p_i hh_i hh_i^H per realization: hh (B, S, n), p (S,) -> (B, n, n)."""
+    return np.einsum("i,bim,bin->bmn", p, hh, np.conj(hh))
+
+
 def _solve_hermitian(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Stacked solve with pseudo-inverse semantics on singular input.
 
-    A: (..., n, n) Hermitian, rhs: (..., n). The fast path is a plain solve
+    A: (..., n, n) Hermitian, rhs: (..., n, m). The fast path is a plain solve
     (A is positive definite whenever the noise power is positive); if LAPACK
     reports singularity the solution is recomputed from an eigendecomposition
     with eigenvalues below 1e-12 * max discarded.
     """
     try:
-        return np.linalg.solve(A, rhs[..., None])[..., 0]
+        return np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
         vals, vecs = np.linalg.eigh(A)
         cutoff = 1e-12 * np.max(np.abs(vals), axis=-1, keepdims=True)
         inv_vals = np.where(np.abs(vals) > cutoff, 1.0 / vals, 0.0)
-        proj = np.einsum("...nm,...n->...m", np.conj(vecs), rhs)
-        return np.einsum("...nm,...m->...n", vecs, inv_vals * proj)
+        proj = np.einsum("...nm,...nk->...mk", np.conj(vecs), rhs)
+        return np.einsum("...nm,...mk->...nk", vecs, inv_vals[..., None] * proj)
 
 
 def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:
@@ -119,11 +124,11 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
             continue
         members = np.arange(K) if all_ues else served
         hh = bundle.hhat[:, members, l, :]                      # (B, S, N)
-        gram = np.einsum("i,bim,bin->bmn", p[members], hh, np.conj(hh))
+        gram = _gram(p[members], hh)
         gram += np.einsum("i,imn->mn", p[members], ctx.C[members, l])
         gram += eye
         rhs = np.swapaxes(bundle.hhat[:, served, l, :], 1, 2)   # (B, N, |D_l|)
-        sol = np.linalg.solve(gram, rhs)
+        sol = _solve_hermitian(gram, rhs)
         v[:, served, l, :] = p[served][None, :, None] * np.swapaxes(sol, 1, 2)
     return v
 
@@ -141,9 +146,9 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
         # every UE shares the same subspace and interference set: factor the
         # common Gram matrix once and solve all right-hand sides together
         hh = bundle.hhat.reshape(B, K, L * N)
-        gram = np.einsum("i,bim,bin->bmn", p, hh, np.conj(hh))
+        gram = _gram(p, hh)
         gram += ctx.noise_matrix(0, partner_only=partial)
-        sol = _solve_multi(gram, np.swapaxes(hh, 1, 2))
+        sol = _solve_hermitian(gram, np.swapaxes(hh, 1, 2))
         vc = p[None, :, None] * np.swapaxes(sol, 1, 2)
         return vc.reshape(B, K, L, N)
 
@@ -155,23 +160,12 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
         members = np.flatnonzero(partners[k]) if partial else np.arange(K)
         n = N * aps.size
         hh = bundle.hhat[:, members][:, :, aps, :].reshape(B, members.size, n)
-        gram = np.einsum("i,bim,bin->bmn", p[members], hh, np.conj(hh))
+        gram = _gram(p[members], hh)
         gram += ctx.noise_matrix(k, partner_only=partial)
-        rhs = bundle.hhat[:, k, aps, :].reshape(B, n)
+        rhs = bundle.hhat[:, k, aps, :].reshape(B, n, 1)
         vc = p[k] * _solve_hermitian(gram, rhs)
         v[:, k, aps, :] = vc.reshape(B, aps.size, N)
     return v
-
-
-def _solve_multi(A, rhs):
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(A)
-        cutoff = 1e-12 * np.max(np.abs(vals), axis=-1, keepdims=True)
-        inv_vals = np.where(np.abs(vals) > cutoff, 1.0 / vals, 0.0)
-        proj = np.einsum("...nm,...nk->...mk", np.conj(vecs), rhs)
-        return np.einsum("...nm,...mk->...nk", vecs, inv_vals[..., None] * proj)
 
 
 def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
@@ -190,10 +184,10 @@ def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
     n = N * aps.size
     others = np.arange(ctx.topology.beta.shape[0]) != k
     hh = bundle.hhat[:, others][:, :, aps, :].reshape(B, -1, n)
-    gram = np.einsum("i,bim,bin->bmn", p[others], hh, np.conj(hh))
+    gram = _gram(p[others], hh)
     gram += ctx.noise_matrix(k)
     rhs = bundle.hhat[:, k, aps, :].reshape(B, n)
-    sol = _solve_hermitian(gram, rhs)
+    sol = _solve_hermitian(gram, rhs[..., None])[..., 0]
     return p[k] * np.real(np.einsum("bn,bn->b", np.conj(rhs), sol))
 
 
@@ -285,7 +279,7 @@ def combiner_single(scheme: str, k: int, hhat, ctx: SetupContext,
             if counter is not None:
                 counter.outer_product(n)
         rhs = np.concatenate([hhat[k, l] for l in aps])
-        vc = p[k] * _solve_hermitian(gram, rhs)
+        vc = p[k] * _solve_hermitian(gram, rhs[:, None])[:, 0]
         if counter is not None:
             counter.factor_and_solve(n)
         v[aps] = vc.reshape(aps.size, N)

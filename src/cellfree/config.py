@@ -92,6 +92,8 @@ class SimulationConfig:
             raise ConfigError("cluster.max_neighbors: must be nonnegative")
         if self.num_setups < 1:
             raise ConfigError("run.num_setups: must be a positive integer")
+        if self.num_realizations < 1:
+            raise ConfigError("run.num_realizations: must be a positive integer")
         if self.mode not in MODES:
             raise ConfigError(f"run.mode: expected one of {MODES}, got {self.mode!r}")
         if not self.schemes:

@@ -11,7 +11,6 @@ geometry (hours of compute) where the quantitative ratios are asserted.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .campaign import SEReport, emit_results, run_campaign
 from .config import SimulationConfig
@@ -185,6 +184,8 @@ def run_scenario(name: str, full_scale: bool = False, threads: int = 1,
 
 def _check_property(prop: Property, scenario: Scenario, reports, means, genie_means):
     if prop.kind == "ordering":
+        from scipy.stats import binomtest  # deferred: importing scipy.stats takes ~1 s
+
         order = prop.params["order"]
         alpha = prop.params["alpha"]
         details, passed = [], True

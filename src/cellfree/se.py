@@ -12,10 +12,17 @@ Downlink: the hardening bound with the same structure, driven by normalized
 precoders, plus a genie-aided reference where the UE knows its instantaneous
 effective channel.
 
+Both ratio-of-means bounds have the form
+|E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise): each has one
+(numerator, denominator) helper, and their accumulators share one base that
+sums the moments, keeps the replicas and finalizes.
+
 Monte-Carlo standard errors: ergodic-log bounds use the exact per-realization
 std/sqrt(n); ratio-of-means bounds use batch means (the SE is recomputed per
 realization batch, including that batch's own precoder normalization, and the
-spread of those replicas gives the stderr).
+spread of those replicas gives the stderr). A negative campaign-wide
+denominator within 3 such standard errors of zero is clamped to 1e-15; beyond
+them, or when the spread cannot be estimated, NumericError is raised.
 """
 
 from dataclasses import dataclass
@@ -45,10 +52,7 @@ class UatfMoments:
 
 def uatf_sinr(moments: UatfMoments, ul_power: np.ndarray, noise_w: float) -> np.ndarray:
     """Effective UL SINR of the use-and-then-forget bound."""
-    num = ul_power * np.abs(moments.signal) ** 2
-    den = (moments.cross @ ul_power
-           - num + noise_w * moments.combiner_norm)
-    return _safe_ratio(num, den)
+    return _safe_ratio(*_uatf_terms(moments, ul_power, noise_w))
 
 
 def dl_sinr_from_ul_moments(moments: UatfMoments, rho: np.ndarray,
@@ -59,10 +63,27 @@ def dl_sinr_from_ul_moments(moments: UatfMoments, rho: np.ndarray,
     of a UL moment: E{h_k^H D_i w_i} = conj(signal[i]) / sqrt(norm[i]) for
     i = k and E{|h_k^H D_i w_i|^2} = cross[i, k] / norm[i].
     """
-    a2 = np.abs(moments.signal) ** 2 / moments.combiner_norm
-    num = rho * a2
-    den = (moments.cross.T / moments.combiner_norm[None, :]) @ rho - num + noise_dl_w
-    return _safe_ratio(num, den)
+    scale = rho / moments.combiner_norm
+    signal = np.sqrt(scale) * np.abs(moments.signal)
+    return _safe_ratio(*_hardening_terms(signal, moments.cross.T * scale[None, :], noise_dl_w))
+
+
+def _uatf_terms(moments: UatfMoments, ul_power: np.ndarray, noise_w: float) -> tuple:
+    """(numerator, denominator) of the use-and-then-forget SINR."""
+    num = ul_power * np.abs(moments.signal) ** 2
+    den = moments.cross @ ul_power - num + noise_w * moments.combiner_norm
+    return num, den
+
+
+def _hardening_terms(signal: np.ndarray, second: np.ndarray, noise_w: float) -> tuple:
+    """(numerator, denominator) of the hardening SINR.
+
+    signal[k] = E{h_k^H D_k w_k} and second[k, i] = E{|h_k^H D_i w_i|^2}, with
+    the powers folded into the precoders. Leading axes (realizations) are kept.
+    """
+    num = np.abs(signal) ** 2
+    den = second.sum(axis=-1) - num + noise_w
+    return num, den
 
 
 def _safe_ratio(num, den):
@@ -83,8 +104,21 @@ def se_from_sinr(sinr: np.ndarray, prelog: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def combining_gains(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """g[b, k, i] = v_k^H D_k h_i (the mask lives in v's zero blocks)."""
+    """g[b, k, i] = v_k^H D_k h_i (the mask lives in v's zero blocks).
+
+    With v = h and h = w it gives the downlink gains h_k^H D_i w_i.
+    """
     return np.einsum("bkln,biln->bki", np.conj(v), h, optimize=True)
+
+
+def combiner_norms(v: np.ndarray) -> tuple:
+    """Batch sums of ||D_k v_k||^2, (K,), and of ||v_kl||^2, (K, L).
+
+    Divided by the realization count they are the precoder normalizations
+    E{v_k^H D_k v_k} and E{||v_kl||^2}.
+    """
+    energy = np.abs(v) ** 2
+    return energy.sum(axis=(2, 3)).sum(axis=0), energy.sum(axis=3).sum(axis=0)
 
 
 def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
@@ -150,75 +184,52 @@ class ErgodicLogAccumulator:
         return prelog * mean, prelog * stderr
 
 
-class UatfAccumulator:
-    """Moment sums for the use-and-then-forget / hardening bounds.
+class _RatioOfMeans:
+    """Sums and batch-means replicas of a bound whose SINR is a ratio of
+    expectations, |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise).
 
     Batch partials carry the sums plus one SE replica computed from the
-    batch's own moments; replicas give the batch-means stderr.
+    batch's own moments; the spread of the replicas gives the stderr.
     """
 
-    def __init__(self, num_ues: int, num_aps: int):
+    def __init__(self, num_ues: int):
         self.n = 0
         self.signal = np.zeros(num_ues, dtype=complex)
         self.cross = np.zeros((num_ues, num_ues))
-        self.norm = np.zeros(num_ues)
-        self.norm_local = np.zeros((num_ues, num_aps))
         self.den_replicas = []
         self.se_replicas = []
 
     @staticmethod
-    def batch_partial(v: np.ndarray, h: np.ndarray, ul_power: np.ndarray,
-                      noise_w: float, prelog: float) -> dict:
-        g = combining_gains(v, h)
-        B, K = g.shape[0], g.shape[1]
-        cross = np.abs(g) ** 2
-        partial = {
-            "n": B,
-            "signal": np.einsum("bkk->k", g),
-            "cross": cross.sum(axis=0),
-            "norm": np.sum(np.abs(v) ** 2, axis=(2, 3)).sum(axis=0),
-            "norm_local": np.sum(np.abs(v) ** 2, axis=3).sum(axis=0),
-        }
-        batch_moments = UatfMoments(
-            partial["signal"] / B, partial["cross"] / B, partial["norm"] / B
-        )
-        num = ul_power * np.abs(batch_moments.signal) ** 2
-        den = batch_moments.cross @ ul_power - num + noise_w * batch_moments.combiner_norm
+    def _sums(g: np.ndarray, q: np.ndarray) -> dict:
+        """Batch sums from gains g[b, k, i] and their powers q = |g|^2:
+        signal[k] = sum_b g[b, k, k] and cross[k, i] = sum_b q[b, k, i]."""
+        return {"n": g.shape[0], "signal": np.einsum("bkk->k", g), "cross": q.sum(axis=0)}
+
+    @staticmethod
+    def _replica(num: np.ndarray, den: np.ndarray, prelog: float) -> dict:
+        """One batch's SE (NaN where its denominator is not positive)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             se = np.where(den > 0, prelog * np.log2(1.0 + np.maximum(num / den, 0.0)), np.nan)
-        partial["den_replica"] = den
-        partial["se_replica"] = se
-        return partial
+        return {"den_replica": den, "se_replica": se}
 
     def merge(self, partial: dict) -> None:
         self.n += partial["n"]
         self.signal += partial["signal"]
         self.cross += partial["cross"]
-        self.norm += partial["norm"]
-        self.norm_local += partial["norm_local"]
         self.den_replicas.append(partial["den_replica"])
         self.se_replicas.append(partial["se_replica"])
 
-    def moments(self) -> UatfMoments:
-        return UatfMoments(self.signal / self.n, self.cross / self.n, self.norm / self.n)
-
-    def local_norms(self) -> np.ndarray:
-        """E{||v_kl||^2} per (UE, AP), the per-AP precoder normalizations."""
-        return self.norm_local / self.n
-
-    def finalize(self, ul_power: np.ndarray, noise_w: float, prelog: float) -> tuple:
-        """(se, stderr) with the spec'd negative-denominator handling."""
-        m = self.moments()
-        num = ul_power * np.abs(m.signal) ** 2
-        den = m.cross @ ul_power - num + noise_w * m.combiner_norm
-        own_var = np.diag(m.cross) - np.abs(m.signal) ** 2
-        if np.any(own_var < -1e-9 * np.maximum(np.diag(m.cross), 1e-300)):
+    def _finalize(self, num: np.ndarray, den: np.ndarray, prelog: float) -> tuple:
+        """(se, stderr) after the second-moment check and the denominator clamp."""
+        own = np.diag(self.cross) / self.n
+        if np.any(own - np.abs(self.signal / self.n) ** 2 < -1e-9 * np.maximum(own, 1e-300)):
             raise NumericError("second moment below squared mean beyond tolerance")
         den = self._clamp_denominator(den, num)
-        sinr = _safe_ratio(num, den)
-        return se_from_sinr(sinr, prelog), _replica_stderr(self.se_replicas)
+        return se_from_sinr(_safe_ratio(num, den), prelog), _replica_stderr(self.se_replicas)
 
     def _clamp_denominator(self, den, num):
+        """Clamp a negative denominator within 3 batch-means standard errors of
+        zero to 1e-15; a spread that cannot be estimated counts as beyond."""
         bad = (den <= 0) & (num > 0)
         if not np.any(bad):
             return den
@@ -233,79 +244,78 @@ class UatfAccumulator:
         return np.where(bad, 1e-15, den)
 
 
-class DownlinkAccumulator:
-    """Hardening-bound terms E{h_k^H D_i w_i} plus the genie-aided reference.
+class UatfAccumulator(_RatioOfMeans):
+    """Use-and-then-forget moments of the gains g[b, k, i] = v_k^H D_k h_i,
+    plus the combiner norms that normalize the downlink precoders."""
 
-    Precoders arrive with powers folded in, so the SINR is
-    |E a_k|^2 / (sum_i E q_ki - |E a_k|^2 + sigma_dl^2).
-    """
+    def __init__(self, num_ues: int, num_aps: int):
+        super().__init__(num_ues)
+        self.norm = np.zeros(num_ues)
+        self.norm_local = np.zeros((num_ues, num_aps))
+
+    @staticmethod
+    def batch_partial(v: np.ndarray, h: np.ndarray, ul_power: np.ndarray,
+                      noise_w: float, prelog: float) -> dict:
+        g = combining_gains(v, h)
+        partial = _RatioOfMeans._sums(g, np.abs(g) ** 2)
+        partial["norm"], partial["norm_local"] = combiner_norms(v)
+        B = partial["n"]
+        batch = UatfMoments(partial["signal"] / B, partial["cross"] / B, partial["norm"] / B)
+        partial.update(_RatioOfMeans._replica(*_uatf_terms(batch, ul_power, noise_w), prelog))
+        return partial
+
+    def merge(self, partial: dict) -> None:
+        super().merge(partial)
+        self.norm += partial["norm"]
+        self.norm_local += partial["norm_local"]
+
+    def moments(self) -> UatfMoments:
+        return UatfMoments(self.signal / self.n, self.cross / self.n, self.norm / self.n)
+
+    def local_norms(self) -> np.ndarray:
+        """E{||v_kl||^2} per (UE, AP), the per-AP precoder normalizations."""
+        return self.norm_local / self.n
+
+    def finalize(self, ul_power: np.ndarray, noise_w: float, prelog: float) -> tuple:
+        return self._finalize(*_uatf_terms(self.moments(), ul_power, noise_w), prelog)
+
+
+class DownlinkAccumulator(_RatioOfMeans):
+    """Hardening-bound moments of the gains g[b, k, i] = h_k^H D_i w_i, plus
+    the genie-aided reference. Precoders arrive with powers folded in."""
 
     def __init__(self, num_ues: int):
-        self.n = 0
-        self.signal = np.zeros(num_ues, dtype=complex)
-        self.cross = np.zeros((num_ues, num_ues))
+        super().__init__(num_ues)
         self.genie = ErgodicLogAccumulator(num_ues)
-        self.den_replicas = []
-        self.se_replicas = []
 
     @staticmethod
     def batch_partial(w: np.ndarray, w_batchnorm: np.ndarray, h: np.ndarray,
                       noise_dl_w: float, prelog: float) -> dict:
         """w uses the campaign-wide normalization (reported SE and genie);
         w_batchnorm is renormalized from this batch alone (stderr replicas)."""
-        g = np.einsum("bkln,biln->bki", np.conj(h), w, optimize=True)
-        B = g.shape[0]
+        g = combining_gains(h, w)
         q = np.abs(g) ** 2
-        own = q[:, np.arange(g.shape[1]), np.arange(g.shape[1])]
-        genie_sinr = _safe_ratio_batch(own, q.sum(axis=2) - own + noise_dl_w)
-        partial = {
-            "n": B,
-            "signal": np.einsum("bkk->k", g),
-            "cross": q.sum(axis=0),
-            "genie": ErgodicLogAccumulator.batch_partial(genie_sinr),
-        }
-        gb = np.einsum("bkln,biln->bki", np.conj(h), w_batchnorm, optimize=True)
-        mean_a = np.einsum("bkk->k", gb) / B
-        mean_q = np.mean(np.abs(gb) ** 2, axis=0)
-        num = np.abs(mean_a) ** 2
-        den = mean_q.sum(axis=1) - num + noise_dl_w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            se = np.where(den > 0, prelog * np.log2(1.0 + np.maximum(num / den, 0.0)), np.nan)
-        partial["den_replica"] = den
-        partial["se_replica"] = se
+        partial = _RatioOfMeans._sums(g, q)
+        # genie: the hardening ratio of each realization's own gains
+        genie_terms = _hardening_terms(np.diagonal(g, axis1=1, axis2=2), q, noise_dl_w)
+        partial["genie"] = ErgodicLogAccumulator.batch_partial(_safe_ratio(*genie_terms))
+        gb = combining_gains(h, w_batchnorm)
+        batch = _RatioOfMeans._sums(gb, np.abs(gb) ** 2)
+        B = batch["n"]
+        terms = _hardening_terms(batch["signal"] / B, batch["cross"] / B, noise_dl_w)
+        partial.update(_RatioOfMeans._replica(*terms, prelog))
         return partial
 
     def merge(self, partial: dict) -> None:
-        self.n += partial["n"]
-        self.signal += partial["signal"]
-        self.cross += partial["cross"]
+        super().merge(partial)
         self.genie.merge(partial["genie"])
-        self.den_replicas.append(partial["den_replica"])
-        self.se_replicas.append(partial["se_replica"])
 
     def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
-        mean_a = self.signal / self.n
-        mean_q = self.cross / self.n
-        num = np.abs(mean_a) ** 2
-        den = mean_q.sum(axis=1) - num + noise_dl_w
-        bad = (den <= 0) & (num > 0)
-        if np.any(bad):
-            reps = np.stack(self.den_replicas)
-            stderr = np.nanstd(reps, axis=0, ddof=1) / np.sqrt(reps.shape[0])
-            if np.any(bad & (np.abs(den) > 3.0 * stderr)):
-                raise NumericError("negative downlink denominator beyond 3 standard errors")
-            den = np.where(bad, 1e-15, den)
-        sinr = _safe_ratio(num, den)
-        return se_from_sinr(sinr, prelog), _replica_stderr(self.se_replicas)
+        terms = _hardening_terms(self.signal / self.n, self.cross / self.n, noise_dl_w)
+        return self._finalize(*terms, prelog)
 
     def finalize_genie(self, prelog: float) -> tuple:
         return self.genie.finalize(prelog)
-
-
-def _safe_ratio_batch(num, den):
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den > 0)
-    return out
 
 
 def _replica_stderr(replicas: list) -> np.ndarray:
@@ -393,9 +403,7 @@ def dl_mr_closed_form_terms(ctx, rho_per_ap: np.ndarray) -> tuple:
 
 def dl_se_mr_closed_form(ctx, rho_per_ap: np.ndarray, prelog: float) -> np.ndarray:
     signal, second = dl_mr_closed_form_terms(ctx, rho_per_ap)
-    num = signal**2
-    den = second.sum(axis=1) - num + ctx.cfg.noise_dl_w
-    return se_from_sinr(_safe_ratio(num, den), prelog)
+    return se_from_sinr(_safe_ratio(*_hardening_terms(signal, second, ctx.cfg.noise_dl_w)), prelog)
 
 
 def cdf_statistics(values) -> tuple:

@@ -8,7 +8,7 @@ from cellfree.accounting import (
     measured_counts,
     multiplication_count,
 )
-from cellfree.clustering import ClusterAssignment
+from cellfree.clustering import ClusterAssignment, compute_partners
 from cellfree.estimation import EstimationBundle
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.topology import sample_channels
@@ -109,10 +109,16 @@ class TestInstrumentedCounters:
         h = sample_channels(topo, stream(2, 0, CHANNEL, 0), batch=1)
         bundle = EstimationBundle(ctx, h, stream(2, 0, PILOT_NOISE, 0))
         bundle.ensure_all()
+        partners = compute_partners(assignment)
+        est_unit = cfg.antennas_per_ap * cfg.pilot_len + cfg.antennas_per_ap**2
         for k in range(cfg.num_ues):
             measured = measured_counts(scheme, k, ctx, bundle.hhat[0])
             predicted = multiplication_count(scheme, k, assignment, cfg)
             assert measured == predicted
+            if scheme == "P-MMSE":
+                # P_k counted from UE k's serving APs equals its partner-matrix row
+                M_k = assignment.serving_aps(k).size
+                assert predicted["estimation"] == est_unit * partners[k].sum() * M_k
 
 
 class TestScalable:

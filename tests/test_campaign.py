@@ -17,11 +17,6 @@ def read_tree(root):
 
 
 class TestCampaign:
-    def test_zero_realizations_rejected(self):
-        cfg = make_cfg().replace(num_realizations=0)
-        with pytest.raises(ValueError, match="no realizations"):
-            run_campaign(cfg)
-
     def test_nothing_to_evaluate_rejected(self):
         cfg = make_cfg(ul_data_len=0, dl_data_len=0)
         with pytest.raises(ValueError, match="nothing to evaluate"):

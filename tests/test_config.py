@@ -60,6 +60,14 @@ def test_noise_alias_and_override():
     assert cfg.noise_ul_w == 2e-13 and cfg.noise_dl_w == 5e-13
 
 
+def test_zero_realizations_rejected():
+    cfg = parse_config_text("run.seed = 1")
+    with pytest.raises(ConfigError, match="run.num_realizations"):
+        cfg.replace(num_realizations=0)
+    with pytest.raises(ConfigError, match="run.num_realizations"):
+        parse_config_text("run.seed = 1\nrun.num_realizations = 0")
+
+
 def test_pilot_len_is_a_field_not_derived_from_ues():
     a = parse_config_text("run.seed = 1\nnetwork.num_ues = 7")
     b = parse_config_text("run.seed = 1\nnetwork.num_ues = 70\nframe.ul_data_len = 190")

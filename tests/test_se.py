@@ -251,41 +251,61 @@ class TestGenie:
 
 
 class TestNumericGuards:
-    def _acc_with_denominator(self, replica_std):
+    """Guards of the use-and-then-forget accumulator; the subclass below runs
+    the same cases on the downlink accumulator, which shares the finalize path."""
+
+    def _accumulator(self, n, signal, cross):
+        acc = UatfAccumulator(1, 1)
+        acc.norm = np.array([float(n)])
+        acc.n, acc.signal, acc.cross = n, np.array([signal + 0j]), np.array([[cross]])
+        return acc
+
+    def _finalize(self, acc, noise_w):
+        return acc.finalize(np.array([1.0]), noise_w, 1.0)
+
+    def _acc_with_denominator(self, replica_std, num_replicas=20):
         # cancellation case: own variance -5e-10 (within the 1e-9 proxy
         # tolerance) and a noise term too small to rescue the denominator
-        acc = UatfAccumulator(1, 1)
         n = 100
-        acc.n = n
-        acc.signal = np.array([n + 0j])
-        acc.cross = np.array([[n * (1.0 - 5e-10)]])
-        acc.norm = np.array([float(n)])
+        acc = self._accumulator(n, n, n * (1.0 - 5e-10))
         rng = np.random.default_rng(0)
         acc.den_replicas = [np.array([-5e-10 + replica_std * z])
-                            for z in rng.standard_normal(20)]
-        acc.se_replicas = [np.array([0.5])] * 20
+                            for z in rng.standard_normal(num_replicas)]
+        acc.se_replicas = [np.array([0.5])] * num_replicas
         return acc
 
     def test_negative_denominator_within_noise_is_clamped(self):
         acc = self._acc_with_denominator(replica_std=1e-8)
-        se, _ = acc.finalize(np.array([1.0]), 1e-12, 1.0)
+        se, _ = self._finalize(acc, 1e-12)
         assert np.isfinite(se[0]) and se[0] > 0
 
     def test_negative_denominator_beyond_noise_raises(self):
         acc = self._acc_with_denominator(replica_std=1e-13)
         with pytest.raises(NumericError, match="denominator"):
-            acc.finalize(np.array([1.0]), 1e-12, 1.0)
+            self._finalize(acc, 1e-12)
+
+    def test_negative_denominator_with_unknown_spread_raises(self):
+        # one replica: the spread is NaN, which counts as beyond noise
+        acc = self._acc_with_denominator(replica_std=1e-8, num_replicas=1)
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericError, match="denominator"):
+            self._finalize(acc, 1e-12)
 
     def test_variance_proxy_violation_raises(self):
-        acc = UatfAccumulator(1, 1)
-        acc.n = 10
-        acc.signal = np.array([10.0 + 0j])
-        acc.cross = np.array([[5.0]])   # E{|x|^2} << |E{x}|^2: impossible
-        acc.norm = np.array([10.0])
+        acc = self._accumulator(10, 10.0, 5.0)   # E{|x|^2} << |E{x}|^2: impossible
         acc.den_replicas = [np.array([1.0])] * 4
         acc.se_replicas = [np.array([0.5])] * 4
         with pytest.raises(NumericError, match="second moment"):
-            acc.finalize(np.array([1.0]), 1.0, 1.0)
+            self._finalize(acc, 1.0)
+
+
+class TestDownlinkNumericGuards(TestNumericGuards):
+    def _accumulator(self, n, signal, cross):
+        acc = DownlinkAccumulator(1)
+        acc.n, acc.signal, acc.cross = n, np.array([signal + 0j]), np.array([[cross]])
+        return acc
+
+    def _finalize(self, acc, noise_w):
+        return acc.finalize(noise_w, 1.0)
 
 
 class TestCdf:
