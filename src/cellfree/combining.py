@@ -54,7 +54,7 @@ class OpCounter:
 
 def _gram(p: np.ndarray, hh: np.ndarray) -> np.ndarray:
     """sum_i p_i hh_i hh_i^H per realization: hh (B, S, n), p (S,) -> (B, n, n)."""
-    return np.einsum("i,bim,bin->bmn", p, hh, np.conj(hh))
+    return (np.swapaxes(hh, -1, -2) * p) @ np.conj(hh)
 
 
 def _solve_hermitian(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -87,8 +87,8 @@ def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:
         mask[:, serves.any(axis=1)] = True
         return mask
     if scheme == "P-MMSE":
-        partners = ctx.partners().astype(np.int32)
-        return (partners @ serves.T.astype(np.int32)) > 0
+        # float counts (<= K, so exact) let the product run on BLAS
+        return (ctx.partners().astype(float) @ serves.T) > 0
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

@@ -80,6 +80,9 @@ class SetupContext:
 
         With partner_only the statistical sum runs over the partner set only
         (the regularizer of partial MMSE combining); otherwise over all UEs.
+        Only the centralized combiners and the single-UE reference paths
+        (`optimal_sinr`, `combiner_single`) use it: the SINR evaluation works
+        on the full L*N space with `C_weighted_sum` and caches nothing per UE.
         """
         key = (k, partner_only)
         if key in self._noise_cache:
@@ -107,10 +110,12 @@ class EstimationBundle:
         self.ctx = ctx
         self.channels = channels
         batch, K, L, N = channels.shape
-        noise = np.sqrt(ctx.cfg.noise_ul_w) * complex_normal(
+        self.y_pilot = np.sqrt(ctx.cfg.noise_ul_w) * complex_normal(
             rng, (batch, ctx.cfg.pilot_len, L, N)
         )
-        self.y_pilot = np.einsum("tk,bkln->btln", ctx._despread, channels) + noise
+        # despread pilots added in place: no third (B, tau_p, L, N) array
+        self.y_pilot += (ctx._despread @ channels.reshape(batch, K, L * N)).reshape(
+            self.y_pilot.shape)
         self.hhat = np.zeros_like(channels)
         self._computed = np.zeros((K, L), dtype=bool)
 
@@ -122,7 +127,7 @@ class EstimationBundle:
         ues, aps = todo[:, 0], todo[:, 1]
         filters = self.ctx.filter[ues, aps]                       # (P, N, N)
         y = self.y_pilot[:, self.ctx.pilot_of[ues], aps, :]       # (B, P, N)
-        self.hhat[:, ues, aps, :] = np.einsum("pmn,bpn->bpm", filters, y)
+        self.hhat[:, ues, aps, :] = np.moveaxis(filters @ np.moveaxis(y, 0, -1), -1, 0)
         self._computed[ues, aps] = True
 
     def ensure_all(self) -> None:

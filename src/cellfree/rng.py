@@ -28,4 +28,4 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """I.i.d. CN(0, 1) samples: real and imaginary parts N(0, 1/2)."""
     z = rng.standard_normal(size=tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    return z.view(np.complex128)[..., 0] / np.sqrt(2.0)

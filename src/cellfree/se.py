@@ -108,7 +108,8 @@ def combining_gains(v: np.ndarray, h: np.ndarray) -> np.ndarray:
 
     With v = h and h = w it gives the downlink gains h_k^H D_i w_i.
     """
-    return np.einsum("bkln,biln->bki", np.conj(v), h, optimize=True)
+    B, K = v.shape[:2]
+    return np.conj(v).reshape(B, K, -1) @ np.swapaxes(h.reshape(B, h.shape[1], -1), 1, 2)
 
 
 def combiner_norms(v: np.ndarray) -> tuple:
@@ -127,27 +128,24 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
 
     Uses the channel estimates of all UEs on each UE's serving subspace and
     the analytic noise matrix Z_k (estimation-error covariances of all UEs
-    plus thermal noise, masked to the subspace).
+    plus thermal noise, masked to the subspace). v is masked to the serving
+    APs first, so entries outside them never count. All UEs are then
+    evaluated at once on the full L*N space: Z_k is the restriction of
+    blockdiag_l(sum_i p_i C_il) + sigma^2 I to UE k's serving blocks, so for
+    a v_k that is zero outside them the full-space quadratic form equals
+    v_k^H Z_k v_k exactly, and v_k^H h_i equals v_k^H D_k h_i.
     """
     ctx = bundle.ctx
     bundle.ensure_all()
-    B, K = v.shape[0], v.shape[1]
-    N = ctx.topology.antennas_per_ap
-    sinr = np.zeros((B, K))
-    for k in range(K):
-        aps = ctx.compact_blocks(k)
-        if aps.size == 0:
-            continue
-        n = N * aps.size
-        vc = v[:, k, aps, :].reshape(B, n)
-        hh = bundle.hhat[:, :, aps, :].reshape(B, K, n)
-        g = np.einsum("bn,bin->bi", np.conj(vc), hh, optimize=True)
-        Z = ctx.noise_matrix(k)
-        zq = np.real(np.einsum("bn,nm,bm->b", np.conj(vc), Z, vc, optimize=True))
-        power_g = ul_power[None, :] * np.abs(g) ** 2
-        num = power_g[:, k]
-        den = power_g.sum(axis=1) - num + zq
-        np.divide(num, den, out=sinr[:, k], where=den > 0)
+    v = v * ctx.assignment.serves.T[None, :, :, None]
+    g = combining_gains(v, bundle.hhat)                                   # (B, K, K)
+    zq = np.real(np.einsum("bklm,lmn,bkln->bk", np.conj(v), ctx.C_weighted_sum, v))
+    zq += ctx.cfg.noise_ul_w * np.sum(np.abs(v) ** 2, axis=(2, 3))
+    power_g = ul_power[None, None, :] * np.abs(g) ** 2
+    num = np.diagonal(power_g, axis1=1, axis2=2)
+    den = power_g.sum(axis=2) - num + zq
+    sinr = np.zeros(num.shape)
+    np.divide(num, den, out=sinr, where=den > 0)
     return sinr
 
 

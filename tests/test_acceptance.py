@@ -64,6 +64,7 @@ def test_criterion_1_duality_exactness():
         assert elapsed < 10.0, f"duality check took {elapsed:.1f} s"
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("antennas", [1, 4])
 def test_criterion_2_closed_form_vs_monte_carlo(antennas):
     label = f"2 Cor-2/Cor-3 vs Monte-Carlo at 1e5 realizations (N={antennas})"
@@ -208,6 +209,7 @@ def test_criterion_5_estimation_statistics():
         assert np.all(np.abs(cross) <= tol_x), "estimate/error orthogonality"
 
 
+@pytest.mark.slow
 def test_criterion_6_scalability_invariants():
     with criterion("6 scalability invariants over 1e3 admission sequences"):
         tau_p = 10

@@ -9,6 +9,7 @@ from cellfree.accounting import (
     multiplication_count,
 )
 from cellfree.clustering import ClusterAssignment, compute_partners
+from cellfree.combining import estimate_demand_mask
 from cellfree.estimation import EstimationBundle
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.topology import sample_channels
@@ -119,6 +120,10 @@ class TestInstrumentedCounters:
                 # P_k counted from UE k's serving APs equals its partner-matrix row
                 M_k = assignment.serving_aps(k).size
                 assert predicted["estimation"] == est_unit * partners[k].sum() * M_k
+        if scheme == "P-MMSE":
+            # estimates demanded: (i, l) with l serving some partner of UE i
+            expected = (partners[:, :, None] & assignment.serves.T[None]).any(axis=1)
+            assert np.array_equal(estimate_demand_mask(scheme, ctx), expected)
 
 
 class TestScalable:

@@ -3,6 +3,7 @@ import pytest
 
 from cellfree.combining import (
     DegeneratePrecoderError,
+    _gram,
     build_precoders_centralized,
     build_precoders_distributed,
     combiner_single,
@@ -13,7 +14,7 @@ from cellfree.combining import (
 )
 from cellfree.estimation import EstimationBundle
 from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
-from cellfree.se import instantaneous_sinr
+from cellfree.se import combining_gains, instantaneous_sinr
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup
@@ -207,6 +208,30 @@ class TestBatchedMatchesReference:
             for k in range(cfg.num_ues):
                 ref = combiner_single(scheme, k, bundle.hhat[b], ctx)
                 assert np.allclose(v[b, k], ref, rtol=1e-10, atol=1e-18)
+
+
+class TestKernelsMatchEinsumDefinitions:
+    """The matmul kernels equal their einsum definitions (summation order only)."""
+
+    @pytest.mark.parametrize("shape", [(3, 7, 5), (4, 6, 2), (2, 1, 4), (3, 5, 1)])
+    def test_gram(self, shape, rng):
+        # (B, S, n): centralized subspaces, LP-MMSE's (B, S, N), and S = 1
+        hh = complex_normal(rng, shape)
+        p = rng.uniform(0.1, 2.0, size=shape[1])
+        expected = np.einsum("i,bim,bin->bmn", p, hh, np.conj(hh))
+        assert np.allclose(_gram(p, hh), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k_v, k_h", [(4, 4), (3, 5), (1, 1), (1, 3)])
+    def test_combining_gains(self, k_v, k_h, rng):
+        v = complex_normal(rng, (2, k_v, 6, 2))
+        h = complex_normal(rng, (2, k_h, 6, 2))
+        expected = np.einsum("bkln,biln->bki", np.conj(v), h)
+        assert np.allclose(combining_gains(v, h), expected, rtol=1e-13, atol=0)
+
+    def test_complex_normal_is_bit_identical_to_its_formula(self):
+        got = complex_normal(stream(3, 0, CHANNEL, 1), (4, 5, 3))
+        z = stream(3, 0, CHANNEL, 1).standard_normal(size=(4, 5, 3, 2))
+        assert np.array_equal(got, (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0))
 
 
 class TestPrecoders:

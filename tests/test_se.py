@@ -3,7 +3,7 @@ import pytest
 
 from cellfree.campaign import run_campaign
 from cellfree.combining import compute_combiners
-from cellfree.estimation import EstimationBundle
+from cellfree.estimation import EstimationBundle, SetupContext
 from cellfree.power import dl_distributed_proportional
 from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
 from cellfree.se import (
@@ -24,6 +24,7 @@ from cellfree.se import (
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup
+from test_acceptance import _probe_sinr
 from test_estimation import scalar_setup
 
 
@@ -204,6 +205,69 @@ class TestCentralizedBoundOracle:
                     Z[l * N:(l + 1) * N, l * N:(l + 1) * N] = mask[l] * block
                 den = interference + np.real(np.vdot(vk, Z @ vk))
                 assert got[b, k] == pytest.approx(num / den, rel=1e-10)
+
+
+def compact_sinr(v, bundle, ul_power):
+    """Per-UE evaluation on each UE's compacted serving subspace with Z_k."""
+    ctx = bundle.ctx
+    B, K = v.shape[:2]
+    sinr = np.zeros((B, K))
+    for k in range(K):
+        aps = ctx.compact_blocks(k)
+        n = aps.size * ctx.topology.antennas_per_ap
+        hh = bundle.hhat[:, :, aps].reshape(B, K, n)
+        sinr[:, k] = _probe_sinr(v[:, k, aps].reshape(B, n), hh, ctx.noise_matrix(k), ul_power, k)
+    return sinr
+
+
+class TestFullSpaceSinr:
+    """The batched full-space SINR equals the per-UE compact-subspace one."""
+
+    CONFIGS = {
+        "clustered": dict(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2),
+        "all-serve-all": dict(num_aps=4, num_ues=5, pilot_len=5, antennas_per_ap=2,
+                              all_serve_all=True),
+    }
+
+    def bundle(self, name):
+        cfg = make_cfg(**self.CONFIGS[name], area_side_km=0.4, mode="centralized",
+                       schemes=("MMSE",))
+        topo, assignment, ctx = make_setup(cfg)
+        h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 5)
+        bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
+        bundle.ensure_all()
+        return ctx, bundle
+
+    @pytest.mark.parametrize("config", ["clustered", "all-serve-all"])
+    @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE", "L-MMSE", "MMSE", "P-MMSE"])
+    def test_equals_compact_evaluation(self, scheme, config):
+        ctx, bundle = self.bundle(config)
+        v = compute_combiners(scheme, bundle)
+        got = instantaneous_sinr(v, bundle, ctx.ul_power)
+        assert np.all(got > 0)
+        assert np.allclose(got, compact_sinr(v, bundle, ctx.ul_power), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("config", ["clustered", "all-serve-all"])
+    def test_entries_outside_serving_aps_are_ignored(self, config, rng):
+        ctx, bundle = self.bundle(config)
+        v = complex_normal(rng, bundle.hhat.shape)
+        got = instantaneous_sinr(v, bundle, ctx.ul_power)
+        assert np.allclose(got, compact_sinr(v, bundle, ctx.ul_power), rtol=1e-12, atol=0)
+        if config == "clustered":
+            assert not ctx.assignment.serves.all(), "fixture should leave pairs unserved"
+            masked = v * ctx.assignment.serves.T[None, :, :, None]
+            assert np.array_equal(got, instantaneous_sinr(masked, bundle, ctx.ul_power))
+
+    def test_builds_no_per_ue_noise_matrix(self, monkeypatch):
+        # Z_k per UE would cache K dense (L*N)^2 matrices per setup
+        ctx, bundle = self.bundle("clustered")
+        v = compute_combiners("P-MMSE", bundle)
+
+        def refuse(self, k, partner_only=False):
+            raise AssertionError("instantaneous_sinr built a per-UE noise matrix")
+
+        monkeypatch.setattr(SetupContext, "noise_matrix", refuse)
+        assert instantaneous_sinr(v, bundle, ctx.ul_power).shape == (5, 6)
 
 
 class TestDistributedBenchmarks:
