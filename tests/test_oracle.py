@@ -1,7 +1,10 @@
 """Cross-version oracle: per-UE SE and stderr pinned to frozen reference values.
 
 The values in data/oracle_se.json were produced by commit 50dddff (before the
-accumulators, norm sums and solves were merged into one implementation each).
+accumulators, norm sums and solves were merged into one implementation each);
+the four "no-genie-*" configs were added later, produced by commit d538d4a
+(before the downlink without the genie reference moved into the first
+Monte-Carlo pass).
 A change to the numerical kernels (BLAS Gram matrices, Cholesky solves) must
 keep every value within rtol=1e-9; the within-version byte-determinism tests
 live in test_campaign.py and test_acceptance.py.
@@ -38,6 +41,16 @@ CONFIGS = {
                            schemes=("P-MMSE", "LP-MMSE")),
     "two-setups-single-antenna": dict(mode="distributed", num_setups=2, antennas_per_ap=1,
                                       num_aps=10, seed=7, schemes=("MR", "LP-MMSE")),
+    # without the genie reference the downlink takes its own path through the campaign
+    "no-genie-distributed": dict(mode="distributed", genie_dl=False,
+                                 schemes=("MR", "LP-MMSE", "L-MMSE")),
+    "no-genie-centralized": dict(mode="centralized", genie_dl=False,
+                                 schemes=("MR", "MMSE", "P-MMSE", "LP-MMSE")),
+    "no-genie-batches-of-one": dict(mode="centralized", genie_dl=False, num_realizations=5,
+                                    seed=4, schemes=("P-MMSE", "LP-MMSE", "MR")),
+    "no-genie-batches-of-one-distributed": dict(mode="distributed", genie_dl=False,
+                                                num_realizations=5, seed=4,
+                                                schemes=("MR", "LP-MMSE")),
 }
 
 
