@@ -7,15 +7,23 @@ keyed by (seed, setup, purpose, batch), so batches can run on any number of
 threads - partial results are merged in batch order and outputs are
 byte-identical regardless of parallelism.
 
-Pass 1 accumulates the uplink bound of every scheme and the combiner-norm
-sums of se.combiner_norms (inside UatfAccumulator in distributed mode). The
-downlink precoders are normalized by those sums, E{v^H D v} as Monte-Carlo
-means over the whole setup, so pass 2 re-generates the same realizations to
-accumulate the hardening bound; each batch's stderr replica uses precoders
-normalized by that batch's own norm sums.
+Pass 1 accumulates the uplink bound of every scheme. The downlink precoders
+are the combiners normalized by E{v^H D v}, per UE in centralized operation
+and per AP in distributed operation, as Monte-Carlo means over the whole
+setup. The hardening bound is linear in those normalization scales, so
+pass 1 also accumulates it per precoder block (se.DownlinkBlockMoments) and
+applies the scales once the setup's last batch is in.
+
+The genie-aided reference (genie_dl) needs each realization's gains after
+the normalization, so with the genie on pass 1 only sums the combiner
+norms (se.combiner_norms, inside UatfAccumulator in distributed mode) and a
+second pass re-generates the same realizations to accumulate the hardening
+bound and the genie reference. In both cases each batch's stderr replica
+uses precoders normalized by that batch's own norm sums.
 """
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +41,9 @@ from .power import dl_centralized_equal, dl_distributed_proportional, ul_full_po
 from .rng import CHANNEL, PILOT_NOISE, TOPOLOGY, stream
 from .se import (
     DownlinkAccumulator,
+    DownlinkBlockMoments,
     ErgodicLogAccumulator,
+    PrecoderBlocks,
     UatfAccumulator,
     cdf_statistics,
     combiner_norms,
@@ -149,6 +159,14 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b))
         return h, bundle
 
+    two_pass = need_dl and cfg.genie_dl
+    if need_dl:
+        if centralized:
+            rho = dl_centralized_equal(cfg)
+        else:
+            rho = dl_distributed_proportional(assignment, topology, cfg)
+        blocks = None if two_pass else PrecoderBlocks(assignment, rho)
+
     def pass1(b):
         h, bundle = realizations(b)
         if centralized and need_ul:
@@ -161,23 +179,30 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 if need_ul:
                     sinr = instantaneous_sinr(v, bundle, p)
                     entry["ul"] = ErgodicLogAccumulator.batch_partial(sinr)
-                if need_dl:
+                if two_pass:
                     entry["norm"] = combiner_norms(v)
-            else:
+            elif need_ul or two_pass:
                 entry["ul"] = UatfAccumulator.batch_partial(
                     v, h, p, cfg.noise_ul_w, prelog_ul
+                )
+            if need_dl and not two_pass:
+                entry["dl"] = DownlinkBlockMoments.batch_partial(
+                    v, h, blocks, cfg.noise_dl_w, prelog_dl
                 )
             out[scheme] = entry
         return out
 
     ul_acc = {}
-    norm_sums = {}      # centralized: combiner-norm sums for the DL normalization
+    norm_sums = {}      # centralized, two passes: combiner-norm sums for the DL normalization
+    dl_acc = {}
     for scheme in cfg.schemes:
         if centralized:
             ul_acc[scheme] = ErgodicLogAccumulator(K)
             norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
         else:
             ul_acc[scheme] = UatfAccumulator(K, L)
+        if need_dl:
+            dl_acc[scheme] = DownlinkAccumulator(K) if two_pass else DownlinkBlockMoments(blocks)
 
     for partial in _map_batches(_with_context(pass1, s), len(sizes), threads):
         for scheme, entry in partial.items():
@@ -185,6 +210,8 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 ul_acc[scheme].merge(entry["ul"])
             if "norm" in entry:
                 norm_sums[scheme] = tuple(map(np.add, norm_sums[scheme], entry["norm"]))
+            if "dl" in entry:
+                dl_acc[scheme].merge(entry["dl"])
 
     results = {"assignment_json": assignment.to_json()}
     for scheme in cfg.schemes:
@@ -200,9 +227,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 exc.args = (f"setup {s}, scheme {scheme}: {exc}",) + exc.args[1:]
                 raise
 
-    if need_dl:
-        rho_central = dl_centralized_equal(cfg)
-        rho_dist = dl_distributed_proportional(assignment, topology, cfg)
+    if two_pass:
         global_norm = {}
         for scheme in cfg.schemes:
             if centralized:
@@ -218,24 +243,23 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 v = compute_combiners(scheme, bundle)
                 norm, norm_local = (total / v.shape[0] for total in combiner_norms(v))
                 if centralized:
-                    wg = build_precoders_centralized(v, rho_central, global_norm[scheme][0])
-                    wb = build_precoders_centralized(v, rho_central, norm)
+                    wg = build_precoders_centralized(v, rho, global_norm[scheme][0])
+                    wb = build_precoders_centralized(v, rho, norm)
                 else:
-                    wg = build_precoders_distributed(v, rho_dist, global_norm[scheme][1])
-                    wb = build_precoders_distributed(v, rho_dist, norm_local)
+                    wg = build_precoders_distributed(v, rho, global_norm[scheme][1])
+                    wb = build_precoders_distributed(v, rho, norm_local)
                 out[scheme] = DownlinkAccumulator.batch_partial(
                     wg, wb, h, cfg.noise_dl_w, prelog_dl
                 )
             return out
 
-        dl_acc = {scheme: DownlinkAccumulator(K) for scheme in cfg.schemes}
         for partial in _map_batches(_with_context(pass2, s), len(sizes), threads):
             for scheme, entry in partial.items():
                 dl_acc[scheme].merge(entry)
-        for scheme in cfg.schemes:
-            results[(scheme, "dl")] = dl_acc[scheme].finalize(cfg.noise_dl_w, prelog_dl)
-            if cfg.genie_dl:
-                results[(scheme, "dl_genie")] = dl_acc[scheme].finalize_genie(prelog_dl)
+    for scheme in dl_acc:
+        results[(scheme, "dl")] = dl_acc[scheme].finalize(cfg.noise_dl_w, prelog_dl)
+        if two_pass:
+            results[(scheme, "dl_genie")] = dl_acc[scheme].finalize_genie(prelog_dl)
     return results
 
 
@@ -269,11 +293,22 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it over path:
+    a failed write leaves no partial file and keeps any earlier one whole."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def emit_results(report: SEReport, out_dir) -> None:
     """Write the per-UE table, per-curve CDF files, and campaign metadata.
 
     Identical reports produce identical bytes; every value is recomputable
-    from the echoed config and seed.
+    from the echoed config and seed. Each file is replaced atomically.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -288,13 +323,13 @@ def emit_results(report: SEReport, out_dir) -> None:
                     f"{ue},{scheme},{direction},"
                     f"{_fmt(entry.se[ue])},{_fmt(entry.stderr[ue])}"
                 )
-    (out / "se_per_ue.csv").write_text("\n".join(lines) + "\n")
+    _write_atomic(out / "se_per_ue.csv", "\n".join(lines) + "\n")
 
     for (scheme, direction), entry in report.entries.items():
         ordered, levels, _ = cdf_statistics(entry.se)
         rows = ["se,cdf"]
         rows.extend(f"{_fmt(v)},{_fmt(c)}" for v, c in zip(ordered, levels))
-        (out / f"cdf_{direction}_{scheme}.csv").write_text("\n".join(rows) + "\n")
+        _write_atomic(out / f"cdf_{direction}_{scheme}.csv", "\n".join(rows) + "\n")
 
     meta = [
         "# campaign metadata",
@@ -304,7 +339,5 @@ def emit_results(report: SEReport, out_dir) -> None:
         "# config echo",
     ]
     meta.extend(report.config_lines)
-    (out / "metadata.txt").write_text("\n".join(meta) + "\n")
-    (out / "assignments.json").write_text(
-        "[" + ",".join(report.assignments) + "]" + "\n"
-    )
+    _write_atomic(out / "metadata.txt", "\n".join(meta) + "\n")
+    _write_atomic(out / "assignments.json", "[" + ",".join(report.assignments) + "]" + "\n")

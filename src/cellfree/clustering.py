@@ -52,6 +52,16 @@ class ClusterAssignment:
         """D_l: indices of UEs served by AP l."""
         return np.flatnonzero(self.serves[l])
 
+    def served_table(self) -> tuple:
+        """(L, T) indices of D_l for every AP, padded with UE 0 to
+        T = max_l |D_l|, and the (L, T) mask of the real entries. UEs appear
+        in ascending order, so UE k sits in slot |D_l ∩ {0..k}| - 1."""
+        counts = self.serves.sum(axis=1)
+        valid = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
+        served = np.zeros(valid.shape, dtype=int)
+        served[valid] = np.nonzero(self.serves)[1]
+        return served, valid
+
     def sharers(self, t: int) -> np.ndarray:
         """S_t: UEs assigned to pilot t."""
         return np.flatnonzero(self.pilot_of == t)

@@ -53,7 +53,8 @@ class OpCounter:
 
 
 def _gram(p: np.ndarray, hh: np.ndarray) -> np.ndarray:
-    """sum_i p_i hh_i hh_i^H per realization: hh (B, S, n), p (S,) -> (B, n, n)."""
+    """sum_i p_i hh_i hh_i^H per realization: hh (..., S, n), p (S,) or any
+    shape broadcasting against (..., n, S) -> (..., n, n)."""
     return (np.swapaxes(hh, -1, -2) * p) @ np.conj(hh)
 
 
@@ -110,26 +111,32 @@ def mr_combiner(bundle: EstimationBundle) -> np.ndarray:
 
 
 def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.ndarray:
-    """LP-MMSE (or L-MMSE with all_ues): per-AP N x N regularized solves."""
+    """LP-MMSE (or L-MMSE with all_ues): per-AP N x N regularized solves.
+
+    All APs are solved at once: each AP's served UEs are gathered into a
+    table padded to the largest |D_l|, with zero weight on the padding.
+    L-MMSE sums over all K UEs at every AP instead.
+    """
     ctx = bundle.ctx
     K, L = ctx.topology.beta.shape
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
-    sigma2 = ctx.cfg.noise_ul_w
+    served, valid = ctx.assignment.served_table()                  # (L, T)
+    aps = np.arange(L)[:, None]
+    if all_ues:
+        members, weight = np.broadcast_to(np.arange(K), (L, K)), np.broadcast_to(p, (L, K))
+    else:
+        members, weight = served, p[served] * valid
+    hh = bundle.hhat[:, members, aps, :]                           # (B, L, S, N)
+    gram = _gram(weight[:, None, :], hh)
+    gram += np.einsum("ls,lsmn->lmn", weight, ctx.C[members, aps])
+    gram += ctx.cfg.noise_ul_w * np.eye(N)
+    rhs = np.swapaxes(bundle.hhat[:, served, aps, :], -1, -2)      # (B, L, N, T)
+    sol = np.swapaxes(_solve_hermitian(gram, rhs), -1, -2)         # (B, L, T, N)
+    ls, ts = np.nonzero(valid)
+    ues = served[ls, ts]
     v = np.zeros_like(bundle.hhat)
-    eye = sigma2 * np.eye(N)
-    for l in range(L):
-        served = ctx.assignment.served_ues(l)
-        if served.size == 0:
-            continue
-        members = np.arange(K) if all_ues else served
-        hh = bundle.hhat[:, members, l, :]                      # (B, S, N)
-        gram = _gram(p[members], hh)
-        gram += np.einsum("i,imn->mn", p[members], ctx.C[members, l])
-        gram += eye
-        rhs = np.swapaxes(bundle.hhat[:, served, l, :], 1, 2)   # (B, N, |D_l|)
-        sol = _solve_hermitian(gram, rhs)
-        v[:, served, l, :] = p[served][None, :, None] * np.swapaxes(sol, 1, 2)
+    v[:, ues, ls, :] = p[ues][None, :, None] * sol[:, ls, ts, :]
     return v
 
 
@@ -200,17 +207,25 @@ def precoder_normalization(v_samples: np.ndarray) -> float:
     return float(np.mean(np.sum(np.abs(v_samples) ** 2, axis=tuple(range(1, v_samples.ndim)))))
 
 
+def precoder_scales(rho: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """sqrt(rho / norm) elementwise, the factor that turns a combiner block
+    into a precoder block; zero where rho = 0 (not transmitted to).
+
+    Raises DegeneratePrecoderError where a powered block has no energy.
+    """
+    active = rho > 0
+    if np.any(active & (norm <= 0)):
+        raise DegeneratePrecoderError("zero combiner energy where the downlink power is positive")
+    return np.where(active, np.sqrt(rho / np.where(norm > 0, norm, 1.0)), 0.0)
+
+
 def build_precoders_centralized(v: np.ndarray, rho: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """w_i = sqrt(rho_i) v_i / sqrt(E{v_i^H D_i v_i}), powers folded in.
 
     v: (B, K, L, N) masked combiners, rho: (K,) powers, norm: (K,) estimated
     E{v^H D v}. UEs with zero power are simply not transmitted to.
     """
-    active = rho > 0
-    if np.any(active & (norm <= 0)):
-        raise DegeneratePrecoderError("zero combiner energy for a powered UE")
-    scale = np.where(active, np.sqrt(rho / np.where(norm > 0, norm, 1.0)), 0.0)
-    return v * scale[None, :, None, None]
+    return v * precoder_scales(rho, norm)[None, :, None, None]
 
 
 def build_precoders_distributed(v: np.ndarray, rho_per_ap: np.ndarray,
@@ -219,11 +234,7 @@ def build_precoders_distributed(v: np.ndarray, rho_per_ap: np.ndarray,
 
     rho_per_ap, norm_per_ap: (K, L). Entries with rho_il = 0 stay zero.
     """
-    active = rho_per_ap > 0
-    if np.any(active & (norm_per_ap <= 0)):
-        raise DegeneratePrecoderError("zero combiner energy at a powered AP")
-    scale = np.where(active, np.sqrt(rho_per_ap / np.where(norm_per_ap > 0, norm_per_ap, 1.0)), 0.0)
-    return v * scale[None, :, :, None]
+    return v * precoder_scales(rho_per_ap, norm_per_ap)[None, :, :, None]
 
 
 # ---------------------------------------------------------------------------

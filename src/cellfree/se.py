@@ -10,7 +10,9 @@ interference second moments, combiner norm).
 
 Downlink: the hardening bound with the same structure, driven by normalized
 precoders, plus a genie-aided reference where the UE knows its instantaneous
-effective channel.
+effective channel. Without the genie the bound is accumulated per precoder
+block before the normalizations are known (DownlinkBlockMoments), so it
+needs no second pass over the realizations.
 
 Both ratio-of-means bounds have the form
 |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise): each has one
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combining import precoder_scales
 from .estimation import EstimationBundle
 
 
@@ -186,9 +189,11 @@ class _RatioOfMeans:
     """Sums and batch-means replicas of a bound whose SINR is a ratio of
     expectations, |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise).
 
-    Batch partials carry the sums plus one SE replica computed from the
-    batch's own moments; the spread of the replicas gives the stderr.
+    Batch partials carry the sums named in _SUMS plus one SE replica computed
+    from the batch's own moments; the spread of the replicas gives the stderr.
     """
+
+    _SUMS = ("signal", "cross")
 
     def __init__(self, num_ues: int):
         self.n = 0
@@ -212,8 +217,8 @@ class _RatioOfMeans:
 
     def merge(self, partial: dict) -> None:
         self.n += partial["n"]
-        self.signal += partial["signal"]
-        self.cross += partial["cross"]
+        for name in self._SUMS:
+            vars(self)[name] += partial[name]
         self.den_replicas.append(partial["den_replica"])
         self.se_replicas.append(partial["se_replica"])
 
@@ -246,6 +251,8 @@ class UatfAccumulator(_RatioOfMeans):
     """Use-and-then-forget moments of the gains g[b, k, i] = v_k^H D_k h_i,
     plus the combiner norms that normalize the downlink precoders."""
 
+    _SUMS = _RatioOfMeans._SUMS + ("norm", "norm_local")
+
     def __init__(self, num_ues: int, num_aps: int):
         super().__init__(num_ues)
         self.norm = np.zeros(num_ues)
@@ -261,11 +268,6 @@ class UatfAccumulator(_RatioOfMeans):
         batch = UatfMoments(partial["signal"] / B, partial["cross"] / B, partial["norm"] / B)
         partial.update(_RatioOfMeans._replica(*_uatf_terms(batch, ul_power, noise_w), prelog))
         return partial
-
-    def merge(self, partial: dict) -> None:
-        super().merge(partial)
-        self.norm += partial["norm"]
-        self.norm_local += partial["norm_local"]
 
     def moments(self) -> UatfMoments:
         return UatfMoments(self.signal / self.n, self.cross / self.n, self.norm / self.n)
@@ -314,6 +316,133 @@ class DownlinkAccumulator(_RatioOfMeans):
 
     def finalize_genie(self, prelog: float) -> tuple:
         return self.genie.finalize(prelog)
+
+
+class PrecoderBlocks:
+    """The combiner blocks v_p that the downlink precoders scale one by one.
+
+    A precoder is w_i = sum_p c_p v_p over UE i's blocks, with the scale
+    c_p = sqrt(rho_p / E{||v_p||^2}). Per-UE powers rho (K,) make each UE's
+    whole combiner one block (centralized operation); per-AP powers (K, L)
+    make block p UE ues[p]'s combiner at its serving AP aps[p] (distributed
+    operation). Blocks are ordered by UE. The block second moments of UE i
+    are kept for every ordered pair of its blocks, K * sum_i |M_i|^2 values.
+    """
+
+    def __init__(self, assignment, rho: np.ndarray):
+        L, K = assignment.serves.shape
+        if rho.ndim == 1:
+            self.ues, self.aps = np.arange(K), None
+            self.rho = rho
+            self._table_width = 0
+        else:
+            self.ues, self.aps = np.nonzero(assignment.serves.T)
+            self.rho = rho[self.ues, self.aps]
+            # the gains are computed per AP for its served UEs, where block
+            # p sits in slot slots[p] of AP aps[p]
+            self.served, _ = assignment.served_table()
+            self.slots = (np.cumsum(assignment.serves, axis=1) - 1)[self.aps, self.ues]
+            self._table_width = self.served.shape[1]
+        self.num_ues = K
+        counts = np.bincount(self.ues, minlength=K)
+        first = np.cumsum(counts) - counts
+        first_pair = np.cumsum(counts**2) - counts**2
+        self.num_pairs = int(np.sum(counts**2))
+        # UEs with equal block counts are handled together:
+        # (UEs, their blocks (n, m), their block pairs (n, m * m))
+        self.groups = []
+        for m in np.unique(counts):
+            ues = np.flatnonzero(counts == m)
+            self.groups.append((ues, first[ues][:, None] + np.arange(m),
+                                first_pair[ues][:, None] + np.arange(m * m)))
+
+    def _gains(self, v: np.ndarray, h: np.ndarray) -> tuple:
+        """g[k, p, b] = h_k^H v_p for every UE k and block p, and the block
+        energies sum_b ||v_p||^2."""
+        if self.aps is None:
+            return np.moveaxis(combining_gains(h, v), 0, -1), combiner_norms(v)[0]
+        vD = v[:, self.served, np.arange(v.shape[2])[:, None], :]        # (b, L, T, N)
+        conj_g = np.swapaxes(h, 1, 2) @ np.conj(np.swapaxes(vD, -1, -2))  # (b, L, K, T)
+        g = np.conj(conj_g[:, self.aps, :, self.slots])                     # (P, b, K)
+        energy = np.sum(np.abs(vD) ** 2, axis=(0, 3))[self.aps, self.slots]
+        return np.ascontiguousarray(np.moveaxis(g, -1, 0)), energy
+
+    def moments(self, v: np.ndarray, h: np.ndarray) -> tuple:
+        """Batch sums of the blocks: sig[p] = sum_b h_i^H v_p over UE i's own
+        blocks p, S[k, q] = Re sum_b g[k, a, b] conj(g[k, a', b]) over the
+        block pairs q = (a, a') of one UE, and the energies sum_b ||v_p||^2.
+
+        Realizations are taken in chunks whose temporaries together take
+        about as much memory as the (B, K, L, N) batch: the channels laid out
+        per AP, the per-AP gain table and two copies of the block gains.
+        """
+        B, K, L, N = v.shape
+        P = self.ues.size
+        sig = np.zeros(P, dtype=complex)
+        S = np.zeros((K, self.num_pairs))
+        energy = np.zeros(P)
+        temporaries = K * L * N + K * L * self._table_width + 2 * K * P
+        chunk = -(-B // -(-temporaries // (K * L * N)))
+        for start in range(0, B, chunk):
+            g, e = self._gains(v[start:start + chunk], h[start:start + chunk])
+            sig += g[self.ues, np.arange(P)].sum(axis=-1)
+            energy += e
+            for _, blocks, pairs in self.groups:
+                gm = g[:, blocks]                                       # (K, n, m, b)
+                prod = np.conj(gm) @ np.swapaxes(gm, -1, -2)           # (K, n, m, m)
+                S[:, pairs] += np.real(prod).reshape(K, *pairs.shape)
+        return sig, S, energy
+
+    def contract(self, c: np.ndarray, sig: np.ndarray, S: np.ndarray) -> tuple:
+        """Apply block scales c to the sums: signal[k] = sum_p c_p sig[p]
+        over UE k's blocks and second[k, i] = c_i^T S[k, i] c_i."""
+        K = self.num_ues
+        signal = np.zeros(K, dtype=complex)
+        second = np.zeros((K, K))
+        for ues, blocks, pairs in self.groups:
+            cb = c[blocks]
+            signal[ues] = np.sum(cb * sig[blocks], axis=1)
+            scale = (cb[:, :, None] * cb[:, None, :]).reshape(pairs.shape)
+            second[:, ues] = np.sum(S[:, pairs] * scale, axis=-1)
+        return signal, second
+
+
+class DownlinkBlockMoments(_RatioOfMeans):
+    """Hardening-bound sums for precoders that are combiners scaled per block.
+
+    The bound is linear in the block scales of PrecoderBlocks, whose
+    normalizations E{||v_p||^2} are known only after the last batch. So the
+    sums are kept per block (sig, S and the block energies) and the scales
+    are applied at finalize; the campaign then needs one pass over the
+    realizations. Each batch's replica applies that batch's own scales.
+    """
+
+    _SUMS = ("sig", "S", "norm")
+
+    def __init__(self, blocks: PrecoderBlocks):
+        super().__init__(blocks.num_ues)
+        self.blocks = blocks
+        self.sig = np.zeros(blocks.ues.size, dtype=complex)
+        self.S = np.zeros((blocks.num_ues, blocks.num_pairs))
+        self.norm = np.zeros(blocks.ues.size)
+
+    @staticmethod
+    def batch_partial(v: np.ndarray, h: np.ndarray, blocks: PrecoderBlocks,
+                      noise_dl_w: float, prelog: float) -> dict:
+        B = v.shape[0]
+        sig, S, norm = blocks.moments(v, h)
+        partial = {"n": B, "sig": sig, "S": S, "norm": norm}
+        scales = precoder_scales(blocks.rho, norm / B)
+        signal, second = blocks.contract(scales, sig, S)
+        terms = _hardening_terms(signal / B, second / B, noise_dl_w)
+        partial.update(_RatioOfMeans._replica(*terms, prelog))
+        return partial
+
+    def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
+        scales = precoder_scales(self.blocks.rho, self.norm / self.n)
+        self.signal, self.cross = self.blocks.contract(scales, self.sig, self.S)
+        terms = _hardening_terms(self.signal / self.n, self.cross / self.n, noise_dl_w)
+        return self._finalize(*terms, prelog)
 
 
 def _replica_stderr(replicas: list) -> np.ndarray:

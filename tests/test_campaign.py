@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cellfree.campaign import emit_results, run_campaign
-from cellfree.combining import compute_combiners
+from cellfree import campaign
+from cellfree.campaign import _batch_sizes, emit_results, run_campaign
+from cellfree.combining import DegeneratePrecoderError, compute_combiners
 from cellfree.estimation import EstimationBundle
 from cellfree.power import dl_centralized_equal, per_ap_dl_power
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
@@ -112,6 +115,23 @@ class TestEmit:
         assert f"run.seed = {cfg.seed}" in meta
         assert "network.num_aps" in meta
 
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        cfg = make_cfg(num_realizations=20, ul_data_len=190, dl_data_len=0)
+        report = run_campaign(cfg)
+        emit_results(report, tmp_path)
+        earlier = read_tree(tmp_path)
+        real_write = Path.write_text
+
+        def disk_full(path, text, *args, **kwargs):
+            real_write(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        report.entries[("MR", "ul")].se[:] += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            emit_results(report, tmp_path)
+        assert read_tree(tmp_path) == earlier
+
     def test_assignments_serialized(self, tmp_path):
         import json
 
@@ -121,6 +141,68 @@ class TestEmit:
         payload = json.loads((tmp_path / "assignments.json").read_text())
         assert len(payload) == 2
         assert len(payload[0]["pilot_of"]) == cfg.num_ues
+
+
+class TestOnePassDownlink:
+    """Without the genie the downlink is accumulated in the first pass."""
+
+    CASES = {
+        "distributed": dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE")),
+        "centralized": dict(mode="centralized", schemes=("MR", "MMSE", "P-MMSE", "LP-MMSE")),
+        "distributed-batches-of-one": dict(mode="distributed", num_realizations=5,
+                                           schemes=("MR", "LP-MMSE")),
+        "centralized-batches-of-one": dict(mode="centralized", num_realizations=5,
+                                           schemes=("P-MMSE", "MR")),
+    }
+
+    @staticmethod
+    def _cfg(case, **kw):
+        base = dict(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2, seed=3,
+                    num_realizations=48, genie_dl=False)
+        return make_cfg(**{**base, **TestOnePassDownlink.CASES[case], **kw})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_two_pass_downlink(self, case):
+        cfg = self._cfg(case)
+        one = run_campaign(cfg)
+        two = run_campaign(cfg.replace(genie_dl=True))
+        for scheme in cfg.schemes:
+            got, expected = one.entries[(scheme, "dl")], two.entries[(scheme, "dl")]
+            np.testing.assert_allclose(got.se, expected.se, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
+
+    @pytest.mark.parametrize("genie, passes", [(False, 1), (True, 2)])
+    def test_channel_draws_per_batch(self, monkeypatch, genie, passes):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return sample_channels(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "sample_channels", counting)
+        cfg = self._cfg("distributed", genie_dl=genie)
+        run_campaign(cfg)
+        assert calls == _batch_sizes(cfg) * passes
+
+    def test_thread_count_does_not_change_bytes(self, tmp_path):
+        for case in ("distributed", "centralized"):
+            cfg = self._cfg(case, num_realizations=64, num_setups=2)
+            a, b = tmp_path / f"{case}-1", tmp_path / f"{case}-2"
+            emit_results(run_campaign(cfg, threads=1), a)
+            emit_results(run_campaign(cfg, threads=2), b)
+            assert read_tree(a) == read_tree(b)
+
+    @pytest.mark.parametrize("case", ["distributed", "centralized"])
+    def test_powered_ue_without_combiner_energy_raises(self, monkeypatch, case):
+        def silent_ue0(scheme, bundle):
+            v = compute_combiners(scheme, bundle)
+            v[:, 0] = 0
+            return v
+
+        monkeypatch.setattr(campaign, "compute_combiners", silent_ue0)
+        with pytest.raises(DegeneratePrecoderError):
+            run_campaign(self._cfg(case, ul_data_len=0))
 
 
 class TestPerApPowerConstraint:

@@ -209,6 +209,21 @@ class TestBatchedMatchesReference:
                 ref = combiner_single(scheme, k, bundle.hhat[b], ctx)
                 assert np.allclose(v[b, k], ref, rtol=1e-10, atol=1e-18)
 
+    @pytest.mark.parametrize("scheme", ["LP-MMSE", "L-MMSE"])
+    def test_local_schemes_with_idle_and_partly_loaded_aps(self, scheme):
+        # the per-AP gather pads |D_l| to the largest cluster; idle APs get nothing
+        cfg = make_cfg(num_aps=20, num_ues=4, pilot_len=3, antennas_per_ap=2,
+                       area_side_km=2.0, schemes=(scheme,))
+        _, assignment, ctx, _, bundle = make_bundle(cfg, batch=3)
+        sizes = assignment.cluster_sizes()
+        assert sizes.min() == 0 and len(set(sizes[sizes > 0])) > 1, "fixture lost its shape"
+        bundle.ensure_all()
+        v = compute_combiners(scheme, bundle)
+        for b in range(3):
+            for k in range(cfg.num_ues):
+                ref = combiner_single(scheme, k, bundle.hhat[b], ctx)
+                assert np.allclose(v[b, k], ref, rtol=1e-10, atol=1e-18)
+
 
 class TestKernelsMatchEinsumDefinitions:
     """The matmul kernels equal their einsum definitions (summation order only)."""
@@ -220,6 +235,13 @@ class TestKernelsMatchEinsumDefinitions:
         p = rng.uniform(0.1, 2.0, size=shape[1])
         expected = np.einsum("i,bim,bin->bmn", p, hh, np.conj(hh))
         assert np.allclose(_gram(p, hh), expected, rtol=1e-13, atol=0)
+
+    def test_gram_with_per_ap_weights(self, rng):
+        # LP-MMSE's stacked form: hh (B, L, S, N) with weights (L, 1, S)
+        hh = complex_normal(rng, (3, 4, 5, 2))
+        p = rng.uniform(0.0, 2.0, size=(4, 5))
+        expected = np.einsum("ls,blsm,blsn->blmn", p, hh, np.conj(hh))
+        assert np.allclose(_gram(p[:, None, :], hh), expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("k_v, k_h", [(4, 4), (3, 5), (1, 1), (1, 3)])
     def test_combining_gains(self, k_v, k_h, rng):

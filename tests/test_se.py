@@ -2,17 +2,27 @@ import numpy as np
 import pytest
 
 from cellfree.campaign import run_campaign
-from cellfree.combining import compute_combiners
+from cellfree.clustering import ClusterAssignment
+from cellfree.combining import (
+    build_precoders_centralized,
+    build_precoders_distributed,
+    compute_combiners,
+    precoder_scales,
+)
 from cellfree.estimation import EstimationBundle, SetupContext
-from cellfree.power import dl_distributed_proportional
+from cellfree.power import dl_centralized_equal, dl_distributed_proportional
 from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
 from cellfree.se import (
     DownlinkAccumulator,
+    DownlinkBlockMoments,
     ErgodicLogAccumulator,
     NumericError,
+    PrecoderBlocks,
     UatfAccumulator,
     UatfMoments,
     cdf_statistics,
+    combiner_norms,
+    combining_gains,
     dl_mr_closed_form_terms,
     dl_se_mr_closed_form,
     instantaneous_sinr,
@@ -370,6 +380,67 @@ class TestDownlinkNumericGuards(TestNumericGuards):
 
     def _finalize(self, acc, noise_w):
         return acc.finalize(noise_w, 1.0)
+
+
+class TestDownlinkBlockNumericGuards(TestNumericGuards):
+    """One UE whose precoder is one block of unit scale (rho = 1, energy n)."""
+
+    def _accumulator(self, n, signal, cross):
+        acc = DownlinkBlockMoments(PrecoderBlocks(_assignment([[True]]), np.array([1.0])))
+        acc.n, acc.sig, acc.S, acc.norm = n, np.array([signal + 0j]), np.array([[cross]]), \
+            np.array([float(n)])
+        return acc
+
+    def _finalize(self, acc, noise_w):
+        return acc.finalize(noise_w, 1.0)
+
+
+class TestDownlinkBlockMoments:
+    """Block sums with the scales applied equal the sums of the precoded gains."""
+
+    @pytest.mark.parametrize("mode", ["centralized", "distributed"])
+    @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE", "P-MMSE"])
+    def test_contracted_sums_equal_precoded_gains(self, mode, scheme):
+        cfg = make_cfg(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2, mode=mode)
+        topo, assignment, ctx = make_setup(cfg)
+        B = 10
+        h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), B)
+        v = compute_combiners(scheme, EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0)))
+        if mode == "centralized":
+            rho = dl_centralized_equal(cfg)
+            w = build_precoders_centralized(v, rho, combiner_norms(v)[0] / B)
+        else:
+            rho = dl_distributed_proportional(assignment, topo, cfg)
+            w = build_precoders_distributed(v, rho, combiner_norms(v)[1] / B)
+        blocks = PrecoderBlocks(assignment, rho)
+        if mode == "distributed":
+            served, _ = assignment.served_table()
+            assert served.shape[1] > cfg.antennas_per_ap, "fixture should need several chunks"
+        sig, S, energy = blocks.moments(v, h)
+        scales = precoder_scales(blocks.rho, energy / B)
+        signal, second = blocks.contract(scales, sig, S)
+        g = combining_gains(h, w)
+        assert np.allclose(signal, np.einsum("bkk->k", g), rtol=1e-12, atol=0)
+        assert np.allclose(second, np.sum(np.abs(g) ** 2, axis=0), rtol=1e-12, atol=0)
+
+    def test_blocks_follow_the_power_layout(self):
+        serves = _assignment([[True, False], [True, True], [False, True]])   # (L, K)
+        per_ue = PrecoderBlocks(serves, np.array([1.0, 2.0]))
+        assert per_ue.aps is None and per_ue.ues.tolist() == [0, 1]
+        assert per_ue.num_pairs == 2
+        rho = np.arange(6.0).reshape(2, 3)
+        per_ap = PrecoderBlocks(serves, rho)
+        assert per_ap.ues.tolist() == [0, 0, 1, 1] and per_ap.aps.tolist() == [0, 1, 1, 2]
+        assert per_ap.rho.tolist() == [0.0, 1.0, 4.0, 5.0]
+        assert per_ap.slots.tolist() == [0, 0, 1, 0]
+        assert per_ap.num_pairs == 8
+
+
+def _assignment(serves):
+    serves = np.array(serves)
+    L, K = serves.shape
+    return ClusterAssignment(pilot_len=K, pilot_of=np.arange(K), master_of=np.argmax(serves, axis=0),
+                             serves=serves, ue_on_pilot=np.full((L, K), -1))
 
 
 class TestCdf:
