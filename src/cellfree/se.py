@@ -330,7 +330,7 @@ class PrecoderBlocks:
     """
 
     def __init__(self, assignment, rho: np.ndarray):
-        L, K = assignment.serves.shape
+        K = assignment.num_ues
         if rho.ndim == 1:
             self.ues, self.aps = np.arange(K), None
             self.rho = rho
@@ -373,8 +373,9 @@ class PrecoderBlocks:
         block pairs q = (a, a') of one UE, and the energies sum_b ||v_p||^2.
 
         Realizations are taken in chunks whose temporaries together take
-        about as much memory as the (B, K, L, N) batch: the channels laid out
-        per AP, the per-AP gain table and two copies of the block gains.
+        about as much memory as the (B, K, L, N) batch: a copy of the
+        channels, the per-AP gain table (distributed operation) and two
+        copies of the block gains.
         """
         B, K, L, N = v.shape
         P = self.ues.size
@@ -440,6 +441,7 @@ class DownlinkBlockMoments(_RatioOfMeans):
 
     def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
         scales = precoder_scales(self.blocks.rho, self.norm / self.n)
+        # the scaled sums are the gain sums that _finalize checks
         self.signal, self.cross = self.blocks.contract(scales, self.sig, self.S)
         terms = _hardening_terms(self.signal / self.n, self.cross / self.n, noise_dl_w)
         return self._finalize(*terms, prelog)
