@@ -11,15 +11,17 @@ Pass 1 accumulates the uplink bound of every scheme. The downlink precoders
 are the combiners normalized by E{v^H D v}, per UE in centralized operation
 and per AP in distributed operation, as Monte-Carlo means over the whole
 setup. The hardening bound is linear in those normalization scales, so
-pass 1 also accumulates it per precoder block (se.DownlinkBlockMoments) and
-applies the scales once the setup's last batch is in.
+pass 1 can also accumulate it per precoder block (se.DownlinkBlockMoments)
+and apply the scales once the setup's last batch is in.
 
-The genie-aided reference (genie_dl) needs each realization's gains after
-the normalization, so with the genie on pass 1 only sums the combiner
-norms (se.combiner_norms, inside UatfAccumulator in distributed mode) and a
-second pass re-generates the same realizations to accumulate the hardening
-bound and the genie reference. In both cases each batch's stderr replica
-uses precoders normalized by that batch's own norm sums.
+Otherwise pass 1 only sums the combiner norms (se.combiner_norms, inside
+UatfAccumulator in distributed mode) and a second pass re-generates the
+same realizations to accumulate the hardening bound and the genie-aided
+reference. That happens with the genie on (genie_dl), which needs each
+realization's gains after the normalization, and when the block moments
+would be large (_downlink_in_pass1): large distributed clusters, whose
+block moments cost more than the second pass. In both cases each batch's
+stderr replica uses precoders normalized by that batch's own norm sums.
 """
 
 import concurrent.futures
@@ -159,13 +161,14 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b))
         return h, bundle
 
-    two_pass = need_dl and cfg.genie_dl
+    two_pass = False
     if need_dl:
         if centralized:
             rho = dl_centralized_equal(cfg)
         else:
             rho = dl_distributed_proportional(assignment, topology, cfg)
-        blocks = None if two_pass else PrecoderBlocks(assignment, rho)
+        blocks = PrecoderBlocks(assignment, rho)
+        two_pass = not _downlink_in_pass1(cfg, blocks, sizes[0])
 
     def pass1(b):
         h, bundle = realizations(b)
@@ -258,9 +261,27 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 dl_acc[scheme].merge(entry)
     for scheme in dl_acc:
         results[(scheme, "dl")] = dl_acc[scheme].finalize(cfg.noise_dl_w, prelog_dl)
-        if two_pass:
+        if cfg.genie_dl:
             results[(scheme, "dl_genie")] = dl_acc[scheme].finalize_genie(prelog_dl)
     return results
+
+
+def _downlink_in_pass1(cfg: SimulationConfig, blocks: PrecoderBlocks, batch: int) -> bool:
+    """Whether pass 1 accumulates the downlink as block moments, so that the
+    realizations are drawn once.
+
+    Not with the genie reference, which needs each realization's gains
+    after the setup-wide normalization. Otherwise only when the block second
+    moments, K * sum_i |M_i|^2 values, take at most a quarter of one
+    (batch, K, L, N) array; their memory and their work grow with that
+    count. Timed on one core, the single pass was 27-57% faster than two
+    passes up to a quarter and slower from about 0.7 on (distributed DCC
+    clusters at desk and full scale). Distributed all-serve-all
+    clusters (|M_i| = L) are far beyond it. Centralized operation has one
+    block per UE, so S is K x K there.
+    """
+    batch_array = batch * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap
+    return not cfg.genie_dl and 4 * cfg.num_ues * blocks.num_pairs <= batch_array
 
 
 def _map_batches(fn, count, threads):
@@ -294,11 +315,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary file next to path, then rename it over path:
-    a failed write leaves no partial file and keeps any earlier one whole."""
+    """Write text to a temporary file next to path, flush it to disk, then
+    rename it over path: a failed write leaves no partial file and keeps any
+    earlier one whole, also across a power loss."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

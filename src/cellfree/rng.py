@@ -4,8 +4,7 @@ Every random draw in a campaign comes from a Philox stream derived from the
 master seed plus a structured key (setup index, purpose tag, batch index).
 Streams are independent of execution order, so batches of realizations can
 be evaluated on any number of threads, and a batch drawn again (as the
-campaign's second pass does when the genie-aided downlink reference is on)
-is bit-identical to its first draw.
+campaign's second downlink pass does) is bit-identical to its first draw.
 """
 
 import numpy as np

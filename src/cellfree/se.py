@@ -10,9 +10,9 @@ interference second moments, combiner norm).
 
 Downlink: the hardening bound with the same structure, driven by normalized
 precoders, plus a genie-aided reference where the UE knows its instantaneous
-effective channel. Without the genie the bound is accumulated per precoder
-block before the normalizations are known (DownlinkBlockMoments), so it
-needs no second pass over the realizations.
+effective channel. Without the genie the bound can be accumulated per
+precoder block before the normalizations are known (DownlinkBlockMoments),
+so it needs no second pass over the realizations.
 
 Both ratio-of-means bounds have the form
 |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise): each has one
@@ -189,16 +189,13 @@ class _RatioOfMeans:
     """Sums and batch-means replicas of a bound whose SINR is a ratio of
     expectations, |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise).
 
-    Batch partials carry the sums named in _SUMS plus one SE replica computed
+    Batch partials carry the subclass's sums plus one SE replica computed
     from the batch's own moments; the spread of the replicas gives the stderr.
+    Each subclass allocates and merges its own sums.
     """
 
-    _SUMS = ("signal", "cross")
-
-    def __init__(self, num_ues: int):
+    def __init__(self):
         self.n = 0
-        self.signal = np.zeros(num_ues, dtype=complex)
-        self.cross = np.zeros((num_ues, num_ues))
         self.den_replicas = []
         self.se_replicas = []
 
@@ -217,15 +214,18 @@ class _RatioOfMeans:
 
     def merge(self, partial: dict) -> None:
         self.n += partial["n"]
-        for name in self._SUMS:
-            vars(self)[name] += partial[name]
         self.den_replicas.append(partial["den_replica"])
         self.se_replicas.append(partial["se_replica"])
 
-    def _finalize(self, num: np.ndarray, den: np.ndarray, prelog: float) -> tuple:
-        """(se, stderr) after the second-moment check and the denominator clamp."""
-        own = np.diag(self.cross) / self.n
-        if np.any(own - np.abs(self.signal / self.n) ** 2 < -1e-9 * np.maximum(own, 1e-300)):
+    def _finalize(self, signal: np.ndarray, second: np.ndarray, num: np.ndarray,
+                  den: np.ndarray, prelog: float) -> tuple:
+        """(se, stderr) after the second-moment check and the denominator clamp.
+
+        signal[k] = E{g_kk} and second[k, i] = E{|g_ki|^2} are the means the
+        (num, den) terms were built from.
+        """
+        own = np.diag(second)
+        if np.any(own - np.abs(signal) ** 2 < -1e-9 * np.maximum(own, 1e-300)):
             raise NumericError("second moment below squared mean beyond tolerance")
         den = self._clamp_denominator(den, num)
         return se_from_sinr(_safe_ratio(num, den), prelog), _replica_stderr(self.se_replicas)
@@ -251,10 +251,10 @@ class UatfAccumulator(_RatioOfMeans):
     """Use-and-then-forget moments of the gains g[b, k, i] = v_k^H D_k h_i,
     plus the combiner norms that normalize the downlink precoders."""
 
-    _SUMS = _RatioOfMeans._SUMS + ("norm", "norm_local")
-
     def __init__(self, num_ues: int, num_aps: int):
-        super().__init__(num_ues)
+        super().__init__()
+        self.signal = np.zeros(num_ues, dtype=complex)
+        self.cross = np.zeros((num_ues, num_ues))
         self.norm = np.zeros(num_ues)
         self.norm_local = np.zeros((num_ues, num_aps))
 
@@ -269,6 +269,13 @@ class UatfAccumulator(_RatioOfMeans):
         partial.update(_RatioOfMeans._replica(*_uatf_terms(batch, ul_power, noise_w), prelog))
         return partial
 
+    def merge(self, partial: dict) -> None:
+        super().merge(partial)
+        self.signal += partial["signal"]
+        self.cross += partial["cross"]
+        self.norm += partial["norm"]
+        self.norm_local += partial["norm_local"]
+
     def moments(self) -> UatfMoments:
         return UatfMoments(self.signal / self.n, self.cross / self.n, self.norm / self.n)
 
@@ -277,7 +284,8 @@ class UatfAccumulator(_RatioOfMeans):
         return self.norm_local / self.n
 
     def finalize(self, ul_power: np.ndarray, noise_w: float, prelog: float) -> tuple:
-        return self._finalize(*_uatf_terms(self.moments(), ul_power, noise_w), prelog)
+        m = self.moments()
+        return self._finalize(m.signal, m.cross, *_uatf_terms(m, ul_power, noise_w), prelog)
 
 
 class DownlinkAccumulator(_RatioOfMeans):
@@ -285,7 +293,9 @@ class DownlinkAccumulator(_RatioOfMeans):
     the genie-aided reference. Precoders arrive with powers folded in."""
 
     def __init__(self, num_ues: int):
-        super().__init__(num_ues)
+        super().__init__()
+        self.signal = np.zeros(num_ues, dtype=complex)
+        self.cross = np.zeros((num_ues, num_ues))
         self.genie = ErgodicLogAccumulator(num_ues)
 
     @staticmethod
@@ -308,11 +318,13 @@ class DownlinkAccumulator(_RatioOfMeans):
 
     def merge(self, partial: dict) -> None:
         super().merge(partial)
+        self.signal += partial["signal"]
+        self.cross += partial["cross"]
         self.genie.merge(partial["genie"])
 
     def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
-        terms = _hardening_terms(self.signal / self.n, self.cross / self.n, noise_dl_w)
-        return self._finalize(*terms, prelog)
+        signal, second = self.signal / self.n, self.cross / self.n
+        return self._finalize(signal, second, *_hardening_terms(signal, second, noise_dl_w), prelog)
 
     def finalize_genie(self, prelog: float) -> tuple:
         return self.genie.finalize(prelog)
@@ -375,7 +387,10 @@ class PrecoderBlocks:
         Realizations are taken in chunks whose temporaries together take
         about as much memory as the (B, K, L, N) batch: a copy of the
         channels, the per-AP gain table (distributed operation) and two
-        copies of the block gains.
+        copies of the block gains. S, and the products it sums, hold
+        K * sum_i |M_i|^2 values, which grow with the cluster sizes and not
+        with B; the campaign takes this path only when that count is at most
+        a quarter of the batch array.
         """
         B, K, L, N = v.shape
         P = self.ues.size
@@ -418,10 +433,8 @@ class DownlinkBlockMoments(_RatioOfMeans):
     realizations. Each batch's replica applies that batch's own scales.
     """
 
-    _SUMS = ("sig", "S", "norm")
-
     def __init__(self, blocks: PrecoderBlocks):
-        super().__init__(blocks.num_ues)
+        super().__init__()
         self.blocks = blocks
         self.sig = np.zeros(blocks.ues.size, dtype=complex)
         self.S = np.zeros((blocks.num_ues, blocks.num_pairs))
@@ -439,12 +452,16 @@ class DownlinkBlockMoments(_RatioOfMeans):
         partial.update(_RatioOfMeans._replica(*terms, prelog))
         return partial
 
+    def merge(self, partial: dict) -> None:
+        super().merge(partial)
+        self.sig += partial["sig"]
+        self.S += partial["S"]
+        self.norm += partial["norm"]
+
     def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
         scales = precoder_scales(self.blocks.rho, self.norm / self.n)
-        # the scaled sums are the gain sums that _finalize checks
-        self.signal, self.cross = self.blocks.contract(scales, self.sig, self.S)
-        terms = _hardening_terms(self.signal / self.n, self.cross / self.n, noise_dl_w)
-        return self._finalize(*terms, prelog)
+        signal, second = (total / self.n for total in self.blocks.contract(scales, self.sig, self.S))
+        return self._finalize(signal, second, *_hardening_terms(signal, second, noise_dl_w), prelog)
 
 
 def _replica_stderr(replicas: list) -> np.ndarray:

@@ -1,4 +1,4 @@
-from pathlib import Path
+import os
 
 import numpy as np
 import pytest
@@ -120,13 +120,13 @@ class TestEmit:
         report = run_campaign(cfg)
         emit_results(report, tmp_path)
         earlier = read_tree(tmp_path)
-        real_write = Path.write_text
 
-        def disk_full(path, text, *args, **kwargs):
-            real_write(path, text[: len(text) // 2], *args, **kwargs)
+        def disk_full(fd):
+            # half the text reached the disk before the failure
+            os.ftruncate(fd, os.fstat(fd).st_size // 2)
             raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_text", disk_full)
+        monkeypatch.setattr(os, "fsync", disk_full)
         report.entries[("MR", "ul")].se[:] += 1.0
         with pytest.raises(OSError, match="disk full"):
             emit_results(report, tmp_path)
@@ -144,7 +144,8 @@ class TestEmit:
 
 
 class TestOnePassDownlink:
-    """Without the genie the downlink is accumulated in the first pass."""
+    """Without the genie, and with block moments small enough, the downlink
+    is accumulated in the first pass."""
 
     CASES = {
         "distributed": dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE")),
@@ -161,8 +162,29 @@ class TestOnePassDownlink:
                     num_realizations=48, genie_dl=False)
         return make_cfg(**{**base, **TestOnePassDownlink.CASES[case], **kw})
 
+    @pytest.fixture
+    def single_pass(self, monkeypatch):
+        """Take the single pass whenever the genie is off, whatever the
+        size of the block moments, so that every case exercises it."""
+        monkeypatch.setattr(campaign, "_downlink_in_pass1",
+                            lambda cfg, blocks, batch: not cfg.genie_dl)
+
+    @staticmethod
+    def _draws(monkeypatch, cfg):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return sample_channels(*args, **kwargs)
+
+        monkeypatch.setattr(campaign, "sample_channels", counting)
+        run_campaign(cfg)
+        passes, rest = divmod(len(calls), len(_batch_sizes(cfg)))
+        assert rest == 0 and calls == _batch_sizes(cfg) * passes
+        return passes
+
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_the_two_pass_downlink(self, case):
+    def test_matches_the_two_pass_downlink(self, monkeypatch, single_pass, case):
         cfg = self._cfg(case)
         one = run_campaign(cfg)
         two = run_campaign(cfg.replace(genie_dl=True))
@@ -171,21 +193,30 @@ class TestOnePassDownlink:
             np.testing.assert_allclose(got.se, expected.se, rtol=1e-12, atol=0)
             np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
+        assert self._draws(monkeypatch, cfg) == 1
 
     @pytest.mark.parametrize("genie, passes", [(False, 1), (True, 2)])
     def test_channel_draws_per_batch(self, monkeypatch, genie, passes):
-        calls = []
+        # one block per UE: 6 block pairs, within a quarter of a 3-realization batch
+        cfg = self._cfg("distributed", genie_dl=genie, max_neighbors=0)
+        assert self._draws(monkeypatch, cfg) == passes
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return sample_channels(*args, **kwargs)
+    @pytest.mark.parametrize("kw", [
+        dict(all_serve_all=True),       # K * L^2 = 384 block pairs
+        dict(),                         # DCC clusters: 108 block pairs
+        dict(num_realizations=5),       # batches of one
+    ], ids=["all-serve-all", "clusters", "batches-of-one"])
+    def test_large_block_moments_keep_the_second_pass(self, monkeypatch, kw):
+        cfg = self._cfg("distributed", **kw)
+        assert self._draws(monkeypatch, cfg) == 2
+        assert run_campaign(cfg).directions == ("ul", "dl")
 
-        monkeypatch.setattr(campaign, "sample_channels", counting)
-        cfg = self._cfg("distributed", genie_dl=genie)
-        run_campaign(cfg)
-        assert calls == _batch_sizes(cfg) * passes
+    def test_centralized_takes_one_pass(self, monkeypatch):
+        # one block per UE: S is K x K
+        cfg = self._cfg("centralized", all_serve_all=True)
+        assert self._draws(monkeypatch, cfg) == 1
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
+    def test_thread_count_does_not_change_bytes(self, tmp_path, single_pass):
         for case in ("distributed", "centralized"):
             cfg = self._cfg(case, num_realizations=64, num_setups=2)
             a, b = tmp_path / f"{case}-1", tmp_path / f"{case}-2"
@@ -194,7 +225,7 @@ class TestOnePassDownlink:
             assert read_tree(a) == read_tree(b)
 
     @pytest.mark.parametrize("case", ["distributed", "centralized"])
-    def test_powered_ue_without_combiner_energy_raises(self, monkeypatch, case):
+    def test_powered_ue_without_combiner_energy_raises(self, monkeypatch, single_pass, case):
         def silent_ue0(scheme, bundle):
             v = compute_combiners(scheme, bundle)
             v[:, 0] = 0
