@@ -19,7 +19,7 @@ UatfAccumulator in distributed mode) and a second pass re-generates the
 same realizations to accumulate the hardening bound and the genie-aided
 reference. That happens with the genie on (genie_dl), which needs each
 realization's gains after the normalization, and when the block moments
-would be large (_downlink_in_pass1): large distributed clusters, whose
+would be large (_block_moments_fit): large distributed clusters, whose
 block moments cost more than the second pass. In both cases each batch's
 stderr replica uses precoders normalized by that batch's own norm sums.
 """
@@ -167,8 +167,10 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
             rho = dl_centralized_equal(cfg)
         else:
             rho = dl_distributed_proportional(assignment, topology, cfg)
-        blocks = PrecoderBlocks(assignment, rho)
-        two_pass = not _downlink_in_pass1(cfg, blocks, sizes[0])
+        # the genie reference needs each realization's gains after the
+        # setup-wide normalization, so it always takes the second pass
+        blocks = None if cfg.genie_dl else PrecoderBlocks(assignment, rho)
+        two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
 
     def pass1(b):
         h, bundle = realizations(b)
@@ -266,22 +268,20 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     return results
 
 
-def _downlink_in_pass1(cfg: SimulationConfig, blocks: PrecoderBlocks, batch: int) -> bool:
+def _block_moments_fit(cfg: SimulationConfig, blocks: PrecoderBlocks, batch: int) -> bool:
     """Whether pass 1 accumulates the downlink as block moments, so that the
     realizations are drawn once.
 
-    Not with the genie reference, which needs each realization's gains
-    after the setup-wide normalization. Otherwise only when the block second
-    moments, K * sum_i |M_i|^2 values, take at most a quarter of one
-    (batch, K, L, N) array; their memory and their work grow with that
-    count. Timed on one core, the single pass was 27-57% faster than two
-    passes up to a quarter and slower from about 0.7 on (distributed DCC
-    clusters at desk and full scale). Distributed all-serve-all
-    clusters (|M_i| = L) are far beyond it. Centralized operation has one
-    block per UE, so S is K x K there.
+    Only when the block second moments, K * sum_i |M_i|^2 values, take at
+    most a quarter of one (batch, K, L, N) array; their memory and their
+    work grow with that count. Timed on one core, the single pass was
+    27-57% faster than two passes up to a quarter and slower from about
+    0.7 on (distributed DCC clusters at desk and full scale). Distributed
+    all-serve-all clusters (|M_i| = L) are far beyond it. Centralized
+    operation has one block per UE, so S is K x K there.
     """
     batch_array = batch * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap
-    return not cfg.genie_dl and 4 * cfg.num_ues * blocks.num_pairs <= batch_array
+    return 4 * cfg.num_ues * blocks.num_pairs <= batch_array
 
 
 def _map_batches(fn, count, threads):

@@ -28,6 +28,7 @@ them, or when the spread cannot be estimated, NumericError is raised.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -356,17 +357,23 @@ class PrecoderBlocks:
             self.slots = (np.cumsum(assignment.serves, axis=1) - 1)[self.aps, self.ues]
             self._table_width = self.served.shape[1]
         self.num_ues = K
-        counts = np.bincount(self.ues, minlength=K)
+        self._counts = np.bincount(self.ues, minlength=K)
+        self.num_pairs = int(np.sum(self._counts**2))
+
+    @cached_property
+    def groups(self) -> list:
+        """UEs with equal block counts, handled together: (UEs, their blocks
+        (n, m), their block pairs (n, m * m)). Built on first use, since the
+        pair indices are as many as the block second moments."""
+        counts = self._counts
         first = np.cumsum(counts) - counts
         first_pair = np.cumsum(counts**2) - counts**2
-        self.num_pairs = int(np.sum(counts**2))
-        # UEs with equal block counts are handled together:
-        # (UEs, their blocks (n, m), their block pairs (n, m * m))
-        self.groups = []
+        groups = []
         for m in np.unique(counts):
             ues = np.flatnonzero(counts == m)
-            self.groups.append((ues, first[ues][:, None] + np.arange(m),
-                                first_pair[ues][:, None] + np.arange(m * m)))
+            groups.append((ues, first[ues][:, None] + np.arange(m),
+                           first_pair[ues][:, None] + np.arange(m * m)))
+        return groups
 
     def _gains(self, v: np.ndarray, h: np.ndarray) -> tuple:
         """g[k, p, b] = h_k^H v_p for every UE k and block p, and the block

@@ -166,8 +166,7 @@ class TestOnePassDownlink:
     def single_pass(self, monkeypatch):
         """Take the single pass whenever the genie is off, whatever the
         size of the block moments, so that every case exercises it."""
-        monkeypatch.setattr(campaign, "_downlink_in_pass1",
-                            lambda cfg, blocks, batch: not cfg.genie_dl)
+        monkeypatch.setattr(campaign, "_block_moments_fit", lambda cfg, blocks, batch: True)
 
     @staticmethod
     def _draws(monkeypatch, cfg):

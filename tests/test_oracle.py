@@ -76,7 +76,7 @@ def test_single_pass_downlink_matches_frozen_reference(monkeypatch, name):
     """The campaign takes the single pass only for small block moments; here
     it is taken for every config without the genie, whose values were frozen
     from two passes."""
-    monkeypatch.setattr(campaign, "_downlink_in_pass1", lambda cfg, blocks, batch: True)
+    monkeypatch.setattr(campaign, "_block_moments_fit", lambda cfg, blocks, batch: True)
     _check(name, run_campaign(_config(name)))
 
 

@@ -430,6 +430,8 @@ class TestDownlinkBlockMoments:
         assert per_ue.num_pairs == 2
         rho = np.arange(6.0).reshape(2, 3)
         per_ap = PrecoderBlocks(serves, rho)
+        # the pair indices, as many as the block second moments, wait for first use
+        assert "groups" not in vars(per_ap)
         assert per_ap.ues.tolist() == [0, 0, 1, 1] and per_ap.aps.tolist() == [0, 1, 1, 2]
         assert per_ap.rho.tolist() == [0.0, 1.0, 4.0, 5.0]
         assert per_ap.slots.tolist() == [0, 0, 1, 0]
