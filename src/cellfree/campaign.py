@@ -12,15 +12,21 @@ are the combiners normalized by E{v^H D v}, per UE in centralized operation
 and per AP in distributed operation, as Monte-Carlo means over the whole
 setup. The hardening bound is linear in those normalization scales, so
 pass 1 can also accumulate it per precoder block (se.DownlinkBlockMoments)
-and apply the scales once the setup's last batch is in.
+and apply the scales once the setup's last batch is in. In centralized
+operation the genie-aided reference (genie_dl) only needs each
+realization's gain powers |h_k^H v_i|^2, n * K^2 values per setup, which
+pass 1 keeps when they fit in the memory cap of one batch array
+(_genie_powers_fit); the scales are applied to them at the end as well.
 
 Otherwise pass 1 only sums the combiner norms (se.combiner_norms, inside
 UatfAccumulator in distributed mode) and a second pass re-generates the
 same realizations to accumulate the hardening bound and the genie-aided
-reference. That happens with the genie on (genie_dl), which needs each
-realization's gains after the normalization, and when the block moments
+reference. That happens with the genie on in distributed operation, whose
+genie needs each realization's complex gains per block and is not linear
+in the per-AP scales; with the genie on in centralized operation when the
+gain powers are large (full-scale setups); and when the block moments
 would be large (_block_moments_fit): large distributed clusters, whose
-block moments cost more than the second pass. In both cases each batch's
+block moments cost more than the second pass. In every case each batch's
 stderr replica uses precoders normalized by that batch's own norm sums.
 """
 
@@ -91,12 +97,16 @@ class SEReport:
         return per_ue.reshape(self.num_setups, self.ues_per_setup).mean(axis=1)
 
 
+# values in one (batch, K, L, N) array at most: 64 MiB of complex128
+_BATCH_VALUES = 1 << 22
+
+
 def _batch_sizes(cfg: SimulationConfig) -> list:
     """Realization batches: bounded memory, and >= 16 batches when possible
     so the batch-means stderr has enough replicas."""
     n = cfg.num_realizations
     per_real = cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap
-    mem_cap = max(1, (1 << 22) // max(1, per_real))
+    mem_cap = max(1, _BATCH_VALUES // max(1, per_real))
     size = max(1, min(1024, mem_cap, -(-n // 16)))
     sizes = [size] * (n // size)
     if n % size:
@@ -168,8 +178,10 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         else:
             rho = dl_distributed_proportional(assignment, topology, cfg)
         # the genie reference needs each realization's gains after the
-        # setup-wide normalization, so it always takes the second pass
-        blocks = None if cfg.genie_dl else PrecoderBlocks(assignment, rho)
+        # setup-wide normalization: pass 1 keeps their powers in centralized
+        # operation, when they are small
+        genie_fits = not cfg.genie_dl or (centralized and _genie_powers_fit(cfg))
+        blocks = PrecoderBlocks(assignment, rho) if genie_fits else None
         two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
 
     def pass1(b):
@@ -192,7 +204,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 )
             if need_dl and not two_pass:
                 entry["dl"] = DownlinkBlockMoments.batch_partial(
-                    v, h, blocks, cfg.noise_dl_w, prelog_dl
+                    v, h, blocks, cfg.noise_dl_w, prelog_dl, genie=cfg.genie_dl
                 )
             out[scheme] = entry
         return out
@@ -207,7 +219,11 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         else:
             ul_acc[scheme] = UatfAccumulator(K, L)
         if need_dl:
-            dl_acc[scheme] = DownlinkAccumulator(K) if two_pass else DownlinkBlockMoments(blocks)
+            if two_pass:
+                dl_acc[scheme] = DownlinkAccumulator(K)
+            else:
+                genie_noise_w = cfg.noise_dl_w if cfg.genie_dl else None
+                dl_acc[scheme] = DownlinkBlockMoments(blocks, genie_noise_w)
 
     for partial in _map_batches(_with_context(pass1, s), len(sizes), threads):
         for scheme, entry in partial.items():
@@ -282,6 +298,18 @@ def _block_moments_fit(cfg: SimulationConfig, blocks: PrecoderBlocks, batch: int
     """
     batch_array = batch * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap
     return 4 * cfg.num_ues * blocks.num_pairs <= batch_array
+
+
+def _genie_powers_fit(cfg: SimulationConfig) -> bool:
+    """Whether pass 1 keeps the genie reference's gain powers (centralized
+    operation), so that the realizations are drawn once.
+
+    Only when their n * K^2 float values per scheme fit in the cap of one
+    batch array, _BATCH_VALUES: desk setup-i-dl (128 x 40^2 values) does,
+    full-scale setup-i-dl at 1000 realizations (10^7 values) keeps the
+    second pass and its memory bound.
+    """
+    return cfg.num_realizations * cfg.num_ues**2 <= _BATCH_VALUES
 
 
 def _map_batches(fn, count, threads):

@@ -202,11 +202,6 @@ def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
 # precoder construction (uplink-downlink duality: w = v / sqrt(E{v^H D v}))
 # ---------------------------------------------------------------------------
 
-def precoder_normalization(v_samples: np.ndarray) -> float:
-    """Monte-Carlo estimate of E{v^H D v} from masked combiner samples."""
-    return float(np.mean(np.sum(np.abs(v_samples) ** 2, axis=tuple(range(1, v_samples.ndim)))))
-
-
 def precoder_scales(rho: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """sqrt(rho / norm) elementwise, the factor that turns a combiner block
     into a precoder block; zero where rho = 0 (not transmitted to).

@@ -10,9 +10,10 @@ interference second moments, combiner norm).
 
 Downlink: the hardening bound with the same structure, driven by normalized
 precoders, plus a genie-aided reference where the UE knows its instantaneous
-effective channel. Without the genie the bound can be accumulated per
-precoder block before the normalizations are known (DownlinkBlockMoments),
-so it needs no second pass over the realizations.
+effective channel. The bound can be accumulated per precoder block before
+the normalizations are known (DownlinkBlockMoments), so it needs no second
+pass over the realizations. With one block per UE (centralized operation)
+so can the genie reference, from each realization's gain powers.
 
 Both ratio-of-means bounds have the form
 |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise): each has one
@@ -88,6 +89,13 @@ def _hardening_terms(signal: np.ndarray, second: np.ndarray, noise_w: float) -> 
     num = np.abs(signal) ** 2
     den = second.sum(axis=-1) - num + noise_w
     return num, den
+
+
+def _genie_sinr(q: np.ndarray, noise_w: float) -> np.ndarray:
+    """Per-realization hardening SINR of the genie-aided reference, from the
+    gain powers q[b, k, i] = |h_k^H D_i w_i|^2 with the powers folded in."""
+    num = np.diagonal(q, axis1=-2, axis2=-1)
+    return _safe_ratio(num, q.sum(axis=-1) - num + noise_w)
 
 
 def _safe_ratio(num, den):
@@ -307,9 +315,7 @@ class DownlinkAccumulator(_RatioOfMeans):
         g = combining_gains(h, w)
         q = np.abs(g) ** 2
         partial = _RatioOfMeans._sums(g, q)
-        # genie: the hardening ratio of each realization's own gains
-        genie_terms = _hardening_terms(np.diagonal(g, axis1=1, axis2=2), q, noise_dl_w)
-        partial["genie"] = ErgodicLogAccumulator.batch_partial(_safe_ratio(*genie_terms))
+        partial["genie"] = ErgodicLogAccumulator.batch_partial(_genie_sinr(q, noise_dl_w))
         gb = combining_gains(h, w_batchnorm)
         batch = _RatioOfMeans._sums(gb, np.abs(gb) ** 2)
         B = batch["n"]
@@ -386,10 +392,12 @@ class PrecoderBlocks:
         energy = np.sum(np.abs(vD) ** 2, axis=(0, 3))[self.aps, self.slots]
         return np.ascontiguousarray(np.moveaxis(g, -1, 0)), energy
 
-    def moments(self, v: np.ndarray, h: np.ndarray) -> tuple:
+    def moments(self, v: np.ndarray, h: np.ndarray, powers: bool = False) -> tuple:
         """Batch sums of the blocks: sig[p] = sum_b h_i^H v_p over UE i's own
         blocks p, S[k, q] = Re sum_b g[k, a, b] conj(g[k, a', b]) over the
         block pairs q = (a, a') of one UE, and the energies sum_b ||v_p||^2.
+        With powers, a fourth array holds each realization's gain powers
+        |g[k, p, b]|^2 as (B, K, P).
 
         Realizations are taken in chunks whose temporaries together take
         about as much memory as the (B, K, L, N) batch: a copy of the
@@ -406,14 +414,19 @@ class PrecoderBlocks:
         energy = np.zeros(P)
         temporaries = K * L * N + K * L * self._table_width + 2 * K * P
         chunk = -(-B // -(-temporaries // (K * L * N)))
+        kept = []
         for start in range(0, B, chunk):
             g, e = self._gains(v[start:start + chunk], h[start:start + chunk])
+            if powers:
+                kept.append(np.abs(np.moveaxis(g, -1, 0)) ** 2)
             sig += g[self.ues, np.arange(P)].sum(axis=-1)
             energy += e
             for _, blocks, pairs in self.groups:
                 gm = g[:, blocks]                                       # (K, n, m, b)
                 prod = np.conj(gm) @ np.swapaxes(gm, -1, -2)           # (K, n, m, m)
                 S[:, pairs] += np.real(prod).reshape(K, *pairs.shape)
+        if powers:
+            return sig, S, energy, np.concatenate(kept)
         return sig, S, energy
 
     def contract(self, c: np.ndarray, sig: np.ndarray, S: np.ndarray) -> tuple:
@@ -438,23 +451,31 @@ class DownlinkBlockMoments(_RatioOfMeans):
     sums are kept per block (sig, S and the block energies) and the scales
     are applied at finalize; the campaign then needs one pass over the
     realizations. Each batch's replica applies that batch's own scales.
+
+    With one block per UE (per-UE powers) and genie_noise_w given, the
+    genie-aided reference is kept too: each realization's gain powers
+    a[b, k, i] = |h_k^H v_i|^2, to which finalize_genie applies the
+    setup-wide scales, n * K^2 values per setup.
     """
 
-    def __init__(self, blocks: PrecoderBlocks):
+    def __init__(self, blocks: PrecoderBlocks, genie_noise_w: float = None):
         super().__init__()
         self.blocks = blocks
+        self.genie_noise_w = genie_noise_w
         self.sig = np.zeros(blocks.ues.size, dtype=complex)
         self.S = np.zeros((blocks.num_ues, blocks.num_pairs))
         self.norm = np.zeros(blocks.ues.size)
+        self.powers = []
 
     @staticmethod
     def batch_partial(v: np.ndarray, h: np.ndarray, blocks: PrecoderBlocks,
-                      noise_dl_w: float, prelog: float) -> dict:
+                      noise_dl_w: float, prelog: float, genie: bool = False) -> dict:
+        """genie: also return the batch's gain powers a (B, K, K)."""
         B = v.shape[0]
-        sig, S, norm = blocks.moments(v, h)
-        partial = {"n": B, "sig": sig, "S": S, "norm": norm}
-        scales = precoder_scales(blocks.rho, norm / B)
-        signal, second = blocks.contract(scales, sig, S)
+        sums = blocks.moments(v, h, powers=genie)
+        partial = {"n": B, **dict(zip(("sig", "S", "norm", "powers"), sums))}
+        scales = precoder_scales(blocks.rho, partial["norm"] / B)
+        signal, second = blocks.contract(scales, partial["sig"], partial["S"])
         terms = _hardening_terms(signal / B, second / B, noise_dl_w)
         partial.update(_RatioOfMeans._replica(*terms, prelog))
         return partial
@@ -464,11 +485,23 @@ class DownlinkBlockMoments(_RatioOfMeans):
         self.sig += partial["sig"]
         self.S += partial["S"]
         self.norm += partial["norm"]
+        if self.genie_noise_w is not None:
+            self.powers.append(partial["powers"])
 
     def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
         scales = precoder_scales(self.blocks.rho, self.norm / self.n)
         signal, second = (total / self.n for total in self.blocks.contract(scales, self.sig, self.S))
         return self._finalize(signal, second, *_hardening_terms(signal, second, noise_dl_w), prelog)
+
+    def finalize_genie(self, prelog: float) -> tuple:
+        """The genie reference with the setup-wide scales c_i: the gain powers
+        are c_i^2 a[b, k, i], and each batch's logs are accumulated in batch
+        order, as the two-pass DownlinkAccumulator does."""
+        c2 = precoder_scales(self.blocks.rho, self.norm / self.n) ** 2
+        genie = ErgodicLogAccumulator(self.blocks.num_ues)
+        for a in self.powers:
+            genie.merge(ErgodicLogAccumulator.batch_partial(_genie_sinr(a * c2, self.genie_noise_w)))
+        return genie.finalize(prelog)
 
 
 def _replica_stderr(replicas: list) -> np.ndarray:

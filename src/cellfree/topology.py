@@ -94,10 +94,15 @@ def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_
     Entry (m, n) is
         beta * exp(j*pi*(m-n)*sin(phi)) * exp(-(spread*pi*(m-n)*cos(phi))^2 / 2)
     i.e. a Gaussian angular distribution around the nominal angle phi. The
-    result is Hermitian with trace N*beta by construction.
+    result is Hermitian with trace N*beta by construction. With one antenna
+    the only entry is beta, and it is returned without evaluating the
+    exponentials (the same bits).
     """
     beta = np.asarray(beta, dtype=float)
     phi = np.asarray(nominal_angle_rad, dtype=float)
+    if num_antennas == 1:
+        shape = np.broadcast_shapes(beta.shape, phi.shape)
+        return np.broadcast_to(beta, shape)[..., None, None].astype(complex)
     offsets = np.arange(num_antennas)
     delta = offsets[:, None] - offsets[None, :]  # (N, N) of m - n
     phase = np.exp(1j * np.pi * delta * np.sin(phi)[..., None, None])

@@ -241,7 +241,7 @@ def test_criterion_6_scalability_invariants():
 FULL_SCALE = os.environ.get("CELLFREE_FULL_SCALE", "") == "1"
 
 
-@pytest.mark.skipif(not FULL_SCALE, reason="multi-hour full-scale reproduction; set CELLFREE_FULL_SCALE=1")
+@pytest.mark.skipif(not FULL_SCALE, reason="full-scale reproduction, about 25 min on 2 cores; set CELLFREE_FULL_SCALE=1")
 def test_criterion_7_full_scale_reference_numbers():
     with criterion("7 full-scale reference-number reproduction"):
         threads = int(os.environ.get("CELLFREE_THREADS", str(os.cpu_count() or 1)))

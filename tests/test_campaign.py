@@ -144,12 +144,15 @@ class TestEmit:
 
 
 class TestOnePassDownlink:
-    """Without the genie, and with block moments small enough, the downlink
-    is accumulated in the first pass."""
+    """With block moments small enough, the downlink is accumulated in the
+    first pass: without the genie, or with it in centralized operation when
+    the genie's gain powers fit in one batch array."""
 
     CASES = {
         "distributed": dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE")),
         "centralized": dict(mode="centralized", schemes=("MR", "MMSE", "P-MMSE", "LP-MMSE")),
+        "centralized-all-serve-all": dict(mode="centralized", all_serve_all=True,
+                                          schemes=("MMSE", "P-MMSE", "MR")),
         "distributed-batches-of-one": dict(mode="distributed", num_realizations=5,
                                            schemes=("MR", "LP-MMSE")),
         "centralized-batches-of-one": dict(mode="centralized", num_realizations=5,
@@ -168,6 +171,11 @@ class TestOnePassDownlink:
         size of the block moments, so that every case exercises it."""
         monkeypatch.setattr(campaign, "_block_moments_fit", lambda cfg, blocks, batch: True)
 
+    @pytest.fixture
+    def genie_two_pass(self, monkeypatch):
+        """Keep the genie's second pass in centralized operation too."""
+        monkeypatch.setattr(campaign, "_genie_powers_fit", lambda cfg: False)
+
     @staticmethod
     def _draws(monkeypatch, cfg):
         calls = []
@@ -183,7 +191,7 @@ class TestOnePassDownlink:
         return passes
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_the_two_pass_downlink(self, monkeypatch, single_pass, case):
+    def test_matches_the_two_pass_downlink(self, monkeypatch, single_pass, genie_two_pass, case):
         cfg = self._cfg(case)
         one = run_campaign(cfg)
         two = run_campaign(cfg.replace(genie_dl=True))
@@ -193,6 +201,36 @@ class TestOnePassDownlink:
             np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
         assert self._draws(monkeypatch, cfg) == 1
+
+    @pytest.mark.parametrize("case", ["centralized", "centralized-all-serve-all",
+                                      "centralized-batches-of-one"])
+    def test_genie_matches_the_two_pass_downlink(self, monkeypatch, single_pass, case):
+        cfg = self._cfg(case, genie_dl=True)
+        one = run_campaign(cfg)
+        assert self._draws(monkeypatch, cfg) == 1
+        monkeypatch.setattr(campaign, "_genie_powers_fit", lambda cfg: False)
+        two = run_campaign(cfg)
+        assert self._draws(monkeypatch, cfg) == 2
+        assert one.directions == two.directions == ("ul", "dl", "dl_genie")
+        for scheme in cfg.schemes:
+            for direction in ("dl", "dl_genie"):
+                got, expected = one.entries[(scheme, direction)], two.entries[(scheme, direction)]
+                np.testing.assert_allclose(got.se, expected.se, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
+
+    def test_centralized_genie_takes_one_pass(self, monkeypatch):
+        # distributed genie campaigns take two: test_channel_draws_per_batch
+        assert self._draws(monkeypatch, self._cfg("centralized", genie_dl=True)) == 1
+
+    @pytest.mark.parametrize("spare, passes", [(0, 1), (-1, 2)])
+    def test_large_genie_powers_keep_the_second_pass(self, monkeypatch, spare, passes):
+        # 48 realizations x 6^2 gain powers, against a cap moved to just fit or not
+        cfg = self._cfg("centralized", genie_dl=True)
+        sizes = _batch_sizes(cfg)
+        monkeypatch.setattr(campaign, "_BATCH_VALUES", 48 * 6**2 + spare)
+        assert _batch_sizes(cfg) == sizes
+        assert self._draws(monkeypatch, cfg) == passes
 
     @pytest.mark.parametrize("genie, passes", [(False, 1), (True, 2)])
     def test_channel_draws_per_batch(self, monkeypatch, genie, passes):
@@ -218,6 +256,14 @@ class TestOnePassDownlink:
     def test_thread_count_does_not_change_bytes(self, tmp_path, single_pass):
         for case in ("distributed", "centralized"):
             cfg = self._cfg(case, num_realizations=64, num_setups=2)
+            a, b = tmp_path / f"{case}-1", tmp_path / f"{case}-2"
+            emit_results(run_campaign(cfg, threads=1), a)
+            emit_results(run_campaign(cfg, threads=2), b)
+            assert read_tree(a) == read_tree(b)
+
+    def test_genie_thread_count_does_not_change_bytes(self, tmp_path):
+        for case in ("centralized", "distributed"):
+            cfg = self._cfg(case, num_realizations=64, num_setups=2, genie_dl=True)
             a, b = tmp_path / f"{case}-1", tmp_path / f"{case}-2"
             emit_results(run_campaign(cfg, threads=1), a)
             emit_results(run_campaign(cfg, threads=2), b)

@@ -10,11 +10,10 @@ from cellfree.combining import (
     compute_combiners,
     local_mmse_combiner,
     optimal_sinr,
-    precoder_normalization,
 )
 from cellfree.estimation import EstimationBundle
 from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
-from cellfree.se import combining_gains, instantaneous_sinr
+from cellfree.se import combiner_norms, combining_gains, instantaneous_sinr
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup
@@ -266,7 +265,7 @@ class TestPrecoders:
         # E{||w||^2} = rho within Monte-Carlo error once normalized
         n = 4000
         v = complex_normal(rng, (n, 2, 3, 2)) * rng.uniform(0.5, 2.0, size=(1, 2, 3, 1))
-        norm = np.array([precoder_normalization(v[:, i]) for i in range(2)])
+        norm = combiner_norms(v)[0] / n
         w = build_precoders_centralized(v, np.array([1.0, 1.0]), norm)
         per_real = np.sum(np.abs(w) ** 2, axis=(2, 3))
         mean = per_real.mean(axis=0)

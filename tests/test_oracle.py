@@ -4,7 +4,9 @@ The values in data/oracle_se.json were produced by commit 50dddff (before the
 accumulators, norm sums and solves were merged into one implementation each);
 the four "no-genie-*" configs were added later, produced by commit d538d4a
 (before the downlink without the genie reference moved into the first
-Monte-Carlo pass).
+Monte-Carlo pass). Both paths of the downlink are pinned to the same values:
+the genie-on centralized configs are checked once with the single pass and
+once with the second pass forced.
 A change to the numerical kernels (BLAS Gram matrices, Cholesky solves) must
 keep every value within rtol=1e-9; the within-version byte-determinism tests
 live in test_campaign.py and test_acceptance.py.
@@ -71,12 +73,25 @@ def test_per_ue_se_matches_frozen_reference(name):
     _check(name, run_campaign(_config(name)))
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CONFIGS if n.startswith("no-genie")))
+# the genie reference can join the single pass in centralized operation only
+GENIE_CENTRALIZED = sorted(n for n in CONFIGS if not n.startswith("no-genie")
+                           and CONFIGS[n]["mode"] == "centralized")
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CONFIGS if n.startswith("no-genie"))
+                         + GENIE_CENTRALIZED)
 def test_single_pass_downlink_matches_frozen_reference(monkeypatch, name):
     """The campaign takes the single pass only for small block moments; here
-    it is taken for every config without the genie, whose values were frozen
-    from two passes."""
+    it is taken for every config without the genie and every centralized
+    one with it, whose values were frozen from two passes."""
     monkeypatch.setattr(campaign, "_block_moments_fit", lambda cfg, blocks, batch: True)
+    _check(name, run_campaign(_config(name)))
+
+
+@pytest.mark.parametrize("name", GENIE_CENTRALIZED)
+def test_two_pass_genie_matches_frozen_reference(monkeypatch, name):
+    """The second pass that large centralized genie campaigns keep."""
+    monkeypatch.setattr(campaign, "_genie_powers_fit", lambda cfg: False)
     _check(name, run_campaign(_config(name)))
 
 

@@ -423,6 +423,27 @@ class TestDownlinkBlockMoments:
         assert np.allclose(signal, np.einsum("bkk->k", g), rtol=1e-12, atol=0)
         assert np.allclose(second, np.sum(np.abs(g) ** 2, axis=0), rtol=1e-12, atol=0)
 
+    def test_genie_from_gain_powers_equals_precoded_genie(self):
+        cfg = make_cfg(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2, mode="centralized")
+        topo, assignment, ctx = make_setup(cfg)
+        rho = dl_centralized_equal(cfg)
+        blocks = PrecoderBlocks(assignment, rho)
+        acc = DownlinkBlockMoments(blocks, cfg.noise_dl_w)
+        v, h = [], []
+        for b in range(2):
+            h.append(sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), 7))
+            bundle = EstimationBundle(ctx, h[-1], stream(cfg.seed, 0, PILOT_NOISE, b))
+            v.append(compute_combiners("P-MMSE", bundle))
+            acc.merge(DownlinkBlockMoments.batch_partial(v[-1], h[-1], blocks, cfg.noise_dl_w,
+                                                         1.0, genie=True))
+        norm = sum(combiner_norms(x)[0] for x in v) / 14
+        reference = DownlinkAccumulator(cfg.num_ues)
+        for vb, hb in zip(v, h):
+            w = build_precoders_centralized(vb, rho, norm)
+            reference.merge(DownlinkAccumulator.batch_partial(w, w, hb, cfg.noise_dl_w, 1.0))
+        for got, expected in zip(acc.finalize_genie(1.0), reference.finalize_genie(1.0)):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
     def test_blocks_follow_the_power_layout(self):
         serves = _assignment([[True, False], [True, True], [False, True]])   # (L, K)
         per_ue = PrecoderBlocks(serves, np.array([1.0, 2.0]))

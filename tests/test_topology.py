@@ -64,6 +64,26 @@ class TestCorrelation:
         assert R.shape == (1, 1)
         assert R[0, 0] == pytest.approx(0.37)
 
+    @staticmethod
+    def _docstring_formula(beta, phi, spread, n):
+        delta = np.arange(n)[:, None] - np.arange(n)[None, :]
+        return (beta[..., None, None] * np.exp(1j * np.pi * delta * np.sin(phi)[..., None, None])
+                * np.exp(-0.5 * (spread * np.pi * delta) ** 2 * np.cos(phi)[..., None, None] ** 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_bits_equal_the_docstring_formula(self, rng, n):
+        # N = 1 takes a shortcut that must give the formula's bits
+        beta = 10 ** rng.uniform(-12, 0, size=(40, 160))
+        phi = rng.uniform(-np.pi, np.pi, size=(40, 160))
+        R = spatial_correlation_matrix(beta, phi, np.deg2rad(15.0), n)
+        expected = self._docstring_formula(beta, phi, np.deg2rad(15.0), n)
+        assert R.shape == expected.shape and R.dtype == expected.dtype
+        assert np.array_equal(R.view(np.uint64), expected.view(np.uint64))
+
+    def test_single_antenna_broadcasts_like_the_formula(self):
+        R = spatial_correlation_matrix(np.array(0.37), np.zeros((2, 3)), 0.1, 1)
+        assert R.shape == (2, 3, 1, 1) and np.all(R == 0.37)
+
     def test_huge_spread_kills_offdiagonals(self):
         R = spatial_correlation_matrix(np.array(1.0), np.array(0.3), 1e3, 4)
         off = R - np.diag(np.diag(R))
