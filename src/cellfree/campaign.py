@@ -14,9 +14,10 @@ setup. The hardening bound is linear in those normalization scales, so
 pass 1 can also accumulate it per precoder block (se.DownlinkBlockMoments)
 and apply the scales once the setup's last batch is in. In centralized
 operation the genie-aided reference (genie_dl) only needs each
-realization's gain powers |h_k^H v_i|^2, n * K^2 values per setup, which
-pass 1 keeps when they fit in the memory cap of one batch array
-(_genie_powers_fit); the scales are applied to them at the end as well.
+realization's gain powers |h_k^H v_i|^2, n * K^2 values per setup and
+scheme, which pass 1 keeps unless they take more memory than the second
+pass would (_genie_powers_fit); the scales are applied to them at the end
+as well.
 
 Otherwise pass 1 only sums the combiner norms (se.combiner_norms, inside
 UatfAccumulator in distributed mode) and a second pass re-generates the
@@ -24,9 +25,10 @@ same realizations to accumulate the hardening bound and the genie-aided
 reference. That happens with the genie on in distributed operation, whose
 genie needs each realization's complex gains per block and is not linear
 in the per-AP scales; with the genie on in centralized operation when the
-gain powers are large (full-scale setups); and when the block moments
-would be large (_block_moments_fit): large distributed clusters, whose
-block moments cost more than the second pass. In every case each batch's
+gain powers of all schemes are large (several schemes at full scale, or
+many realizations); and when the block moments would be large
+(_block_moments_fit): large distributed clusters, whose block moments
+cost more than the second pass. In every case each batch's
 stderr replica uses precoders normalized by that batch's own norm sums.
 """
 
@@ -304,12 +306,20 @@ def _genie_powers_fit(cfg: SimulationConfig) -> bool:
     """Whether pass 1 keeps the genie reference's gain powers (centralized
     operation), so that the realizations are drawn once.
 
-    Only when their n * K^2 float values per scheme fit in the cap of one
-    batch array, _BATCH_VALUES: desk setup-i-dl (128 x 40^2 values) does,
-    full-scale setup-i-dl at 1000 realizations (10^7 values) keeps the
-    second pass and its memory bound.
+    The single pass halves the draws, estimates and combiners, but the
+    powers of all schemes, n * K^2 float values each, stay in memory to
+    the end. The second pass instead builds two complex precoder arrays per
+    batch, four times _BATCH_VALUES float values at the batch cap, and that
+    is the budget for the powers. Timed on one core, full-scale setup-i-dl
+    centralized, one setup: with 1000 realizations (10^7 values per scheme)
+    one scheme took 4.9-10.4 s and 279 MB peak RSS in one pass against
+    11.9-21.0 s and 305 MB in two (P-MMSE, LP-MMSE, MR), and three schemes
+    took 13.3 s and 449 MB against 28.9 s and 312 MB. From 1000 to 2600
+    realizations of P-MMSE the single pass stayed about twice as fast, and
+    its peak RSS passed the two-pass one between 4.8 and 6.2 times
+    _BATCH_VALUES of powers.
     """
-    return cfg.num_realizations * cfg.num_ues**2 <= _BATCH_VALUES
+    return len(cfg.schemes) * cfg.num_realizations * cfg.num_ues**2 <= 4 * _BATCH_VALUES
 
 
 def _map_batches(fn, count, threads):

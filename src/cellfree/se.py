@@ -396,8 +396,8 @@ class PrecoderBlocks:
         """Batch sums of the blocks: sig[p] = sum_b h_i^H v_p over UE i's own
         blocks p, S[k, q] = Re sum_b g[k, a, b] conj(g[k, a', b]) over the
         block pairs q = (a, a') of one UE, and the energies sum_b ||v_p||^2.
-        With powers, a fourth array holds each realization's gain powers
-        |g[k, p, b]|^2 as (B, K, P).
+        The fourth value holds each realization's gain powers |g[k, p, b]|^2
+        as (B, K, P) when powers is set, and is None otherwise.
 
         Realizations are taken in chunks whose temporaries together take
         about as much memory as the (B, K, L, N) batch: a copy of the
@@ -414,7 +414,7 @@ class PrecoderBlocks:
         energy = np.zeros(P)
         temporaries = K * L * N + K * L * self._table_width + 2 * K * P
         chunk = -(-B // -(-temporaries // (K * L * N)))
-        kept = []
+        kept = [] if powers else None
         for start in range(0, B, chunk):
             g, e = self._gains(v[start:start + chunk], h[start:start + chunk])
             if powers:
@@ -425,9 +425,7 @@ class PrecoderBlocks:
                 gm = g[:, blocks]                                       # (K, n, m, b)
                 prod = np.conj(gm) @ np.swapaxes(gm, -1, -2)           # (K, n, m, m)
                 S[:, pairs] += np.real(prod).reshape(K, *pairs.shape)
-        if powers:
-            return sig, S, energy, np.concatenate(kept)
-        return sig, S, energy
+        return sig, S, energy, np.concatenate(kept) if powers else None
 
     def contract(self, c: np.ndarray, sig: np.ndarray, S: np.ndarray) -> tuple:
         """Apply block scales c to the sums: signal[k] = sum_p c_p sig[p]
@@ -465,20 +463,20 @@ class DownlinkBlockMoments(_RatioOfMeans):
         self.sig = np.zeros(blocks.ues.size, dtype=complex)
         self.S = np.zeros((blocks.num_ues, blocks.num_pairs))
         self.norm = np.zeros(blocks.ues.size)
-        self.powers = []
+        if genie_noise_w is not None:
+            self.powers = []
 
     @staticmethod
     def batch_partial(v: np.ndarray, h: np.ndarray, blocks: PrecoderBlocks,
                       noise_dl_w: float, prelog: float, genie: bool = False) -> dict:
         """genie: also return the batch's gain powers a (B, K, K)."""
         B = v.shape[0]
-        sums = blocks.moments(v, h, powers=genie)
-        partial = {"n": B, **dict(zip(("sig", "S", "norm", "powers"), sums))}
-        scales = precoder_scales(blocks.rho, partial["norm"] / B)
-        signal, second = blocks.contract(scales, partial["sig"], partial["S"])
+        sig, S, norm, powers = blocks.moments(v, h, powers=genie)
+        scales = precoder_scales(blocks.rho, norm / B)
+        signal, second = blocks.contract(scales, sig, S)
         terms = _hardening_terms(signal / B, second / B, noise_dl_w)
-        partial.update(_RatioOfMeans._replica(*terms, prelog))
-        return partial
+        return {"n": B, "sig": sig, "S": S, "norm": norm, "powers": powers,
+                **_RatioOfMeans._replica(*terms, prelog)}
 
     def merge(self, partial: dict) -> None:
         super().merge(partial)

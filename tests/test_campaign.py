@@ -219,13 +219,10 @@ class TestOnePassDownlink:
                 np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
 
-    def test_centralized_genie_takes_one_pass(self, monkeypatch):
-        # distributed genie campaigns take two: test_channel_draws_per_batch
-        assert self._draws(monkeypatch, self._cfg("centralized", genie_dl=True)) == 1
-
     @pytest.mark.parametrize("spare, passes", [(0, 1), (-1, 2)])
     def test_large_genie_powers_keep_the_second_pass(self, monkeypatch, spare, passes):
-        # 48 realizations x 6^2 gain powers, against a cap moved to just fit or not
+        # 4 schemes x 48 realizations x 6^2 gain powers, against four times a
+        # cap moved to just fit or not; one scheme's powers fit either way
         cfg = self._cfg("centralized", genie_dl=True)
         sizes = _batch_sizes(cfg)
         monkeypatch.setattr(campaign, "_BATCH_VALUES", 48 * 6**2 + spare)
@@ -249,25 +246,21 @@ class TestOnePassDownlink:
         assert run_campaign(cfg).directions == ("ul", "dl")
 
     def test_centralized_takes_one_pass(self, monkeypatch):
-        # one block per UE: S is K x K
-        cfg = self._cfg("centralized", all_serve_all=True)
-        assert self._draws(monkeypatch, cfg) == 1
+        # one block per UE: S is K x K; distributed genie campaigns take two
+        # passes (test_channel_draws_per_batch)
+        for genie in (False, True):
+            cfg = self._cfg("centralized", all_serve_all=True, genie_dl=genie)
+            assert self._draws(monkeypatch, cfg) == 1
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, single_pass):
+        # with the genie on, distributed campaigns take the second pass
         for case in ("distributed", "centralized"):
-            cfg = self._cfg(case, num_realizations=64, num_setups=2)
-            a, b = tmp_path / f"{case}-1", tmp_path / f"{case}-2"
-            emit_results(run_campaign(cfg, threads=1), a)
-            emit_results(run_campaign(cfg, threads=2), b)
-            assert read_tree(a) == read_tree(b)
-
-    def test_genie_thread_count_does_not_change_bytes(self, tmp_path):
-        for case in ("centralized", "distributed"):
-            cfg = self._cfg(case, num_realizations=64, num_setups=2, genie_dl=True)
-            a, b = tmp_path / f"{case}-1", tmp_path / f"{case}-2"
-            emit_results(run_campaign(cfg, threads=1), a)
-            emit_results(run_campaign(cfg, threads=2), b)
-            assert read_tree(a) == read_tree(b)
+            for genie in (False, True):
+                cfg = self._cfg(case, num_realizations=64, num_setups=2, genie_dl=genie)
+                a, b = tmp_path / f"{case}-{genie}-1", tmp_path / f"{case}-{genie}-2"
+                emit_results(run_campaign(cfg, threads=1), a)
+                emit_results(run_campaign(cfg, threads=2), b)
+                assert read_tree(a) == read_tree(b)
 
     @pytest.mark.parametrize("case", ["distributed", "centralized"])
     def test_powered_ue_without_combiner_energy_raises(self, monkeypatch, single_pass, case):

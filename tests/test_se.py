@@ -416,7 +416,7 @@ class TestDownlinkBlockMoments:
         if mode == "distributed":
             served, _ = assignment.served_table()
             assert served.shape[1] > cfg.antennas_per_ap, "fixture should need several chunks"
-        sig, S, energy = blocks.moments(v, h)
+        sig, S, energy, _ = blocks.moments(v, h)
         scales = precoder_scales(blocks.rho, energy / B)
         signal, second = blocks.contract(scales, sig, S)
         g = combining_gains(h, w)
