@@ -13,12 +13,12 @@ bookkeeping is disabled but pilots are still assigned by the same rule.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import SimulationConfig
-from .topology import Topology
+from .topology import Topology, toroidal_distance
 
 
 class AdmissionError(RuntimeError):
@@ -125,6 +125,7 @@ class AdmissionState:
     assignment: ClusterAssignment
     trace_psi: np.ndarray          # (L, pilot_len) running tr(Psi_tl)
     master_pilot_taken: np.ndarray  # (L, pilot_len) AP is master of a UE on that pilot
+    neighbors: dict = field(default_factory=dict)  # master AP -> its Step-3 list
 
     @classmethod
     def empty(cls, cfg: SimulationConfig, topology: Topology, all_serve_all: bool = False):
@@ -139,15 +140,36 @@ class AdmissionState:
         )
         # with no UEs assigned, tr(Psi_tl) = N * sigma_ul^2 on every pilot
         trace_psi = np.full((L, cfg.pilot_len), cfg.antennas_per_ap * cfg.noise_ul_w)
+        # a master is argmax_l beta_kl whatever has been admitted, so the
+        # Step-3 lists of all masters come from one pass over the AP pairs
+        neighbors = {} if all_serve_all else _neighbor_table(
+            cfg, topology, np.unique(np.argmax(topology.beta, axis=1)))
         return cls(cfg, topology, assignment, trace_psi,
-                   np.zeros((L, cfg.pilot_len), dtype=bool))
+                   np.zeros((L, cfg.pilot_len), dtype=bool), neighbors)
+
+    def _pilot_trace(self, k: int) -> np.ndarray:
+        """tau_p * p_k * tr(R_kl) at every AP l: UE k's share of tr(Psi_tl)."""
+        return (self.cfg.pilot_len * self.cfg.ue_power_w
+                * self.cfg.antennas_per_ap * self.topology.beta[k])
 
     def _register_pilot(self, k: int, t: int):
-        # UE k joins S_t: every AP's tr(Psi_tl) grows by tau_p * p_k * tr(R_kl)
-        self.trace_psi[:, t] += (
-            self.cfg.pilot_len * self.cfg.ue_power_w
-            * self.cfg.antennas_per_ap * self.topology.beta[k]
-        )
+        # UE k joins S_t
+        self.trace_psi[:, t] += self._pilot_trace(k)
+
+
+def _neighbor_table(cfg: SimulationConfig, topology: Topology, masters: np.ndarray) -> dict:
+    """Step-3 list of each master: the other APs within the radius, nearest
+    first (ties: lowest index), cut to max_neighbors."""
+    pos = topology.ap_pos
+    dist = toroidal_distance(pos[masters, None, :], pos[None, :, :], topology.area_side_km)
+    inside = dist <= cfg.neighbor_radius_km
+    inside[np.arange(len(masters)), masters] = False
+    # only the in-radius candidates are sorted, by master and distance; the
+    # sort is stable, so equal distances keep nonzero's ascending AP order
+    rows, aps = np.nonzero(inside)
+    aps = aps[np.lexsort((dist[rows, aps], rows))]
+    lists = np.split(aps, np.cumsum(inside.sum(axis=1))[:-1])
+    return {m: aps_m[: cfg.max_neighbors] for m, aps_m in zip(masters.tolist(), lists)}
 
 
 def appoint_master(state: AdmissionState, k: int) -> int:
@@ -170,11 +192,10 @@ def assign_pilot(state: AdmissionState, master: int) -> int:
 
 def neighbor_aps(state: AdmissionState, master: int) -> np.ndarray:
     """APs invited in Step 3: within the radius of the master, nearest first."""
-    dist = state.topology.ap_distances_from(master)
-    candidates = np.flatnonzero((dist <= state.cfg.neighbor_radius_km)
-                                & (np.arange(len(dist)) != master))
-    order = np.argsort(dist[candidates], kind="stable")
-    return candidates[order][: state.cfg.max_neighbors]
+    if master not in state.neighbors:
+        # beta changed after the state was built
+        state.neighbors.update(_neighbor_table(state.cfg, state.topology, np.array([master])))
+    return state.neighbors[master]
 
 
 def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
@@ -182,22 +203,26 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
     """Step 3: the master always serves; neighbors serve if free or better.
 
     A neighbor already serving some UE j on this pilot switches to UE k only
-    if beta_kl > beta_jl, and never if it is j's master AP.
+    if beta_kl > beta_jl, and never if it is j's master AP. The APs are
+    distinct, so each decides on its own slot independently of the others.
     """
     assignment = state.assignment
     beta = state.topology.beta
-    for l in (master, *neighbors):
-        occupant = assignment.ue_on_pilot[l, pilot]
-        if occupant >= 0:
-            if assignment.master_of[occupant] == l:
-                # Step-2 pilot exclusion keeps the master slot collision-free
-                assert l != master
-                continue  # never drop a UE from its own master
-            if l != master and beta[k, l] <= beta[occupant, l]:
-                continue
-            assignment.serves[l, occupant] = False
-        assignment.serves[l, k] = True
-        assignment.ue_on_pilot[l, pilot] = k
+    aps = np.concatenate(([master], neighbors)).astype(int)
+    occupant = assignment.ue_on_pilot[aps, pilot]
+    held = occupant >= 0
+    # never drop a UE from its own master (index -1, a free slot, reads some
+    # UE's entries, which `held` masks out)
+    own_master = held & (assignment.master_of[occupant] == aps)
+    # Step-2 pilot exclusion keeps the master slot collision-free
+    assert not own_master[0]
+    weaker = held & (beta[k, aps] <= beta[occupant, aps])
+    weaker[0] = False  # the master always serves
+    take = ~(own_master | weaker)
+    evict = take & held
+    assignment.serves[aps[evict], occupant[evict]] = False
+    assignment.serves[aps[take], k] = True
+    assignment.ue_on_pilot[aps[take], pilot] = k
     assignment.pilot_of[k] = pilot
     assignment.master_of[k] = master
     state.master_pilot_taken[master, pilot] = True
@@ -245,10 +270,7 @@ def remove_ue(state: AdmissionState, k: int) -> None:
     assignment.ue_on_pilot[self_mask, t] = -1
     assignment.serves[:, k] = False
     state.master_pilot_taken[assignment.master_of[k], t] = False
-    state.trace_psi[:, t] -= (
-        state.cfg.pilot_len * state.cfg.ue_power_w
-        * state.cfg.antennas_per_ap * state.topology.beta[k]
-    )
+    state.trace_psi[:, t] -= state._pilot_trace(k)
     assignment.pilot_of[k] = -1
     assignment.master_of[k] = -1
 

@@ -50,10 +50,6 @@ class Topology:
             self._R_sqrt = hermitian_sqrt(self.R)
         return self._R_sqrt
 
-    def ap_distances_from(self, l: int) -> np.ndarray:
-        """Torus distances (km, no height) from AP l to every AP."""
-        return toroidal_distance(self.ap_pos[l], self.ap_pos, self.area_side_km)
-
 
 def place_entities(cfg: SimulationConfig, rng) -> tuple:
     """I.i.d. uniform AP and UE positions on the wrap-around square."""
@@ -62,19 +58,32 @@ def place_entities(cfg: SimulationConfig, rng) -> tuple:
     return ap_pos, ue_pos
 
 
-def toroidal_displacement(a, b, side: float) -> np.ndarray:
-    """Per-axis minimal displacement b - a on the torus (broadcasts)."""
-    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    return d - side * np.round(d / side)
+def toroidal_displacement(a, b, side: float) -> tuple:
+    """Minimal displacement b - a on the torus, as one array per axis (x, y).
+
+    a and b are (..., 2) positions that broadcast against each other. Each
+    axis is computed on its own contiguous array: a trailing length-2 axis
+    makes the elementwise passes and the reductions several times slower.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = [b[..., i] - a[..., i] for i in (0, 1)]
+    return tuple(di - side * np.round(di / side) for di in d)
 
 
 def toroidal_distance(a, b, side: float) -> np.ndarray:
-    d = toroidal_displacement(a, b, side)
-    return np.sqrt(np.sum(d * d, axis=-1))
+    """Planar torus distance between (..., 2) positions (broadcasts)."""
+    dx, dy = toroidal_displacement(a, b, side)
+    return np.sqrt(dx * dx + dy * dy)
 
 
-def wraparound_distance(a, b, side_km: float, height_m: float = 0.0) -> float:
-    """3-D distance in km with toroidal x/y wrap and a fixed height offset."""
+def wraparound_distance(a, b, side_km: float, height_m: float = 0.0) -> np.ndarray:
+    """3-D distance in km with toroidal x/y wrap and a fixed height offset.
+
+    a and b are (..., 2) positions that broadcast against each other; the
+    result has their broadcast shape without the last axis (a NumPy float
+    for two points).
+    """
     planar = toroidal_distance(a, b, side_km)
     return np.sqrt(planar**2 + (height_m / 1000.0) ** 2)
 
@@ -121,11 +130,12 @@ def generate_topology(cfg: SimulationConfig, rng) -> Topology:
         R = np.zeros((0, cfg.num_aps, cfg.antennas_per_ap, cfg.antennas_per_ap), complex)
         return Topology(ap_pos, ue_pos, beta, R, cfg.area_side_km, cfg.ap_height_m)
 
-    disp = toroidal_displacement(ap_pos[None, :, :], ue_pos[:, None, :], cfg.area_side_km)
-    dist = np.sqrt(np.sum(disp * disp, axis=-1) + (cfg.ap_height_m / 1000.0) ** 2)
+    dx, dy = toroidal_displacement(ap_pos[None, :, :], ue_pos[:, None, :], cfg.area_side_km)
+    dist = np.sqrt(dx * dx + dy * dy + (cfg.ap_height_m / 1000.0) ** 2)
     beta = large_scale_coefficient(dist, shadow_db, cfg)
-    # azimuth of the minimal-displacement vector AP -> UE
-    angles = np.arctan2(disp[..., 1], disp[..., 0])
+    # azimuth of the minimal-displacement vector AP -> UE; one antenna has no
+    # angular structure, and the correlation ignores the angle there
+    angles = np.arctan2(dy, dx) if cfg.antennas_per_ap > 1 else 0.0
     R = spatial_correlation_matrix(
         beta, angles, np.deg2rad(cfg.angular_spread_deg), cfg.antennas_per_ap
     )

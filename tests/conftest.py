@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cellfree.clustering import build_assignment
 from cellfree.config import SimulationConfig
@@ -7,6 +8,11 @@ from cellfree.estimation import SetupContext
 from cellfree.power import ul_full_power
 from cellfree.rng import TOPOLOGY, stream
 from cellfree.topology import generate_topology
+
+# property tests draw the same examples on every run, with no time limit per
+# example and no example database: Tier-1 stays deterministic
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def make_cfg(**kw) -> SimulationConfig:
