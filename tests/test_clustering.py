@@ -334,7 +334,7 @@ class TestNeighborTable:
 
     def test_radius_covering_the_torus_invites_every_ap(self):
         cfg = make_cfg(antennas_per_ap=1, **STEP3_CASES["radius-covers-torus"])
-        state, topo = make_state(cfg, seed=3)
+        state, _ = make_state(cfg, seed=3)
         for m in range(cfg.num_aps):
             assert sorted(neighbor_aps(state, m)) == [l for l in range(cfg.num_aps) if l != m]
 
