@@ -4,7 +4,11 @@ The values in data/oracle_se.json were produced by commit 50dddff (before the
 accumulators, norm sums and solves were merged into one implementation each);
 the four "no-genie-*" configs were added later, produced by commit d538d4a
 (before the downlink without the genie reference moved into the first
-Monte-Carlo pass). Both paths of the downlink are pinned to the same values:
+Monte-Carlo pass). The three "single-antenna-*-uplink" configs, the uplink-only
+path of the full-scale setup-i-ul scenario at one antenna per AP, were added
+last, produced by commit 237d7ad (before the estimates of complete demand
+masks moved into one whole-table pass and the single-antenna kernels into
+elementwise arithmetic). Both paths of the downlink are pinned to the same values:
 the genie-on centralized configs are checked once with the single pass and
 once with the second pass forced.
 A change to the numerical kernels (BLAS Gram matrices, Cholesky solves) must
@@ -31,6 +35,9 @@ DATA = Path(__file__).parent / "data" / "oracle_se.json"
 _COMMON = dict(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2, area_side_km=0.5,
                ul_data_len=95, dl_data_len=95, genie_dl=True, num_realizations=48)
 
+_UPLINK_ONLY = dict(antennas_per_ap=1, num_aps=10, ul_data_len=190, dl_data_len=0,
+                    genie_dl=False)
+
 CONFIGS = {
     "distributed": dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE")),
     "centralized": dict(mode="centralized",
@@ -54,6 +61,16 @@ CONFIGS = {
     "no-genie-batches-of-one-distributed": dict(mode="distributed", genie_dl=False,
                                                 num_realizations=5, seed=4,
                                                 schemes=("MR", "LP-MMSE")),
+    # one antenna per AP and no downlink, as in setup-i-ul: every N x N matrix
+    # is a scalar, and the centralized and all-serve-all campaigns estimate
+    # every (UE, AP) pair
+    "single-antenna-centralized-uplink": dict(
+        mode="centralized", schemes=("MMSE", "P-MMSE", "MR"), **_UPLINK_ONLY),
+    "single-antenna-centralized-all-serve-all-uplink": dict(
+        mode="centralized", all_serve_all=True, schemes=("MMSE", "P-MMSE", "MR"),
+        **_UPLINK_ONLY),
+    "single-antenna-distributed-all-serve-all-uplink": dict(
+        mode="distributed", all_serve_all=True, schemes=("MR", "LP-MMSE"), **_UPLINK_ONLY),
 }
 
 
@@ -73,8 +90,13 @@ def test_per_ue_se_matches_frozen_reference(name):
     _check(name, run_campaign(_config(name)))
 
 
+def _genie_dl(name) -> bool:
+    cfg = {**_COMMON, **CONFIGS[name]}
+    return cfg["genie_dl"] and cfg["dl_data_len"] > 0
+
+
 # the genie reference can join the single pass in centralized operation only
-GENIE_CENTRALIZED = sorted(n for n in CONFIGS if not n.startswith("no-genie")
+GENIE_CENTRALIZED = sorted(n for n in CONFIGS if _genie_dl(n)
                            and CONFIGS[n]["mode"] == "centralized")
 
 
