@@ -20,16 +20,17 @@ pass would (_genie_powers_fit); the scales are applied to them at the end
 as well.
 
 Otherwise pass 1 only sums the combiner norms (se.combiner_norms, inside
-UatfAccumulator in distributed mode) and a second pass re-generates the
-same realizations to accumulate the hardening bound and the genie-aided
-reference. That happens with the genie on in distributed operation, whose
-genie needs each realization's complex gains per block and is not linear
-in the per-AP scales; with the genie on in centralized operation when the
-gain powers of all schemes are large (several schemes at full scale, or
-many realizations); and when the block moments would be large
-(_block_moments_fit): large distributed clusters, whose block moments
-cost more than the second pass. In every case each batch's
-stderr replica uses precoders normalized by that batch's own norm sums.
+UatfAccumulator when a distributed campaign has an uplink) and a second
+pass re-generates the same realizations to accumulate the hardening bound
+and the genie-aided reference. That happens with the genie on in
+distributed operation, whose genie needs each realization's complex gains
+per block and is not linear in the per-AP scales; with the genie on in
+centralized operation when the gain powers of all schemes are large
+(several schemes at full scale, or many realizations); and when the block
+moments would be large (_block_moments_fit): large distributed clusters,
+whose block moments cost more than the second pass. In every case each
+batch's stderr replica uses precoders normalized by that batch's own norm
+sums.
 """
 
 import concurrent.futures
@@ -186,6 +187,9 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         blocks = PrecoderBlocks(assignment, rho) if genie_fits else None
         two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
 
+    # distributed uplink accumulators sum the combiner norms as well
+    uatf_norms = need_ul and not centralized
+
     def pass1(b):
         h, bundle = realizations(b)
         if centralized and need_ul:
@@ -194,16 +198,15 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
             entry = {}
-            if centralized:
-                if need_ul:
-                    sinr = instantaneous_sinr(v, bundle, p)
-                    entry["ul"] = ErgodicLogAccumulator.batch_partial(sinr)
-                if two_pass:
-                    entry["norm"] = combiner_norms(v)
-            elif need_ul or two_pass:
+            if centralized and need_ul:
+                sinr = instantaneous_sinr(v, bundle, p)
+                entry["ul"] = ErgodicLogAccumulator.batch_partial(sinr)
+            elif uatf_norms:
                 entry["ul"] = UatfAccumulator.batch_partial(
                     v, h, p, cfg.noise_ul_w, prelog_ul
                 )
+            if two_pass and not uatf_norms:
+                entry["norm"] = combiner_norms(v)
             if need_dl and not two_pass:
                 entry["dl"] = DownlinkBlockMoments.batch_partial(
                     v, h, blocks, cfg.noise_dl_w, prelog_dl, genie=cfg.genie_dl
@@ -212,14 +215,14 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         return out
 
     ul_acc = {}
-    norm_sums = {}      # centralized, two passes: combiner-norm sums for the DL normalization
+    norm_sums = {}      # two passes: combiner-norm sums for the DL normalization
     dl_acc = {}
     for scheme in cfg.schemes:
         if centralized:
             ul_acc[scheme] = ErgodicLogAccumulator(K)
-            norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
         else:
             ul_acc[scheme] = UatfAccumulator(K, L)
+        norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
         if need_dl:
             if two_pass:
                 dl_acc[scheme] = DownlinkAccumulator(K)
@@ -253,10 +256,10 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     if two_pass:
         global_norm = {}
         for scheme in cfg.schemes:
-            if centralized:
-                sums = norm_sums[scheme]
-            else:
+            if uatf_norms:
                 sums = (ul_acc[scheme].norm, ul_acc[scheme].norm_local)
+            else:
+                sums = norm_sums[scheme]
             global_norm[scheme] = tuple(total / cfg.num_realizations for total in sums)
 
         def pass2(b):

@@ -106,8 +106,16 @@ def compute_combiners(scheme: str, bundle: EstimationBundle) -> np.ndarray:
 
 
 def mr_combiner(bundle: EstimationBundle) -> np.ndarray:
-    mask = bundle.ctx.assignment.serves.T[None, :, :, None]
-    return bundle.hhat * mask
+    """The estimates masked to the serving APs.
+
+    When every AP serves every UE the mask changes nothing, and the result
+    is bundle.hhat itself, not a copy: callers read combiners and never
+    write into them.
+    """
+    serves = bundle.ctx.assignment.serves
+    if serves.all():
+        return bundle.hhat
+    return bundle.hhat * serves.T[None, :, :, None]
 
 
 def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.ndarray:

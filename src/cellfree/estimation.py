@@ -6,7 +6,11 @@ sqrt(p_k*tau_p) R_kl Psi_tl^{-1}, the estimate covariances
 B_kl = p_k*tau_p R_kl Psi_tl^{-1} R_kl, and the error covariances
 C_kl = R_kl - B_kl. Per coherence block only the despreaded pilot signal and
 the filter multiply remain; estimates are materialized lazily for exactly
-the (UE, AP) pairs a processing scheme demands.
+the (UE, AP) pairs a processing scheme demands. When a demand covers every
+pair (centralized uplink, all-serve-all clusters), they are computed in one
+whole-table pass straight into the estimate array instead of pair by pair.
+With one antenna per AP every N x N matrix is a scalar: the filters are a
+division and the filter multiply is elementwise.
 """
 
 import numpy as np
@@ -44,7 +48,11 @@ class SetupContext:
         # statistical filters A_kl = sqrt(p_k tau_p) R_kl Psi_{t_k l}^{-1},
         # precomputed once; R Psi^{-1} = (Psi^{-1} R)^H for Hermitian inputs
         psi_of_ue = self.psi[self.pilot_of]                    # (K, L, N, N)
-        self.psi_inv_R = np.linalg.solve(psi_of_ue, R)         # Psi_{t_k l}^{-1} R_kl
+        if N == 1:
+            # Psi is real: complex division multiplies by 1/Psi, as the solve does
+            self.psi_inv_R = R / psi_of_ue
+        else:
+            self.psi_inv_R = np.linalg.solve(psi_of_ue, R)     # Psi_{t_k l}^{-1} R_kl
         scale = np.sqrt(self.ul_power * tau_p)[:, None, None, None]
         self.filter = scale * np.conj(np.swapaxes(self.psi_inv_R, -1, -2))
         # estimate covariance B and error covariance C = R - B
@@ -121,7 +129,11 @@ class EstimationBundle:
 
     def ensure(self, mask: np.ndarray) -> None:
         """Materialize estimates for every (UE, AP) pair flagged in mask."""
-        todo = np.argwhere(mask & ~self._computed)
+        fresh = mask & ~self._computed
+        if fresh.all():
+            self._estimate_every_pair()
+            return
+        todo = np.argwhere(fresh)
         if todo.size == 0:
             return
         ues, aps = todo[:, 0], todo[:, 1]
@@ -129,6 +141,19 @@ class EstimationBundle:
         y = self.y_pilot[:, self.ctx.pilot_of[ues], aps, :]       # (B, P, N)
         self.hhat[:, ues, aps, :] = np.moveaxis(filters @ np.moveaxis(y, 0, -1), -1, 0)
         self._computed[ues, aps] = True
+
+    def _estimate_every_pair(self) -> None:
+        """All (UE, AP) estimates at once, written into hhat: each UE's pilot
+        row, then the filters, with the same products as the per-pair path."""
+        # SetupContext has indexed with the pilot numbers already; mode "raise"
+        # would make take copy through a second batch array before writing out
+        np.take(self.y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
+        if self.hhat.shape[-1] == 1:
+            self.hhat *= self.ctx.filter[..., 0]
+        else:
+            products = self.ctx.filter @ np.moveaxis(self.hhat, 0, -1)     # (K, L, N, B)
+            self.hhat[...] = np.moveaxis(products, -1, 0)
+        self._computed[...] = True
 
     def ensure_all(self) -> None:
         self.ensure(np.ones(self._computed.shape, dtype=bool))

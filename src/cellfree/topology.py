@@ -166,4 +166,7 @@ def sample_channels(topology: Topology, rng, batch: int = 1) -> np.ndarray:
     K, L = topology.beta.shape
     N = topology.antennas_per_ap
     z = complex_normal(rng, (batch, K, L, N))
+    if N == 1:
+        # the square root of beta is real: one product per entry, as in the einsum
+        return topology.correlation_sqrt()[..., 0] * z
     return np.einsum("klmn,bkln->bklm", topology.correlation_sqrt(), z)

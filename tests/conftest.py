@@ -44,6 +44,12 @@ def make_setup(cfg, setup_index: int = 0):
     return topology, assignment, ctx
 
 
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes: -0.0 and +0.0 differ, NaNs compare."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -12,7 +12,7 @@ from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.se import UatfAccumulator
 from cellfree.topology import sample_channels
 
-from conftest import make_cfg, make_setup
+from conftest import make_cfg, make_setup, same_bits
 
 
 def read_tree(root):
@@ -272,6 +272,31 @@ class TestOnePassDownlink:
         monkeypatch.setattr(campaign, "compute_combiners", silent_ue0)
         with pytest.raises(DegeneratePrecoderError):
             run_campaign(self._cfg(case, ul_data_len=0))
+
+
+class TestDownlinkOnlyDistributed:
+    """Without an uplink, pass 1 of a two-pass distributed campaign sums the
+    combiner norms alone: no uplink gains, moments or replicas."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(genie_dl=True),                          # the genie takes two passes
+        dict(genie_dl=False, all_serve_all=True),     # block moments too large
+    ], ids=["genie", "all-serve-all"])
+    def test_downlink_equals_the_campaign_with_an_uplink(self, monkeypatch, kw):
+        cfg = make_cfg(num_aps=8, num_ues=6, pilot_len=3, seed=3, num_realizations=48,
+                       mode="distributed", schemes=("MR", "LP-MMSE"), **kw)
+        with_ul = run_campaign(cfg)
+
+        def no_uplink(*args, **kwargs):
+            raise AssertionError("uplink bound computed in a downlink-only campaign")
+
+        monkeypatch.setattr(UatfAccumulator, "batch_partial", staticmethod(no_uplink))
+        dl_only = run_campaign(cfg.replace(ul_data_len=0))
+        assert dl_only.directions == with_ul.directions[1:]
+        for scheme in cfg.schemes:
+            for direction in dl_only.directions:
+                got, expected = dl_only.entries[(scheme, direction)], with_ul.entries[(scheme, direction)]
+                assert same_bits(got.se, expected.se) and same_bits(got.stderr, expected.stderr)
 
 
 class TestPerApPowerConstraint:

@@ -16,7 +16,7 @@ from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
 from cellfree.se import combiner_norms, combining_gains, instantaneous_sinr
 from cellfree.topology import sample_channels
 
-from conftest import make_cfg, make_setup
+from conftest import make_cfg, make_setup, same_bits
 from test_estimation import scalar_setup
 
 
@@ -47,6 +47,16 @@ class TestMR:
             assert np.array_equal(v[:, k, aps, :], bundle.hhat[:, k, aps, :])
             others = np.setdiff1d(np.arange(cfg.num_aps), aps)
             assert np.all(v[:, k, others, :] == 0)
+
+    @pytest.mark.parametrize("all_serve_all", [True, False], ids=["all-serve-all", "clusters"])
+    def test_equals_estimates_times_the_serving_mask(self, all_serve_all):
+        cfg = make_cfg(num_aps=6, num_ues=5, pilot_len=3, all_serve_all=all_serve_all)
+        _, assignment, _, _, bundle = make_bundle(cfg)
+        assert assignment.serves.all() == all_serve_all
+        # estimates at every AP, as a centralized uplink computes them
+        bundle.ensure_all()
+        v = compute_combiners("MR", bundle)
+        assert same_bits(v, bundle.hhat * assignment.serves.T[None, :, :, None])
 
     def test_scalar_identity(self):
         _, _, bundle = scalar_bundle(2.0)

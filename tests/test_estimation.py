@@ -6,9 +6,10 @@ import pytest
 from cellfree.clustering import ClusterAssignment
 from cellfree.estimation import EstimationBundle, SetupContext
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
+from cellfree.scenarios import SCENARIOS
 from cellfree.topology import Topology, sample_channels
 
-from conftest import make_cfg, make_setup
+from conftest import make_cfg, make_setup, same_bits
 
 
 def scalar_setup(noise_w=1.0, gain=2.0, ue_power=0.1, pilot_len=10):
@@ -202,9 +203,81 @@ class TestLazyDemand:
         bundle.ensure(mask)  # idempotent
         assert bundle._computed.sum() == 2
 
+    def test_complete_demand_marks_every_pair(self):
+        cfg = make_cfg(num_aps=4, num_ues=5, pilot_len=3)
+        topo, _, ctx = make_setup(cfg)
+        h = sample_channels(topo, stream(6, 0, CHANNEL, 0), batch=3)
+        bundle = EstimationBundle(ctx, h, stream(6, 0, PILOT_NOISE, 0))
+        bundle.ensure_all()
+        assert bundle._computed.all()
+        before = bundle.hhat.copy()
+        bundle.ensure_all()  # idempotent
+        assert same_bits(bundle.hhat, before)
+
     def test_requires_all_ues_admitted(self):
         cfg = make_cfg(num_aps=3, num_ues=2, pilot_len=2)
         topo, assignment, _ = make_setup(cfg)
         assignment.pilot_of[1] = -1
         with pytest.raises(ValueError, match="admitted"):
             SetupContext(topo, assignment, np.full(2, cfg.ue_power_w), cfg)
+
+
+def _per_pair_estimates(ctx, y_pilot, mask):
+    """The per-pair formula: each flagged pair's pilot row and filter are
+    gathered, multiplied as one (N, N) @ (N, B) product per pair and
+    scattered into an array of zeros."""
+    B, _, L, N = y_pilot.shape
+    hhat = np.zeros((B, ctx.pilot_of.size, L, N), dtype=complex)
+    ues, aps = np.nonzero(mask)
+    y = y_pilot[:, ctx.pilot_of[ues], aps, :]                     # (B, P, N)
+    hhat[:, ues, aps, :] = np.moveaxis(ctx.filter[ues, aps] @ np.moveaxis(y, 0, -1), -1, 0)
+    return hhat
+
+
+class TestWholeTablePass:
+    """A fresh demand for every (UE, AP) pair is estimated in one pass over
+    the whole table; it must give the per-pair formula's bits."""
+
+    @staticmethod
+    def _bundle(antennas, batch):
+        # 8 UEs on 3 pilots: shared and distinct pilot rows
+        cfg = make_cfg(num_aps=7, num_ues=8, pilot_len=3, antennas_per_ap=antennas)
+        topo, _, ctx = make_setup(cfg)
+        assert len(set(ctx.pilot_of.tolist())) == 3
+        h = sample_channels(topo, stream(9, 0, CHANNEL, 0), batch=batch)
+        return ctx, EstimationBundle(ctx, h, stream(9, 0, PILOT_NOISE, 0))
+
+    @pytest.mark.parametrize("antennas", [1, 4])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_equals_the_per_pair_path(self, antennas, batch):
+        ctx, bundle = self._bundle(antennas, batch)
+        bundle.ensure_all()
+        expected = _per_pair_estimates(ctx, bundle.y_pilot, np.ones((8, 7), dtype=bool))
+        assert same_bits(bundle.hhat, expected)
+        assert bundle._computed.all()
+
+    @pytest.mark.parametrize("antennas", [1, 4])
+    def test_mask_completed_after_a_partial_ensure(self, antennas):
+        ctx, bundle = self._bundle(antennas, 4)
+        first = np.zeros((8, 7), dtype=bool)
+        first[::2, 1:] = True
+        bundle.ensure(first)
+        assert same_bits(bundle.hhat, _per_pair_estimates(ctx, bundle.y_pilot, first))
+        # a marker on the pairs already computed: completing the demand must
+        # compute the rest only, pair by pair
+        bundle.hhat[:, first] = 7.0 - 3.0j
+        bundle.ensure_all()
+        rest = _per_pair_estimates(ctx, bundle.y_pilot, ~first)
+        assert np.all(bundle.hhat[:, first] == 7.0 - 3.0j)
+        assert same_bits(bundle.hhat[:, ~first], rest[:, ~first])
+        assert bundle._computed.all()
+
+
+class TestSingleAntennaFilters:
+    @pytest.mark.parametrize("scale", ["desk", "full"])
+    def test_psi_inv_R_equals_the_solve(self, scale):
+        # setup-i: 100 single-antenna APs and 40 UEs, or 400 and 100
+        cfg = getattr(SCENARIOS["setup-i-ul"], scale)
+        topo, _, ctx = make_setup(cfg)
+        expected = np.linalg.solve(ctx.psi[ctx.pilot_of], topo.R)
+        assert same_bits(ctx.psi_inv_R, expected)

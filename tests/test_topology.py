@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cellfree.rng import TOPOLOGY, stream
+from cellfree.rng import TOPOLOGY, complex_normal, stream
+from cellfree.scenarios import SCENARIOS
 from cellfree.topology import (
     generate_topology,
     hermitian_sqrt,
@@ -11,7 +12,7 @@ from cellfree.topology import (
     wraparound_distance,
 )
 
-from conftest import make_cfg
+from conftest import make_cfg, same_bits
 
 
 class TestWraparound:
@@ -177,6 +178,16 @@ class TestSampling:
         z = h @ white.T
         emp = z.T @ np.conj(z) / n
         assert np.all(np.abs(emp - np.eye(3)) <= 5.0 / np.sqrt(n))
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_single_antenna_equals_the_einsum(self, batch):
+        # setup-i at desk scale: 40 UEs, 100 single-antenna APs
+        cfg = SCENARIOS["setup-i-ul"].desk
+        topo = generate_topology(cfg, stream(19, 0, TOPOLOGY))
+        h = sample_channels(topo, stream(19, 0, 1), batch=batch)
+        z = complex_normal(stream(19, 0, 1), (batch, 40, 100, 1))
+        expected = np.einsum("klmn,bkln->bklm", topo.correlation_sqrt(), z)
+        assert same_bits(h, expected)
 
     def test_non_psd_input_raises(self):
         R = np.array([[[[1.0 + 0j, 0], [0, -0.5]]]])
