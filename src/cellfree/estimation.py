@@ -131,7 +131,17 @@ class EstimationBundle:
         """Materialize estimates for every (UE, AP) pair flagged in mask."""
         fresh = mask & ~self._computed
         if fresh.all():
-            self._estimate_every_pair()
+            # the whole table: each UE's pilot row straight into hhat (SetupContext
+            # has indexed with the pilot numbers already; mode "raise" would make
+            # take copy through a second batch array), then the filters, with the
+            # same products as the per-pair path below
+            np.take(self.y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
+            if self.hhat.shape[-1] == 1:
+                self.hhat *= self.ctx.filter[..., 0]
+            else:
+                products = self.ctx.filter @ np.moveaxis(self.hhat, 0, -1)     # (K, L, N, B)
+                self.hhat[...] = np.moveaxis(products, -1, 0)
+            self._computed[...] = True
             return
         todo = np.argwhere(fresh)
         if todo.size == 0:
@@ -141,19 +151,6 @@ class EstimationBundle:
         y = self.y_pilot[:, self.ctx.pilot_of[ues], aps, :]       # (B, P, N)
         self.hhat[:, ues, aps, :] = np.moveaxis(filters @ np.moveaxis(y, 0, -1), -1, 0)
         self._computed[ues, aps] = True
-
-    def _estimate_every_pair(self) -> None:
-        """All (UE, AP) estimates at once, written into hhat: each UE's pilot
-        row, then the filters, with the same products as the per-pair path."""
-        # SetupContext has indexed with the pilot numbers already; mode "raise"
-        # would make take copy through a second batch array before writing out
-        np.take(self.y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
-        if self.hhat.shape[-1] == 1:
-            self.hhat *= self.ctx.filter[..., 0]
-        else:
-            products = self.ctx.filter @ np.moveaxis(self.hhat, 0, -1)     # (K, L, N, B)
-            self.hhat[...] = np.moveaxis(products, -1, 0)
-        self._computed[...] = True
 
     def ensure_all(self) -> None:
         self.ensure(np.ones(self._computed.shape, dtype=bool))
