@@ -6,11 +6,11 @@ sqrt(p_k*tau_p) R_kl Psi_tl^{-1}, the estimate covariances
 B_kl = p_k*tau_p R_kl Psi_tl^{-1} R_kl, and the error covariances
 C_kl = R_kl - B_kl. Per coherence block only the despreaded pilot signal and
 the filter multiply remain; estimates are materialized lazily for exactly
-the (UE, AP) pairs a processing scheme demands. When a demand covers every
-pair (centralized uplink, all-serve-all clusters), they are computed in one
-whole-table pass straight into the estimate array instead of pair by pair.
-With one antenna per AP every N x N matrix is a scalar: the filters are a
-division and the filter multiply is elementwise.
+the (UE, AP) pairs a processing scheme demands. With one antenna per AP
+every N x N matrix is a scalar: the filters are a division, and a demand
+that covers every pair (centralized uplink, all-serve-all clusters) is
+computed in one elementwise whole-table pass straight into the estimate
+array instead of pair by pair.
 """
 
 import numpy as np
@@ -130,17 +130,13 @@ class EstimationBundle:
     def ensure(self, mask: np.ndarray) -> None:
         """Materialize estimates for every (UE, AP) pair flagged in mask."""
         fresh = mask & ~self._computed
-        if fresh.all():
-            # the whole table: each UE's pilot row straight into hhat (SetupContext
-            # has indexed with the pilot numbers already; mode "raise" would make
-            # take copy through a second batch array), then the filters, with the
-            # same products as the per-pair path below
+        if fresh.all() and self.hhat.shape[-1] == 1:
+            # the whole table at one antenna: each UE's pilot row straight into
+            # hhat (SetupContext has indexed with the pilot numbers already; mode
+            # "raise" would make take copy through a second batch array), then
+            # the scalar filters in place
             np.take(self.y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
-            if self.hhat.shape[-1] == 1:
-                self.hhat *= self.ctx.filter[..., 0]
-            else:
-                products = self.ctx.filter @ np.moveaxis(self.hhat, 0, -1)     # (K, L, N, B)
-                self.hhat[...] = np.moveaxis(products, -1, 0)
+            self.hhat *= self.ctx.filter[..., 0]
             self._computed[...] = True
             return
         todo = np.argwhere(fresh)
