@@ -12,25 +12,29 @@ are the combiners normalized by E{v^H D v}, per UE in centralized operation
 and per AP in distributed operation, as Monte-Carlo means over the whole
 setup. The hardening bound is linear in those normalization scales, so
 pass 1 can also accumulate it per precoder block (se.DownlinkBlockMoments)
-and apply the scales once the setup's last batch is in. In centralized
-operation the genie-aided reference (genie_dl) only needs each
+and apply the scales once the setup's last batch is in. In distributed
+operation the use-and-then-forget uplink then comes from the same block
+sums by uplink-downlink duality (se.UatfAccumulator.block_partial): with
+unit scales they are the uplink moments, so no uplink gains are formed. In
+centralized operation the genie-aided reference (genie_dl) only needs each
 realization's gain powers |h_k^H v_i|^2, n * K^2 values per setup and
 scheme, which pass 1 keeps unless they take more memory than the second
 pass would (_genie_powers_fit); the scales are applied to them at the end
 as well.
 
-Otherwise pass 1 only sums the combiner norms (se.combiner_norms, inside
-UatfAccumulator when a distributed campaign has an uplink) and a second
-pass re-generates the same realizations to accumulate the hardening bound
-and the genie-aided reference. That happens with the genie on in
-distributed operation, whose genie needs each realization's complex gains
-per block and is not linear in the per-AP scales; with the genie on in
-centralized operation when the gain powers of all schemes are large
-(several schemes at full scale, or many realizations); and when the block
-moments would be large (_block_moments_fit): large distributed clusters,
-whose block moments cost more than the second pass. In every case each
-batch's stderr replica uses precoders normalized by that batch's own norm
-sums.
+Otherwise pass 1 sums the combiner norms (se.combiner_norms), which a
+distributed uplink reuses, and a second pass re-generates the same
+realizations to accumulate the hardening bound and the genie-aided
+reference. That happens with the genie on in distributed operation, whose
+genie needs each realization's complex gains per block and is not linear in
+the per-AP scales; with the genie on in centralized operation when the gain
+powers of all schemes are large (several schemes at full scale, or many
+realizations); and when the block moments would be large
+(_block_moments_fit): large distributed clusters, whose block moments cost
+more than the second pass. In every case each batch's stderr replica uses
+precoders normalized by that batch's own norm sums. In centralized
+operation both sets of precoded gains are column scalings of one gain
+matrix h_k^H v_i, so the second pass builds no precoder arrays.
 """
 
 import concurrent.futures
@@ -41,11 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import build_assignment
-from .combining import (
-    build_precoders_centralized,
-    build_precoders_distributed,
-    compute_combiners,
-)
+from .combining import build_precoders_distributed, compute_combiners, precoder_scales
 from .config import SimulationConfig
 from .estimation import EstimationBundle, SetupContext
 from .power import dl_centralized_equal, dl_distributed_proportional, ul_full_power
@@ -58,6 +58,7 @@ from .se import (
     UatfAccumulator,
     cdf_statistics,
     combiner_norms,
+    combining_gains,
     instantaneous_sinr,
 )
 from .topology import generate_topology, sample_channels
@@ -187,9 +188,6 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         blocks = PrecoderBlocks(assignment, rho) if genie_fits else None
         two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
 
-    # distributed uplink accumulators sum the combiner norms as well
-    uatf_norms = need_ul and not centralized
-
     def pass1(b):
         h, bundle = realizations(b)
         if centralized and need_ul:
@@ -198,18 +196,24 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
             entry = {}
+            if two_pass:
+                entry["norm"] = combiner_norms(v)
+            elif need_dl:
+                entry["dl"] = DownlinkBlockMoments.batch_partial(
+                    v, h, blocks, cfg.noise_dl_w, prelog_dl, genie=cfg.genie_dl
+                )
             if centralized and need_ul:
                 sinr = instantaneous_sinr(v, bundle, p)
                 entry["ul"] = ErgodicLogAccumulator.batch_partial(sinr)
-            elif uatf_norms:
-                entry["ul"] = UatfAccumulator.batch_partial(
-                    v, h, p, cfg.noise_ul_w, prelog_ul
+            elif need_ul and "dl" in entry:
+                # uplink-downlink duality: the block sums give the moments
+                entry["ul"] = UatfAccumulator.block_partial(
+                    entry["dl"], blocks, p, cfg.noise_ul_w, prelog_ul
                 )
-            if two_pass and not uatf_norms:
-                entry["norm"] = combiner_norms(v)
-            if need_dl and not two_pass:
-                entry["dl"] = DownlinkBlockMoments.batch_partial(
-                    v, h, blocks, cfg.noise_dl_w, prelog_dl, genie=cfg.genie_dl
+            elif need_ul:
+                entry["ul"] = UatfAccumulator.batch_partial(
+                    v, h, p, cfg.noise_ul_w, prelog_ul,
+                    norm=entry["norm"][0] if two_pass else None,
                 )
             out[scheme] = entry
         return out
@@ -221,14 +225,13 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         if centralized:
             ul_acc[scheme] = ErgodicLogAccumulator(K)
         else:
-            ul_acc[scheme] = UatfAccumulator(K, L)
-        norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
-        if need_dl:
-            if two_pass:
-                dl_acc[scheme] = DownlinkAccumulator(K)
-            else:
-                genie_noise_w = cfg.noise_dl_w if cfg.genie_dl else None
-                dl_acc[scheme] = DownlinkBlockMoments(blocks, genie_noise_w)
+            ul_acc[scheme] = UatfAccumulator(K)
+        if two_pass:
+            norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
+            dl_acc[scheme] = DownlinkAccumulator(K)
+        elif need_dl:
+            genie_noise_w = cfg.noise_dl_w if cfg.genie_dl else None
+            dl_acc[scheme] = DownlinkBlockMoments(blocks, genie_noise_w)
 
     for partial in _map_batches(_with_context(pass1, s), len(sizes), threads):
         for scheme, entry in partial.items():
@@ -254,13 +257,10 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 raise
 
     if two_pass:
-        global_norm = {}
-        for scheme in cfg.schemes:
-            if uatf_norms:
-                sums = (ul_acc[scheme].norm, ul_acc[scheme].norm_local)
-            else:
-                sums = norm_sums[scheme]
-            global_norm[scheme] = tuple(total / cfg.num_realizations for total in sums)
+        global_norm = {
+            scheme: tuple(total / cfg.num_realizations for total in norm_sums[scheme])
+            for scheme in cfg.schemes
+        }
 
         def pass2(b):
             h, bundle = realizations(b)
@@ -269,14 +269,18 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 v = compute_combiners(scheme, bundle)
                 norm, norm_local = (total / v.shape[0] for total in combiner_norms(v))
                 if centralized:
-                    wg = build_precoders_centralized(v, rho, global_norm[scheme][0])
-                    wb = build_precoders_centralized(v, rho, norm)
+                    # both gain sets scale the columns of u[b, k, i] = h_k^H v_i
+                    u = combining_gains(h, v)
+                    out[scheme] = DownlinkAccumulator.gain_partial(
+                        u * precoder_scales(rho, global_norm[scheme][0]),
+                        u * precoder_scales(rho, norm), cfg.noise_dl_w, prelog_dl
+                    )
                 else:
                     wg = build_precoders_distributed(v, rho, global_norm[scheme][1])
                     wb = build_precoders_distributed(v, rho, norm_local)
-                out[scheme] = DownlinkAccumulator.batch_partial(
-                    wg, wb, h, cfg.noise_dl_w, prelog_dl
-                )
+                    out[scheme] = DownlinkAccumulator.batch_partial(
+                        wg, wb, h, cfg.noise_dl_w, prelog_dl
+                    )
             return out
 
         for partial in _map_batches(_with_context(pass2, s), len(sizes), threads):

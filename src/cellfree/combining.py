@@ -108,14 +108,15 @@ def compute_combiners(scheme: str, bundle: EstimationBundle) -> np.ndarray:
 def mr_combiner(bundle: EstimationBundle) -> np.ndarray:
     """The estimates masked to the serving APs.
 
-    When every AP serves every UE the mask changes nothing, and the result
-    is bundle.hhat itself, not a copy: callers read combiners and never
-    write into them.
+    When the bundle holds estimates only at serving pairs (MR's own demand,
+    LP-MMSE's, or every pair when every AP serves every UE), the others are
+    still zero and the mask changes nothing: the result is bundle.hhat
+    itself, not a copy. Callers read combiners and never write into them.
     """
-    serves = bundle.ctx.assignment.serves
-    if serves.all():
+    serving = bundle.ctx.assignment.serves.T
+    if not np.any(bundle._computed & ~serving):
         return bundle.hhat
-    return bundle.hhat * serves.T[None, :, :, None]
+    return bundle.hhat * serving[None, :, :, None]
 
 
 def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.ndarray:

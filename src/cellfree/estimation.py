@@ -118,9 +118,8 @@ class EstimationBundle:
         self.ctx = ctx
         self.channels = channels
         batch, K, L, N = channels.shape
-        self.y_pilot = np.sqrt(ctx.cfg.noise_ul_w) * complex_normal(
-            rng, (batch, ctx.cfg.pilot_len, L, N)
-        )
+        self.y_pilot = complex_normal(rng, (batch, ctx.cfg.pilot_len, L, N))
+        self.y_pilot *= np.sqrt(ctx.cfg.noise_ul_w)
         # despread pilots added in place: no third (B, tau_p, L, N) array
         self.y_pilot += (ctx._despread @ channels.reshape(batch, K, L * N)).reshape(
             self.y_pilot.shape)

@@ -6,7 +6,9 @@ matrix (valid for any combiner).
 
 Uplink, distributed: the use-and-then-forget bound - log2(1 + SINR) where the
 SINR is a ratio of expectations accumulated across realizations (signal mean,
-interference second moments, combiner norm).
+interference second moments, combiner norm). By uplink-downlink duality
+these are the downlink block moments with unit scales, so a campaign that
+accumulates those takes the uplink from them (UatfAccumulator.block_partial).
 
 Downlink: the hardening bound with the same structure, driven by normalized
 precoders, plus a genie-aided reference where the UE knows its instantaneous
@@ -257,22 +259,43 @@ class _RatioOfMeans:
 
 
 class UatfAccumulator(_RatioOfMeans):
-    """Use-and-then-forget moments of the gains g[b, k, i] = v_k^H D_k h_i,
-    plus the combiner norms that normalize the downlink precoders."""
+    """Use-and-then-forget moments of the gains g[b, k, i] = v_k^H D_k h_i
+    and of the combiner norms ||D_k v_k||^2."""
 
-    def __init__(self, num_ues: int, num_aps: int):
+    def __init__(self, num_ues: int):
         super().__init__()
         self.signal = np.zeros(num_ues, dtype=complex)
         self.cross = np.zeros((num_ues, num_ues))
         self.norm = np.zeros(num_ues)
-        self.norm_local = np.zeros((num_ues, num_aps))
 
     @staticmethod
     def batch_partial(v: np.ndarray, h: np.ndarray, ul_power: np.ndarray,
-                      noise_w: float, prelog: float) -> dict:
+                      noise_w: float, prelog: float, norm: np.ndarray = None) -> dict:
+        """norm: the batch sums of ||D_k v_k||^2 when the caller has them
+        (combiner_norms(v)[0]); computed here otherwise."""
         g = combining_gains(v, h)
         partial = _RatioOfMeans._sums(g, np.abs(g) ** 2)
-        partial["norm"], partial["norm_local"] = combiner_norms(v)
+        partial["norm"] = combiner_norms(v)[0] if norm is None else norm
+        return UatfAccumulator._with_replica(partial, ul_power, noise_w, prelog)
+
+    @staticmethod
+    def block_partial(dl: dict, blocks: "PrecoderBlocks", ul_power: np.ndarray,
+                      noise_w: float, prelog: float) -> dict:
+        """The same sums by uplink-downlink duality, from the block sums of
+        the batch's DownlinkBlockMoments.batch_partial, with no gain product.
+
+        With unit block scales the downlink gains h_i^H v_p, summed over UE
+        k's blocks p, are the conjugate uplink gains v_k^H D_k h_i: so
+        signal[k] = conj(sum_p sig[p]), cross[k, i] is S[i] summed over UE
+        k's block pairs, and norm[k] sums the energies of UE k's blocks.
+        """
+        signal, second = blocks.contract(np.ones(blocks.ues.size), dl["sig"], dl["S"])
+        norm = np.bincount(blocks.ues, weights=dl["norm"], minlength=blocks.num_ues)
+        partial = {"n": dl["n"], "signal": np.conj(signal), "cross": second.T, "norm": norm}
+        return UatfAccumulator._with_replica(partial, ul_power, noise_w, prelog)
+
+    @staticmethod
+    def _with_replica(partial: dict, ul_power: np.ndarray, noise_w: float, prelog: float) -> dict:
         B = partial["n"]
         batch = UatfMoments(partial["signal"] / B, partial["cross"] / B, partial["norm"] / B)
         partial.update(_RatioOfMeans._replica(*_uatf_terms(batch, ul_power, noise_w), prelog))
@@ -283,14 +306,9 @@ class UatfAccumulator(_RatioOfMeans):
         self.signal += partial["signal"]
         self.cross += partial["cross"]
         self.norm += partial["norm"]
-        self.norm_local += partial["norm_local"]
 
     def moments(self) -> UatfMoments:
         return UatfMoments(self.signal / self.n, self.cross / self.n, self.norm / self.n)
-
-    def local_norms(self) -> np.ndarray:
-        """E{||v_kl||^2} per (UE, AP), the per-AP precoder normalizations."""
-        return self.norm_local / self.n
 
     def finalize(self, ul_power: np.ndarray, noise_w: float, prelog: float) -> tuple:
         m = self.moments()
@@ -312,12 +330,18 @@ class DownlinkAccumulator(_RatioOfMeans):
                       noise_dl_w: float, prelog: float) -> dict:
         """w uses the campaign-wide normalization (reported SE and genie);
         w_batchnorm is renormalized from this batch alone (stderr replicas)."""
-        g = combining_gains(h, w)
+        return DownlinkAccumulator.gain_partial(
+            combining_gains(h, w), combining_gains(h, w_batchnorm), noise_dl_w, prelog)
+
+    @staticmethod
+    def gain_partial(g: np.ndarray, g_batchnorm: np.ndarray, noise_dl_w: float,
+                     prelog: float) -> dict:
+        """The same from the precoded gains g = combining_gains(h, w) and
+        g_batchnorm = combining_gains(h, w_batchnorm)."""
         q = np.abs(g) ** 2
         partial = _RatioOfMeans._sums(g, q)
         partial["genie"] = ErgodicLogAccumulator.batch_partial(_genie_sinr(q, noise_dl_w))
-        gb = combining_gains(h, w_batchnorm)
-        batch = _RatioOfMeans._sums(gb, np.abs(gb) ** 2)
+        batch = _RatioOfMeans._sums(g_batchnorm, np.abs(g_batchnorm) ** 2)
         B = batch["n"]
         terms = _hardening_terms(batch["signal"] / B, batch["cross"] / B, noise_dl_w)
         partial.update(_RatioOfMeans._replica(*terms, prelog))

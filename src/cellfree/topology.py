@@ -160,8 +160,8 @@ def hermitian_sqrt(R: np.ndarray) -> np.ndarray:
 def sample_channels(topology: Topology, rng, batch: int = 1) -> np.ndarray:
     """Draw correlated Rayleigh realizations h ~ CN(0, R).
 
-    Returns a (batch, K, L, N) array; independent across realizations, UEs,
-    and APs.
+    Returns a C-contiguous (batch, K, L, N) array; independent across
+    realizations, UEs, and APs.
     """
     K, L = topology.beta.shape
     N = topology.antennas_per_ap
@@ -169,4 +169,7 @@ def sample_channels(topology: Topology, rng, batch: int = 1) -> np.ndarray:
     if N == 1:
         # the square root of beta is real: one product per entry, as in the einsum
         return topology.correlation_sqrt()[..., 0] * z
-    return np.einsum("klmn,bkln->bklm", topology.correlation_sqrt(), z)
+    # one stacked (N, N) @ (N, batch) product per (UE, AP) pair on BLAS; the
+    # copy back to realization-major order keeps later reshapes free of copies
+    h = topology.correlation_sqrt() @ np.moveaxis(z, 0, -1)              # (K, L, N, batch)
+    return np.ascontiguousarray(np.moveaxis(h, -1, 0))

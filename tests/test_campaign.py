@@ -9,7 +9,7 @@ from cellfree.combining import DegeneratePrecoderError, compute_combiners
 from cellfree.estimation import EstimationBundle
 from cellfree.power import dl_centralized_equal, per_ap_dl_power
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
-from cellfree.se import UatfAccumulator
+from cellfree.se import UatfAccumulator, combiner_norms
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup, same_bits
@@ -195,12 +195,26 @@ class TestOnePassDownlink:
         cfg = self._cfg(case)
         one = run_campaign(cfg)
         two = run_campaign(cfg.replace(genie_dl=True))
+        # a distributed uplink on the single pass comes from the block sums
+        # (duality), on the two-pass side from the gains: equal up to rounding
+        ul_by_duality = cfg.mode == "distributed"
         for scheme in cfg.schemes:
-            got, expected = one.entries[(scheme, "dl")], two.entries[(scheme, "dl")]
-            np.testing.assert_allclose(got.se, expected.se, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
-            np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
+            for direction in ("dl", "ul") if ul_by_duality else ("dl",):
+                got, expected = one.entries[(scheme, direction)], two.entries[(scheme, direction)]
+                np.testing.assert_allclose(got.se, expected.se, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(got.stderr, expected.stderr, rtol=1e-12, atol=0)
+            if not ul_by_duality:
+                np.testing.assert_array_equal(one.values(scheme, "ul"), two.values(scheme, "ul"))
         assert self._draws(monkeypatch, cfg) == 1
+
+    @pytest.mark.parametrize("case", ["distributed", "distributed-batches-of-one"])
+    def test_single_pass_uplink_forms_no_gains(self, monkeypatch, single_pass, case):
+        def refuse(*args, **kwargs):
+            raise AssertionError("uplink gains or combiner norms formed on the single pass")
+
+        monkeypatch.setattr(UatfAccumulator, "batch_partial", staticmethod(refuse))
+        monkeypatch.setattr(campaign, "combiner_norms", refuse)
+        assert run_campaign(self._cfg(case)).directions == ("ul", "dl")
 
     @pytest.mark.parametrize("case", ["centralized", "centralized-all-serve-all",
                                       "centralized-batches-of-one"])
@@ -304,13 +318,12 @@ class TestPerApPowerConstraint:
         cfg = make_cfg(num_aps=8, num_ues=10, pilot_len=4, area_side_km=0.5,
                        mode="centralized", schemes=("P-MMSE",))
         topo, assignment, ctx = make_setup(cfg)
-        acc = UatfAccumulator(cfg.num_ues, cfg.num_aps)
+        norm, norm_local = np.zeros(cfg.num_ues), np.zeros((cfg.num_ues, cfg.num_aps))
         for b in range(4):
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), 200)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, b))
-            v = compute_combiners("P-MMSE", bundle)
-            acc.merge(UatfAccumulator.batch_partial(v, h, ctx.ul_power,
-                                                    cfg.noise_ul_w, 0.95))
-        spend = per_ap_dl_power(dl_centralized_equal(cfg),
-                                acc.local_norms(), acc.moments().combiner_norm)
+            total, per_ap = combiner_norms(compute_combiners("P-MMSE", bundle))
+            norm += total
+            norm_local += per_ap
+        spend = per_ap_dl_power(dl_centralized_equal(cfg), norm_local / 800, norm / 800)
         assert np.all(spend <= cfg.ap_power_w * (1 + 1e-9))

@@ -8,6 +8,7 @@ from cellfree.combining import (
     build_precoders_distributed,
     combiner_single,
     compute_combiners,
+    estimate_demand_mask,
     local_mmse_combiner,
     optimal_sinr,
 )
@@ -56,6 +57,20 @@ class TestMR:
         # estimates at every AP, as a centralized uplink computes them
         bundle.ensure_all()
         v = compute_combiners("MR", bundle)
+        assert same_bits(v, bundle.hhat * assignment.serves.T[None, :, :, None])
+
+    @pytest.mark.parametrize("demand, alias", [("MR", True), ("L-MMSE", False)])
+    def test_estimates_themselves_unless_non_serving_pairs_are_filled(self, demand, alias):
+        # DCC clusters: the L-MMSE demand adds estimates at APs that do not
+        # serve the UE, which the mask must then remove
+        cfg = make_cfg(num_aps=6, num_ues=5, pilot_len=3)
+        _, assignment, ctx, _, bundle = make_bundle(cfg)
+        assert not assignment.serves.all()
+        bundle.ensure(estimate_demand_mask(demand, ctx))
+        assert bundle._computed.any(axis=None) and (
+            np.any(bundle._computed & ~assignment.serves.T) != alias)
+        v = compute_combiners("MR", bundle)
+        assert (v is bundle.hhat) == alias
         assert same_bits(v, bundle.hhat * assignment.serves.T[None, :, :, None])
 
     def test_scalar_identity(self):

@@ -152,7 +152,7 @@ class TestPerfectCsiOracle:
         beta, p, s2 = 1.7, 0.3, 0.8
         n = 200_000
         h = np.sqrt(beta) * complex_normal(np.random.default_rng(5), (n, 1, 1, 1))
-        acc = UatfAccumulator(1, 1)
+        acc = UatfAccumulator(1)
         for start in range(0, n, 50_000):
             chunk = h[start:start + 50_000]
             acc.merge(UatfAccumulator.batch_partial(
@@ -170,7 +170,7 @@ class TestBoundOrdering:
         n, batch = 20_000, 2_000
         prelog = 0.95
         erg = ErgodicLogAccumulator(cfg.num_ues)
-        uatf = UatfAccumulator(cfg.num_ues, cfg.num_aps)
+        uatf = UatfAccumulator(cfg.num_ues)
         for b in range(n // batch):
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), batch)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, b))
@@ -329,7 +329,7 @@ class TestNumericGuards:
     the same cases on the downlink accumulator, which shares the finalize path."""
 
     def _accumulator(self, n, signal, cross):
-        acc = UatfAccumulator(1, 1)
+        acc = UatfAccumulator(1)
         acc.norm = np.array([float(n)])
         acc.n, acc.signal, acc.cross = n, np.array([signal + 0j]), np.array([[cross]])
         return acc
@@ -393,6 +393,29 @@ class TestDownlinkBlockNumericGuards(TestNumericGuards):
 
     def _finalize(self, acc, noise_w):
         return acc.finalize(noise_w, 1.0)
+
+
+class TestUplinkByDuality:
+    """The use-and-then-forget batch sums from the downlink block sums equal
+    those from the uplink gains (unit block scales)."""
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    @pytest.mark.parametrize("antennas", [1, 2])
+    @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE"])
+    def test_block_partial_equals_the_gain_partial(self, scheme, antennas, batch):
+        cfg = make_cfg(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=antennas)
+        topo, assignment, ctx = make_setup(cfg)
+        assert not assignment.serves.all(), "DCC clusters expected"
+        blocks = PrecoderBlocks(assignment, dl_distributed_proportional(assignment, topo, cfg))
+        h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), batch)
+        v = compute_combiners(scheme, EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0)))
+        args = (ctx.ul_power, cfg.noise_ul_w, 0.95)
+        expected = UatfAccumulator.batch_partial(v, h, *args)
+        dl = DownlinkBlockMoments.batch_partial(v, h, blocks, cfg.noise_dl_w, 0.95)
+        got = UatfAccumulator.block_partial(dl, blocks, *args)
+        assert got.keys() == expected.keys() and got["n"] == batch
+        for key in ("signal", "cross", "norm", "den_replica", "se_replica"):
+            np.testing.assert_allclose(got[key], expected[key], rtol=1e-12, atol=0, err_msg=key)
 
 
 class TestDownlinkBlockMoments:

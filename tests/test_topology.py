@@ -179,15 +179,24 @@ class TestSampling:
         emp = z.T @ np.conj(z) / n
         assert np.all(np.abs(emp - np.eye(3)) <= 5.0 / np.sqrt(n))
 
-    @pytest.mark.parametrize("batch", [1, 5])
-    def test_single_antenna_equals_the_einsum(self, batch):
-        # setup-i at desk scale: 40 UEs, 100 single-antenna APs
-        cfg = SCENARIOS["setup-i-ul"].desk
+    @pytest.mark.parametrize("antennas, batch", [
+        pytest.param(1, 1, id="1"), pytest.param(1, 5, id="5"),
+        pytest.param(2, 1, id="N2-1"), pytest.param(2, 5, id="N2-5"),
+        pytest.param(4, 1, id="N4-1"), pytest.param(4, 5, id="N4-5"),
+    ])
+    def test_single_antenna_equals_the_einsum(self, antennas, batch):
+        # setup-i at desk scale: 40 UEs, 100 APs; the same bits at one
+        # antenna, the stacked matmul within rounding of the einsum above it
+        cfg = SCENARIOS["setup-i-ul"].desk.replace(antennas_per_ap=antennas)
         topo = generate_topology(cfg, stream(19, 0, TOPOLOGY))
         h = sample_channels(topo, stream(19, 0, 1), batch=batch)
-        z = complex_normal(stream(19, 0, 1), (batch, 40, 100, 1))
+        z = complex_normal(stream(19, 0, 1), (batch, 40, 100, antennas))
         expected = np.einsum("klmn,bkln->bklm", topo.correlation_sqrt(), z)
-        assert same_bits(h, expected)
+        assert h.flags.c_contiguous
+        if antennas == 1:
+            assert same_bits(h, expected)
+        else:
+            np.testing.assert_allclose(h, expected, rtol=1e-13, atol=0)
 
     def test_non_psd_input_raises(self):
         R = np.array([[[[1.0 + 0j, 0], [0, -0.5]]]])
