@@ -29,7 +29,8 @@ def stream(seed: int, *key: int) -> np.random.Generator:
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """I.i.d. CN(0, 1) samples: real and imaginary parts N(0, 1/2)."""
     z = rng.standard_normal(size=tuple(shape) + (2,))
-    # scaled in place: dividing the complex view by the real sqrt(2)
-    # multiplies by its reciprocal, so the bits are the same
+    # scaled in place: numpy divides a complex array by a real scalar as a
+    # multiplication by its reciprocal, so these are the bits of
+    # (z0 + 1j * z1) / sqrt(2)
     z *= 1.0 / np.sqrt(2.0)
     return z.view(np.complex128)[..., 0]
