@@ -8,7 +8,11 @@ Monte-Carlo pass). The three "single-antenna-*-uplink" configs, the uplink-only
 path of the full-scale setup-i-ul scenario at one antenna per AP, were added
 last, produced by commit 237d7ad (before the estimates of complete demand
 masks moved into one whole-table pass and the single-antenna kernels into
-elementwise arithmetic). Both paths of the downlink are pinned to the same values:
+elementwise arithmetic). The "four-antenna-centralized-all-serve-all-uplink"
+config, the uplink-only all-serve-all path of setup-ii-ul with more stacked
+antennas than UEs, was produced by commit 51e4c58 (before the all-serve-all
+MMSE combiners moved from the L*N x L*N solve to a K x K solve by the
+push-through identity). Both paths of the downlink are pinned to the same values:
 the genie-on centralized configs are checked once with the single pass and
 once with the second pass forced.
 A change to the numerical kernels (BLAS Gram matrices, Cholesky solves) must
@@ -71,6 +75,11 @@ CONFIGS = {
         **_UPLINK_ONLY),
     "single-antenna-distributed-all-serve-all-uplink": dict(
         mode="distributed", all_serve_all=True, schemes=("MR", "LP-MMSE"), **_UPLINK_ONLY),
+    # four antennas per AP and no downlink, as in setup-ii-ul: every AP serves
+    # every UE and the stacked antenna count L*N = 20 exceeds K = 6
+    "four-antenna-centralized-all-serve-all-uplink": dict(
+        _UPLINK_ONLY, antennas_per_ap=4, num_aps=5, mode="centralized", all_serve_all=True,
+        schemes=("MMSE", "P-MMSE", "MR")),
 }
 
 
