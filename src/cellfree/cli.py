@@ -32,7 +32,7 @@ def _add_bench(sub):
     p.add_argument("--scenario", help="scenario name (see --list)")
     p.add_argument("--list", action="store_true", help="list registered scenarios")
     p.add_argument("--full-scale", action="store_true",
-                   help="full reference geometry (multi-hour budget)")
+                   help="full reference geometry (tens of minutes)")
     p.add_argument("--out", default=None, help="directory for per-variant result files")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--threads", type=int, default=1)

@@ -4,7 +4,12 @@ Batched implementations (leading axis = channel realization) of
 
 * MR: v_kl = hhat_kl at serving APs,
 * MMSE: the SINR-optimal centralized combiner on the compacted
-  N*|M_k|-dimensional subspace of UE k's serving APs,
+  N*|M_k|-dimensional subspace of UE k's serving APs. When every AP serves
+  every UE, all UEs share the full L*N-dimensional space and the matrix
+  H P H^H + Z, with Z block diagonal (one N x N block per AP). The
+  push-through identity (Z + H P H^H)^-1 H P = Z^-1 H S (I + S H^H Z^-1 H S)^-1 S,
+  S = P^1/2, then gives every combiner from Z^-1 applied block by block and
+  one K x K solve per realization; I + S H^H Z^-1 H S has eigenvalues >= 1.
 * P-MMSE: same structure but with interference/statistics restricted to the
   partner set P_k (UEs sharing at least one serving AP),
 * LP-MMSE: per-AP N x N regularized solve over the UEs that AP serves,
@@ -156,18 +161,25 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
     B = bundle.hhat.shape[0]
-    v = np.zeros_like(bundle.hhat)
 
     if ctx.assignment.all_serve_all:
-        # every UE shares the same subspace and interference set: factor the
-        # common Gram matrix once and solve all right-hand sides together
+        # the push-through identity of the module docstring; every UE is a
+        # partner of every other, so P-MMSE has MMSE's Z and combiners
+        s = np.sqrt(p)
+        z = ctx.C_weighted_sum + ctx.cfg.noise_ul_w * np.eye(N)        # (L, N, N)
+        if N == 1:
+            x = bundle.hhat / z.real[..., 0]                           # Z is real
+        else:
+            rhs = np.moveaxis(bundle.hhat, (2, 3), (0, 1)).reshape(L, N, B * K)
+            x = np.moveaxis(_solve_hermitian(z, rhs).reshape(L, N, B, K), (0, 1), (2, 3))
+        x = x.reshape(B, K, L * N)                                     # rows (Z^-1 H)^T
         hh = bundle.hhat.reshape(B, K, L * N)
-        gram = _gram(p, hh)
-        gram += ctx.noise_matrix(0, partner_only=partial)
-        sol = _solve_hermitian(gram, np.swapaxes(hh, 1, 2))
-        vc = p[None, :, None] * np.swapaxes(sol, 1, 2)
-        return vc.reshape(B, K, L, N)
+        A = s[:, None] * (np.conj(hh) @ np.swapaxes(x, 1, 2)) * s      # S H^H Z^-1 H S
+        A += np.eye(K)
+        sm = s[:, None] * _solve_hermitian(A, np.diag(s))              # S A^-1 S
+        return (np.swapaxes(sm, 1, 2) @ x).reshape(B, K, L, N)
 
+    v = np.zeros_like(bundle.hhat)
     partners = ctx.partners()
     for k in range(K):
         aps = ctx.compact_blocks(k)

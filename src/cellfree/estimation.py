@@ -88,9 +88,11 @@ class SetupContext:
 
         With partner_only the statistical sum runs over the partner set only
         (the regularizer of partial MMSE combining); otherwise over all UEs.
-        Only the centralized combiners and the single-UE reference paths
-        (`optimal_sinr`, `combiner_single`) use it: the SINR evaluation works
-        on the full L*N space with `C_weighted_sum` and caches nothing per UE.
+        Only the centralized combiners on DCC clusters and the single-UE
+        reference paths (`optimal_sinr`, `combiner_single`) use it. When every
+        AP serves every UE the combiners apply Z^-1 block by block from
+        `C_weighted_sum` instead, and the SINR evaluation works on the full
+        L*N space with `C_weighted_sum`; neither caches anything per UE.
         """
         key = (k, partner_only)
         if key in self._noise_cache:

@@ -5,7 +5,8 @@ variant over the same topologies and channel realizations (same seed, so the
 comparisons are paired). Desk-scale geometries keep the reference densities
 (100 antennas/km^2, 25-40 UEs/km^2) on a smaller area so the qualitative
 scheme ordering can be checked in minutes; --full-scale switches to the full
-geometry (hours of compute) where the quantitative ratios are asserted.
+geometry (tens of minutes of compute) where the quantitative ratios are
+asserted.
 """
 
 from dataclasses import dataclass, field

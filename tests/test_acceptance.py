@@ -1,8 +1,8 @@
 """Acceptance suite: the numbered exit criteria of this artifact.
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them inline).
-Criterion 7 reproduces the full-scale reference numbers and takes hours;
-it only runs when CELLFREE_FULL_SCALE=1 is set.
+Criterion 7 reproduces the full-scale reference numbers and takes about
+25 minutes on two cores; it only runs when CELLFREE_FULL_SCALE=1 is set.
 """
 
 import os

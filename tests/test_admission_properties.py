@@ -5,10 +5,13 @@ neighbor cap, and admits its UEs in build_assignment's order: the first
 pilot_len UEs on distinct pilots, then the rest. A UE whose master AP is
 already master on every pilot is refused with AdmissionError and stays
 unadmitted; the properties are stated for the UEs that were admitted.
+The padded served table is checked against its loop definition, on
+admitted networks and on arbitrary serving patterns.
 """
 
 import numpy as np
 from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cellfree.clustering import (
     AdmissionError,
@@ -132,3 +135,43 @@ def test_assignment_survives_a_json_round_trip(params):
         assert np.array_equal(getattr(again, name), getattr(a, name)), name
     assert (again.pilot_len, again.all_serve_all) == (a.pilot_len, a.all_serve_all)
     assert again.to_json() == a.to_json()
+
+
+def _served_table_by_loop(serves):
+    """D_l in ascending order for every AP, padded with UE 0 to the largest
+    |D_l|, and the mask of the real entries."""
+    rows = [[k for k in range(serves.shape[1]) if serves[l, k]] for l in range(serves.shape[0])]
+    width = max((len(row) for row in rows), default=0)
+    served = np.zeros((len(rows), width), dtype=int)
+    valid = np.zeros((len(rows), width), dtype=bool)
+    for l, row in enumerate(rows):
+        for t, k in enumerate(row):
+            served[l, t], valid[l, t] = k, True
+    return served, valid
+
+
+def _check_served_table(a):
+    served, valid = a.served_table()
+    expected_served, expected_valid = _served_table_by_loop(a.serves)
+    assert served.shape == valid.shape == expected_served.shape
+    assert served.dtype.kind == "i" and valid.dtype == bool
+    assert np.array_equal(valid, expected_valid)
+    assert np.array_equal(served, expected_served)
+    assert np.all(served[~valid] == 0)
+    # slot order: UE k sits in slot |D_l ∩ {0..k}| - 1 of AP l
+    for l, k in zip(*np.nonzero(a.serves)):
+        assert served[l, a.serves[l, :k + 1].sum() - 1] == k
+
+
+@given(ANY_MODE)
+def test_served_table_of_admitted_networks(params):
+    _check_served_table(_state(params).assignment)
+
+
+@given(hnp.arrays(bool, st.tuples(st.integers(1, 8), st.integers(1, 8))))
+def test_served_table_of_any_serving_pattern(serves):
+    """Every (L, K) pattern, idle APs and APs that serve everyone included."""
+    L, K = serves.shape
+    _check_served_table(ClusterAssignment(
+        pilot_len=1, pilot_of=np.zeros(K, dtype=int), master_of=np.zeros(K, dtype=int),
+        serves=serves, ue_on_pilot=np.full((L, 1), -1)))

@@ -12,7 +12,7 @@ from cellfree.combining import (
     local_mmse_combiner,
     optimal_sinr,
 )
-from cellfree.estimation import EstimationBundle
+from cellfree.estimation import EstimationBundle, SetupContext
 from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
 from cellfree.se import combiner_norms, combining_gains, instantaneous_sinr
 from cellfree.topology import sample_channels
@@ -189,6 +189,85 @@ class TestPMMSE:
                 np.linalg.norm(direction) * np.linalg.norm(vc)
             )
             assert cosine == pytest.approx(1.0, abs=1e-10)
+
+
+def _full_space_mmse(ctx, hhat):
+    """MMSE (All) by its L*N x L*N formula: v_k = p_k (sum_i p_i hhat_i
+    hhat_i^H + Z)^-1 hhat_k, with Z = blockdiag_l(sum_i p_i C_il) + sigma^2 I
+    built in full."""
+    B, K, L, N = hhat.shape
+    p = ctx.ul_power
+    Z = ctx.cfg.noise_ul_w * np.eye(L * N, dtype=complex)
+    for l in range(L):
+        Z[l * N:(l + 1) * N, l * N:(l + 1) * N] += np.einsum("k,kmn->mn", p, ctx.C[:, l])
+    hh = hhat.reshape(B, K, L * N)
+    gram = np.einsum("i,bim,bin->bmn", p, hh, np.conj(hh)) + Z
+    sol = np.linalg.solve(gram, np.swapaxes(hh, 1, 2))
+    return (p[None, :, None] * np.swapaxes(sol, 1, 2)).reshape(B, K, L, N)
+
+
+def _assert_per_ue_close(v, ref, rtol):
+    """||v_k - ref_k|| <= rtol ||ref_k|| for every realization and UE."""
+    err = np.linalg.norm((v - ref).reshape(*v.shape[:2], -1), axis=-1)
+    size = np.linalg.norm(ref.reshape(*ref.shape[:2], -1), axis=-1)
+    assert np.all(err <= rtol * size), err.max()
+
+
+class TestAllServeAllPushThrough:
+    """Every AP serves every UE: the combiners come from one K x K solve per
+    realization and must equal the L*N x L*N formula."""
+
+    # (num_aps, num_ues, pilot_len): K = 4 below L*N = 5, 10, 20 and K = 12
+    # above 2, 4, 8
+    SHAPES = {"K<LN": (5, 4, 3), "K>LN": (2, 12, 10)}
+
+    @classmethod
+    def _bundle(cls, shape, antennas, batch, zero_power_ue=None):
+        num_aps, num_ues, pilot_len = cls.SHAPES[shape]
+        cfg = make_cfg(num_aps=num_aps, num_ues=num_ues, antennas_per_ap=antennas,
+                       pilot_len=pilot_len, all_serve_all=True, mode="centralized", schemes=("MMSE",))
+        topo, assignment, _ = make_setup(cfg)
+        # unequal powers, so that S = P^1/2 is not a multiple of the identity
+        p = cfg.ue_power_w * np.linspace(0.3, 1.0, num_ues)
+        if zero_power_ue is not None:
+            p[zero_power_ue] = 0.0
+        ctx = SetupContext(topo, assignment, p, cfg)
+        h = sample_channels(topo, stream(3, 0, CHANNEL, 0), batch=batch)
+        bundle = EstimationBundle(ctx, h, stream(3, 0, PILOT_NOISE, 0))
+        bundle.ensure_all()
+        return ctx, bundle
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("antennas", [1, 2, 4])
+    def test_equals_the_full_space_solve(self, antennas, batch, shape):
+        ctx, bundle = self._bundle(shape, antennas, batch)
+        v = compute_combiners("MMSE", bundle)
+        assert v.shape == bundle.hhat.shape
+        _assert_per_ue_close(v, _full_space_mmse(ctx, bundle.hhat), rtol=1e-10)
+        # every UE partners every other: P-MMSE takes the same branch
+        assert same_bits(compute_combiners("P-MMSE", bundle), v)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("antennas", [1, 4])
+    def test_zero_power_ue_gets_a_zero_combiner(self, antennas, shape):
+        ctx, bundle = self._bundle(shape, antennas, 3, zero_power_ue=1)
+        # its estimate would be zero too: pin estimates drawn with the
+        # channels' gains, nonzero for every UE
+        gains = np.sqrt(ctx.topology.beta)[None, :, :, None]
+        bundle.hhat[:] = gains * complex_normal(np.random.default_rng(5), bundle.hhat.shape)
+        v = compute_combiners("MMSE", bundle)
+        assert np.all(v[:, 1] == 0)
+        assert np.all(np.any(v[:, [0, 2]] != 0, axis=(2, 3)))
+        _assert_per_ue_close(v, _full_space_mmse(ctx, bundle.hhat), rtol=1e-10)
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("antennas", [1, 2, 4])
+    def test_attains_the_optimal_sinr(self, antennas, shape):
+        ctx, bundle = self._bundle(shape, antennas, 3)
+        v = compute_combiners("MMSE", bundle)
+        sinr = instantaneous_sinr(v, bundle, ctx.ul_power)
+        np.testing.assert_allclose(sinr, optimal_sinr_all(bundle, ctx), rtol=1e-9, atol=0)
 
 
 class TestLocalSchemes:
