@@ -157,19 +157,32 @@ class AdmissionState:
         self.trace_psi[:, t] += self._pilot_trace(k)
 
 
+# masters per block of the Step-3 distance table: at 1600 APs a block's
+# distances take 0.8 MB, against 5 MB for a 400-UE drop's beta
+_NEIGHBOR_BLOCK = 64
+
+
 def _neighbor_table(cfg: SimulationConfig, topology: Topology, masters: np.ndarray) -> dict:
     """Step-3 list of each master: the other APs within the radius, nearest
-    first (ties: lowest index), cut to max_neighbors."""
+    first (ties: lowest index), cut to max_neighbors.
+
+    The master-to-AP distances are taken for _NEIGHBOR_BLOCK masters at a
+    time, so the table never holds more than that many rows of them."""
     pos = topology.ap_pos
-    dist = toroidal_distance(pos[masters, None, :], pos[None, :, :], topology.area_side_km)
-    inside = dist <= cfg.neighbor_radius_km
-    inside[np.arange(len(masters)), masters] = False
-    # only the in-radius candidates are sorted, by master and distance; the
-    # sort is stable, so equal distances keep nonzero's ascending AP order
-    rows, aps = np.nonzero(inside)
-    aps = aps[np.lexsort((dist[rows, aps], rows))]
-    lists = np.split(aps, np.cumsum(inside.sum(axis=1))[:-1])
-    return {m: aps_m[: cfg.max_neighbors] for m, aps_m in zip(masters.tolist(), lists)}
+    table = {}
+    for start in range(0, len(masters), _NEIGHBOR_BLOCK):
+        block = masters[start:start + _NEIGHBOR_BLOCK]
+        dist = toroidal_distance(pos[block, None, :], pos[None, :, :], topology.area_side_km)
+        inside = dist <= cfg.neighbor_radius_km
+        inside[np.arange(len(block)), block] = False
+        # only the in-radius candidates are sorted, by master and distance;
+        # the sort is stable, so equal distances keep nonzero's ascending AP
+        # order
+        rows, aps = np.nonzero(inside)
+        aps = aps[np.lexsort((dist[rows, aps], rows))]
+        lists = np.split(aps, np.cumsum(inside.sum(axis=1))[:-1])
+        table.update((m, aps_m[: cfg.max_neighbors]) for m, aps_m in zip(block.tolist(), lists))
+    return table
 
 
 def appoint_master(state: AdmissionState, k: int) -> int:

@@ -187,7 +187,7 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
             continue
         members = np.flatnonzero(partners[k]) if partial else np.arange(K)
         n = N * aps.size
-        hh = bundle.hhat[:, members][:, :, aps, :].reshape(B, members.size, n)
+        hh = bundle.hhat[:, members[:, None], aps, :].reshape(B, members.size, n)
         gram = _gram(p[members], hh)
         gram += ctx.noise_matrix(k, partner_only=partial)
         rhs = bundle.hhat[:, k, aps, :].reshape(B, n, 1)
@@ -210,8 +210,8 @@ def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
     aps = ctx.compact_blocks(k)
     B = bundle.hhat.shape[0]
     n = N * aps.size
-    others = np.arange(ctx.topology.beta.shape[0]) != k
-    hh = bundle.hhat[:, others][:, :, aps, :].reshape(B, -1, n)
+    others = np.flatnonzero(np.arange(ctx.topology.beta.shape[0]) != k)
+    hh = bundle.hhat[:, others[:, None], aps, :].reshape(B, others.size, n)
     gram = _gram(p[others], hh)
     gram += ctx.noise_matrix(k)
     rhs = bundle.hhat[:, k, aps, :].reshape(B, n)

@@ -117,13 +117,26 @@ def se_from_sinr(sinr: np.ndarray, prelog: float) -> np.ndarray:
 # per-batch Monte-Carlo terms
 # ---------------------------------------------------------------------------
 
+# realizations per conjugated chunk of combining_gains
+_GAIN_CHUNK = 8
+
+
 def combining_gains(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g[b, k, i] = v_k^H D_k h_i (the mask lives in v's zero blocks).
 
     With v = h and h = w it gives the downlink gains h_k^H D_i w_i.
     """
     B, K = v.shape[:2]
-    return np.conj(v).reshape(B, K, -1) @ np.swapaxes(h.reshape(B, h.shape[1], -1), 1, 2)
+    ht = np.swapaxes(h.reshape(B, h.shape[1], -1), 1, 2)
+    g = np.empty((B, K, h.shape[1]), dtype=np.result_type(v, h))
+    # v is conjugated _GAIN_CHUNK realizations at a time, not as a whole
+    # batch copy; each realization's product is the same BLAS call either way
+    vc = np.empty((min(B, _GAIN_CHUNK),) + v.shape[1:], dtype=v.dtype)
+    for start in range(0, B, _GAIN_CHUNK):
+        stop = min(start + _GAIN_CHUNK, B)
+        chunk = np.conj(v[start:stop], out=vc[:stop - start]).reshape(stop - start, K, -1)
+        np.matmul(chunk, ht[start:stop], out=g[start:stop])
+    return g
 
 
 def combiner_norms(v: np.ndarray) -> tuple:

@@ -20,17 +20,45 @@ class Topology:
     ----------
     ap_pos, ue_pos : (L, 2) / (K, 2) float arrays in km.
     beta : (K, L) linear power gains, beta[k, l] = tr(R[k, l]) / N.
-    R : (K, L, N, N) complex Hermitian PSD correlation matrices.
+    R : (K, L, N, N) complex Hermitian PSD correlation matrices. Passed as
+        None, they are built on first use from beta and the AP-UE angles
+        for `antennas_per_ap` antennas and `angular_spread_rad`, and then
+        cached; admission never reads them. Assigning R replaces them and
+        drops the cached square roots.
     """
 
-    def __init__(self, ap_pos, ue_pos, beta, R, area_side_km, ap_height_m):
+    def __init__(self, ap_pos, ue_pos, beta, R, area_side_km, ap_height_m,
+                 antennas_per_ap=None, angular_spread_rad=None):
         self.ap_pos = ap_pos
         self.ue_pos = ue_pos
         self.beta = beta
-        self.R = R
         self.area_side_km = float(area_side_km)
         self.ap_height_m = float(ap_height_m)
+        self._antennas = antennas_per_ap
+        self._angular_spread_rad = angular_spread_rad
+        self.R = R
+
+    @property
+    def R(self) -> np.ndarray:
+        if self._R is None:
+            # azimuth of the minimal-displacement vector AP -> UE; one antenna
+            # has no angular structure, and the correlation ignores the angle
+            # there
+            angles = 0.0
+            if self._antennas > 1:
+                dx, dy = _displacement(self.ap_pos[None, :, :], self.ue_pos[:, None, :],
+                                       self.area_side_km)
+                angles = np.arctan2(dy, dx)
+            self._R = spatial_correlation_matrix(self.beta, angles, self._angular_spread_rad,
+                                                 self._antennas)
+        return self._R
+
+    @R.setter
+    def R(self, value):
+        self._R = value
         self._R_sqrt = None
+        if value is not None:
+            self._antennas = value.shape[-1]
 
     @property
     def num_aps(self):
@@ -42,7 +70,7 @@ class Topology:
 
     @property
     def antennas_per_ap(self):
-        return self.R.shape[-1]
+        return self._antennas
 
     def correlation_sqrt(self) -> np.ndarray:
         """(K, L, N, N) Hermitian square roots of R, cached."""
@@ -58,6 +86,39 @@ def place_entities(cfg: SimulationConfig, rng) -> tuple:
     return ap_pos, ue_pos
 
 
+def _unwrap_0d(x):
+    """x itself, or the NumPy float inside a 0-d array."""
+    return x if x.ndim else x[()]
+
+
+def _displacement(a, b, side: float) -> list:
+    """[dx, dy] of `toroidal_displacement`, as arrays (0-d for two points).
+
+    Each wrap d - side * round(d / side) runs in place, in that order, in one
+    scratch array shared by the two axes: three arrays of the broadcast shape
+    at most.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    d = [np.subtract(b[..., i], a[..., i], out=np.empty(shape)) for i in (0, 1)]
+    wraps = np.empty(shape)
+    for di in d:
+        np.divide(di, side, out=wraps)
+        np.round(wraps, out=wraps)
+        wraps *= side
+        di -= wraps
+    return d
+
+
+def _squared_norm(dx, dy) -> np.ndarray:
+    """dx*dx + dy*dy, in dx's memory (dy is overwritten too)."""
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
 def toroidal_displacement(a, b, side: float) -> tuple:
     """Minimal displacement b - a on the torus, as one array per axis (x, y).
 
@@ -65,16 +126,19 @@ def toroidal_displacement(a, b, side: float) -> tuple:
     axis is computed on its own contiguous array: a trailing length-2 axis
     makes the elementwise passes and the reductions several times slower.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = [b[..., i] - a[..., i] for i in (0, 1)]
-    return tuple(di - side * np.round(di / side) for di in d)
+    return tuple(_unwrap_0d(d) for d in _displacement(a, b, side))
+
+
+def _planar_distance(a, b, side: float) -> np.ndarray:
+    """`toroidal_distance` as an array (0-d for two points), computed in the
+    memory of the x displacement."""
+    dist = _squared_norm(*_displacement(a, b, side))
+    return np.sqrt(dist, out=dist)
 
 
 def toroidal_distance(a, b, side: float) -> np.ndarray:
     """Planar torus distance between (..., 2) positions (broadcasts)."""
-    dx, dy = toroidal_displacement(a, b, side)
-    return np.sqrt(dx * dx + dy * dy)
+    return _unwrap_0d(_planar_distance(a, b, side))
 
 
 def wraparound_distance(a, b, side_km: float, height_m: float = 0.0) -> np.ndarray:
@@ -84,17 +148,31 @@ def wraparound_distance(a, b, side_km: float, height_m: float = 0.0) -> np.ndarr
     result has their broadcast shape without the last axis (a NumPy float
     for two points).
     """
-    planar = toroidal_distance(a, b, side_km)
-    return np.sqrt(planar**2 + (height_m / 1000.0) ** 2)
+    dist = _planar_distance(a, b, side_km)
+    np.square(dist, out=dist)
+    dist += (height_m / 1000.0) ** 2
+    return _unwrap_0d(np.sqrt(dist, out=dist))
 
 
-def large_scale_coefficient(distance_km, shadow_db, cfg: SimulationConfig):
-    """Linear channel gain 10^((-PL0 - slope*log10(d_m) + shadowing)/10)."""
+def large_scale_coefficient(distance_km, shadow_db, cfg: SimulationConfig, out=None):
+    """Linear channel gain 10^((-PL0 - slope*log10(d_m) + shadowing)/10).
+
+    The passes run in place, in that order, in `out` (which may be the
+    distance array itself) or in one new array; a NumPy float for scalar
+    inputs.
+    """
     distance_km = np.asarray(distance_km, dtype=float)
     if np.any(distance_km <= 0):
         raise ValueError("pathloss model needs a strictly positive distance")
-    gain_db = -cfg.pathloss_ref_db - cfg.pathloss_slope_db * np.log10(distance_km * 1000.0)
-    return 10.0 ** ((gain_db + shadow_db) / 10.0)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(distance_km.shape, np.shape(shadow_db)))
+    gain = np.multiply(distance_km, 1000.0, out=out)
+    np.log10(gain, out=gain)
+    gain *= cfg.pathloss_slope_db
+    np.subtract(-cfg.pathloss_ref_db, gain, out=gain)
+    gain += shadow_db
+    gain /= 10.0
+    return _unwrap_0d(np.power(10.0, gain, out=gain))
 
 
 def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_antennas):
@@ -121,25 +199,22 @@ def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_
 
 
 def generate_topology(cfg: SimulationConfig, rng) -> Topology:
-    """Drop the network and build beta / R for every AP-UE pair."""
+    """Drop the network and compute beta for every AP-UE pair; R is built on
+    first use.
+
+    The distances are squared, summed and turned into gains in place, so
+    the drop peaks at three (K, L) float arrays, in the displacement. The
+    stream is read as always, positions first and then the shadowing, but
+    the shadowing is drawn only once the distances are down to one array.
+    """
     ap_pos, ue_pos = place_entities(cfg, rng)
+    dist = _squared_norm(*_displacement(ap_pos[None, :, :], ue_pos[:, None, :], cfg.area_side_km))
+    dist += (cfg.ap_height_m / 1000.0) ** 2
+    np.sqrt(dist, out=dist)
     shadow_db = rng.normal(0.0, cfg.shadow_std_db, size=(cfg.num_ues, cfg.num_aps))
-
-    if cfg.num_ues == 0:
-        beta = np.zeros((0, cfg.num_aps))
-        R = np.zeros((0, cfg.num_aps, cfg.antennas_per_ap, cfg.antennas_per_ap), complex)
-        return Topology(ap_pos, ue_pos, beta, R, cfg.area_side_km, cfg.ap_height_m)
-
-    dx, dy = toroidal_displacement(ap_pos[None, :, :], ue_pos[:, None, :], cfg.area_side_km)
-    dist = np.sqrt(dx * dx + dy * dy + (cfg.ap_height_m / 1000.0) ** 2)
-    beta = large_scale_coefficient(dist, shadow_db, cfg)
-    # azimuth of the minimal-displacement vector AP -> UE; one antenna has no
-    # angular structure, and the correlation ignores the angle there
-    angles = np.arctan2(dy, dx) if cfg.antennas_per_ap > 1 else 0.0
-    R = spatial_correlation_matrix(
-        beta, angles, np.deg2rad(cfg.angular_spread_deg), cfg.antennas_per_ap
-    )
-    return Topology(ap_pos, ue_pos, beta, R, cfg.area_side_km, cfg.ap_height_m)
+    beta = large_scale_coefficient(dist, shadow_db, cfg, out=dist)
+    return Topology(ap_pos, ue_pos, beta, None, cfg.area_side_km, cfg.ap_height_m,
+                    cfg.antennas_per_ap, np.deg2rad(cfg.angular_spread_deg))
 
 
 def hermitian_sqrt(R: np.ndarray) -> np.ndarray:
@@ -167,9 +242,13 @@ def sample_channels(topology: Topology, rng, batch: int = 1) -> np.ndarray:
     N = topology.antennas_per_ap
     z = complex_normal(rng, (batch, K, L, N))
     if N == 1:
-        # the square root of beta is real: one product per entry, as in the einsum
-        return topology.correlation_sqrt()[..., 0] * z
+        # the square root of beta is real: one product per entry, as in the
+        # einsum, scaled into the draw's memory
+        z *= topology.correlation_sqrt()[..., 0]
+        return z
     # one stacked (N, N) @ (N, batch) product per (UE, AP) pair on BLAS; the
-    # copy back to realization-major order keeps later reshapes free of copies
+    # copy back to realization-major order keeps later reshapes free of
+    # copies, and the draw is released before it is made
     h = topology.correlation_sqrt() @ np.moveaxis(z, 0, -1)              # (K, L, N, batch)
+    del z
     return np.ascontiguousarray(np.moveaxis(h, -1, 0))

@@ -33,7 +33,7 @@ from cellfree.se import (
 )
 from cellfree.topology import sample_channels
 
-from conftest import make_cfg, make_setup
+from conftest import make_cfg, make_setup, same_bits
 from test_acceptance import _probe_sinr
 from test_estimation import scalar_setup
 
@@ -393,6 +393,16 @@ class TestDownlinkBlockNumericGuards(TestNumericGuards):
 
     def _finalize(self, acc, noise_w):
         return acc.finalize(noise_w, 1.0)
+
+
+class TestCombiningGains:
+    @pytest.mark.parametrize("batch", [1, 8, 19])
+    def test_chunked_conjugate_gives_the_whole_batch_product(self, rng, batch):
+        # 19 realizations: two full chunks and a short one
+        v = complex_normal(rng, (batch, 5, 6, 4))[:, :, :, ::2]      # strided, as a slice would be
+        h = complex_normal(rng, (batch, 3, 6, 2))
+        expected = np.conj(v).reshape(batch, 5, -1) @ np.swapaxes(h.reshape(batch, 3, -1), 1, 2)
+        assert same_bits(combining_gains(v, h), expected)
 
 
 class TestUplinkByDuality:

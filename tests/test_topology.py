@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cellfree.clustering import build_assignment
 from cellfree.rng import TOPOLOGY, complex_normal, stream
 from cellfree.scenarios import SCENARIOS
 from cellfree.topology import (
+    Topology,
     generate_topology,
     hermitian_sqrt,
     large_scale_coefficient,
     sample_channels,
     spatial_correlation_matrix,
+    toroidal_displacement,
+    toroidal_distance,
     wraparound_distance,
 )
 
@@ -57,6 +63,88 @@ class TestPathloss:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             large_scale_coefficient(0.0, 0.0, make_cfg())
+
+
+class TestInPlacePasses:
+    def test_two_points_give_numpy_floats(self):
+        dx, dy = toroidal_displacement((0.1, 0.2), (1.9, 0.3), 2.0)
+        assert type(dx) is np.float64 and type(dy) is np.float64
+        assert (dx, dy) == pytest.approx((-0.2, 0.1), abs=1e-12)
+        assert type(toroidal_distance((0.1, 0.2), (1.9, 0.3), 2.0)) is np.float64
+        assert type(large_scale_coefficient(0.01, 0.0, make_cfg())) is np.float64
+
+    def test_gain_leaves_its_inputs_alone_unless_told(self, rng):
+        cfg = make_cfg()
+        dist = rng.uniform(0.01, 1.0, size=(5, 7))
+        shadow = rng.normal(0.0, 8.0, size=(5, 7))
+        kept = dist.copy()
+        gain = large_scale_coefficient(dist, shadow, cfg)
+        assert same_bits(dist, kept)
+        assert same_bits(large_scale_coefficient(dist, shadow, cfg, out=dist), gain)
+        assert same_bits(dist, gain)
+        # a scalar shadowing broadcasts, and so does a shadowing larger than the distances
+        assert large_scale_coefficient(kept[0], shadow, cfg).shape == (5, 7)
+
+    def test_distances_equal_the_whole_array_formulas(self, rng):
+        side = 1.3
+        a = rng.uniform(0, side, size=(1, 9, 2))
+        b = rng.uniform(0, side, size=(6, 1, 2))
+        d = b - a
+        d -= side * np.round(d / side)
+        assert same_bits(toroidal_distance(a, b, side), np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2))
+        planar = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2)
+        assert same_bits(wraparound_distance(a, b, side, height_m=10.0),
+                         np.sqrt(planar ** 2 + 0.01 ** 2))
+
+
+class TestCorrelationOnFirstUse:
+    @pytest.mark.parametrize("antennas", [1, 4])
+    def test_built_from_beta_and_the_angles(self, antennas):
+        cfg = make_cfg(num_aps=7, num_ues=5, antennas_per_ap=antennas, angular_spread_deg=12.0)
+        topo = generate_topology(cfg, stream(23, 0, TOPOLOGY))
+        build_assignment(cfg, topo)
+        assert topo._R is None, "admission should not build the correlation matrices"
+        assert topo.antennas_per_ap == antennas
+        d = topo.ue_pos[:, None, :] - topo.ap_pos[None, :, :]
+        d -= cfg.area_side_km * np.round(d / cfg.area_side_km)
+        angles = np.arctan2(d[..., 1], d[..., 0]) if antennas > 1 else 0.0
+        expected = spatial_correlation_matrix(topo.beta, angles, np.deg2rad(12.0), antennas)
+        assert same_bits(topo.R, expected)
+        assert topo.R is topo.R
+
+    def test_given_matrices_are_kept(self):
+        cfg = make_cfg(num_aps=3, num_ues=2, antennas_per_ap=2)
+        drawn = generate_topology(cfg, stream(29, 0, TOPOLOGY))
+        R = drawn.R.copy()
+        topo = Topology(drawn.ap_pos, drawn.ue_pos, drawn.beta, R, 0.5, 10.0)
+        assert topo.R is R and topo.antennas_per_ap == 2
+
+    def test_assigned_matrices_are_the_ones_used(self):
+        cfg = make_cfg(num_aps=3, num_ues=2, antennas_per_ap=2)
+        topo = generate_topology(cfg, stream(31, 0, TOPOLOGY))
+        h = sample_channels(topo, stream(31, 0, 1), batch=3)     # caches the square roots
+        R = 4.0 * topo.R
+        topo.R = R
+        assert topo.R is R
+        np.testing.assert_allclose(topo.correlation_sqrt(), hermitian_sqrt(R), rtol=1e-12)
+        np.testing.assert_allclose(sample_channels(topo, stream(31, 0, 1), batch=3), 2.0 * h,
+                                   rtol=1e-12)
+
+
+class TestDropMemory:
+    def test_one_drop_peaks_under_four_and_a_half_gain_arrays(self):
+        # criterion-6 density, one antenna: 100 UEs and 400 APs on 2 km x 2 km
+        K = 100
+        cfg = make_cfg(num_aps=4 * K, num_ues=K, antennas_per_ap=1, pilot_len=10,
+                       area_side_km=2.0, ul_data_len=95, dl_data_len=95, seed=0)
+        tracemalloc.start()
+        try:
+            topo = generate_topology(cfg, stream(1000 + K, 0, TOPOLOGY))
+            build_assignment(cfg, topo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * K * 4 * K * 8
 
 
 class TestCorrelation:
