@@ -43,45 +43,37 @@ def fronthaul_load(mode: str, assignment, cfg: SimulationConfig) -> np.ndarray:
 def multiplication_count(scheme: str, k: int, assignment, cfg: SimulationConfig) -> dict:
     """Complex multiplications per coherence block for UE k's processing.
 
-    Estimation cost is (N*tau_p + N^2) per demanded channel estimate; the
-    combining cost follows the Hermitian outer-product / factor-and-solve
-    convention (see OpCounter).
+    The Gram matrix holds UE k's partners (the UEs served by any AP of M_k)
+    under P-MMSE and all K UEs under MMSE; the local solves run over
+    sum_{l in M_k} |D_l| UEs under LP-MMSE and K |M_k| under L-MMSE.
     """
-    N = cfg.antennas_per_ap
-    tau_p = cfg.pilot_len
-    est_unit = N * tau_p + N * N
-    M_k = assignment.serving_aps(k).size
+    aps = assignment.serving_aps(k)
     K = assignment.num_ues
-    n = N * M_k
+    gram_ues = int(assignment.serves[aps].any(axis=0).sum()) if scheme == "P-MMSE" else K
+    served_sum = int(assignment.serves[aps].sum()) if scheme == "LP-MMSE" else K * aps.size
+    return _scheme_cost(scheme, cfg, aps.size, gram_ues, served_sum)
 
+
+def _scheme_cost(scheme: str, cfg: SimulationConfig, num_aps: int, gram_ues: int,
+                 served_sum: int) -> dict:
+    """Costs of a UE with num_aps serving APs, gram_ues UEs in its Gram matrix
+    and served_sum UEs over its local solves. Estimation costs (N*tau_p + N^2)
+    per demanded estimate; combining follows the Hermitian outer-product /
+    factor-and-solve convention (see OpCounter)."""
+    N = cfg.antennas_per_ap
+    est_unit = N * cfg.pilot_len + N * N
+    n = N * num_aps
     if scheme == "MR":
-        return {"estimation": est_unit * M_k, "combining": 0}
-    if scheme == "MMSE":
+        return {"estimation": est_unit * num_aps, "combining": 0}
+    if scheme in ("MMSE", "P-MMSE"):
         return {
-            "estimation": est_unit * K * M_k,
-            "combining": (n * n + n) // 2 * K + n * n + (n**3 - n) // 3,
+            "estimation": est_unit * gram_ues * num_aps,
+            "combining": (n * n + n) // 2 * gram_ues + n * n + (n**3 - n) // 3,
         }
-    if scheme == "P-MMSE":
-        # UE k's row of the partner matrix: UEs served by any AP of M_k
-        P_k = int(assignment.serves[assignment.serving_aps(k)].any(axis=0).sum())
-        return {
-            "estimation": est_unit * P_k * M_k,
-            "combining": (n * n + n) // 2 * P_k + n * n + (n**3 - n) // 3,
-        }
-    if scheme == "LP-MMSE":
-        served_sum = int(sum(assignment.served_ues(l).size
-                             for l in assignment.serving_aps(k)))
+    if scheme in ("LP-MMSE", "L-MMSE"):
         return {
             "estimation": est_unit * served_sum,
-            "combining": (N * N + N) // 2 * served_sum
-            + ((N**3 - N) // 3 + N * N) * M_k,
-        }
-    if scheme == "L-MMSE":
-        # benchmark: the local solve runs over all K UEs at each serving AP
-        return {
-            "estimation": est_unit * K * M_k,
-            "combining": (N * N + N) // 2 * K * M_k
-            + ((N**3 - N) // 3 + N * N) * M_k,
+            "combining": (N * N + N) // 2 * served_sum + ((N**3 - N) // 3 + N * N) * num_aps,
         }
     raise ValueError(f"unknown scheme {scheme!r}")
 
@@ -151,16 +143,9 @@ def assert_scalable(cfg: SimulationConfig, ue_counts, seed_offset: int = 0) -> t
 
 def multiplication_bound(scheme: str, cfg: SimulationConfig, m_cap: int, p_cap: int) -> int:
     """K-independent cost ceiling from |M_k| <= m_cap, |P_k| <= p_cap, |D_l| <= tau_p."""
-    N = cfg.antennas_per_ap
-    est_unit = N * cfg.pilot_len + N * N
-    n = N * m_cap
-    if scheme == "P-MMSE":
-        return est_unit * p_cap * m_cap + (n * n + n) // 2 * p_cap + n * n + (n**3 - n) // 3
-    if scheme == "LP-MMSE":
-        served_sum = m_cap * cfg.pilot_len
-        return (est_unit * served_sum + (N * N + N) // 2 * served_sum
-                + ((N**3 - N) // 3 + N * N) * m_cap)
-    raise ValueError(f"no K-independent bound for scheme {scheme!r}")
+    if scheme not in ("P-MMSE", "LP-MMSE"):
+        raise ValueError(f"no K-independent bound for scheme {scheme!r}")
+    return sum(_scheme_cost(scheme, cfg, m_cap, p_cap, m_cap * cfg.pilot_len).values())
 
 
 def cost_table_rows(assignment, cfg: SimulationConfig) -> list:

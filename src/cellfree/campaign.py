@@ -7,6 +7,12 @@ keyed by (seed, setup, purpose, batch), so batches can run on any number of
 threads - partial results are merged in batch order and outputs are
 byte-identical regardless of parallelism.
 
+Each setup holds one accumulator per reported bound, keyed like the report
+by (scheme, bound) and built with its constants; both passes merge their
+batch partials in one loop (with two passes, pass 1 also merges the
+combiner-norm sums there), and one loop finalizes every bound, tagging a
+failure with its setup and scheme.
+
 Pass 1 accumulates the uplink bound of every scheme. The downlink precoders
 are the combiners normalized by E{v^H D v}, per UE in centralized operation
 and per AP in distributed operation, as Monte-Carlo means over the whole
@@ -51,6 +57,7 @@ from .estimation import EstimationBundle, SetupContext
 from .power import dl_centralized_equal, dl_distributed_proportional, ul_full_power
 from .rng import CHANNEL, PILOT_NOISE, TOPOLOGY, stream
 from .se import (
+    BatchSums,
     DownlinkAccumulator,
     DownlinkBlockMoments,
     ErgodicLogAccumulator,
@@ -168,7 +175,6 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     prelog_ul = cfg.ul_data_len / cfg.coherence_len
     prelog_dl = cfg.dl_data_len / cfg.coherence_len
     centralized = cfg.mode == "centralized"
-    K, L = cfg.num_ues, cfg.num_aps
 
     def realizations(b):
         h = sample_channels(topology, stream(cfg.seed, s, CHANNEL, b), sizes[b])
@@ -188,6 +194,21 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         blocks = PrecoderBlocks(assignment, rho) if genie_fits else None
         two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
 
+    # one accumulator per bound, keyed like the report; with two passes,
+    # pass 1 sums the combiner norms that normalize the precoders of pass 2
+    acc = {}
+    for scheme in cfg.schemes:
+        if need_ul and centralized:
+            acc[(scheme, "ul")] = ErgodicLogAccumulator(prelog_ul)
+        elif need_ul:
+            acc[(scheme, "ul")] = UatfAccumulator(p, cfg.noise_ul_w, prelog_ul)
+        if two_pass:
+            acc[(scheme, "norm")] = BatchSums("norm", "norm_local")
+            acc[(scheme, "dl")] = DownlinkAccumulator(cfg.noise_dl_w, prelog_dl)
+        elif need_dl:
+            acc[(scheme, "dl")] = DownlinkBlockMoments(blocks, cfg.noise_dl_w, prelog_dl,
+                                                       cfg.genie_dl)
+
     def pass1(b):
         h, bundle = realizations(b)
         if centralized and need_ul:
@@ -195,101 +216,62 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         out = {}
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
-            entry = {}
+            norm = None
             if two_pass:
-                entry["norm"] = combiner_norms(v)
+                norm, norm_local = combiner_norms(v)
+                out[(scheme, "norm")] = {"n": v.shape[0], "norm": norm, "norm_local": norm_local}
             elif need_dl:
-                entry["dl"] = DownlinkBlockMoments.batch_partial(
-                    v, h, blocks, cfg.noise_dl_w, prelog_dl, genie=cfg.genie_dl
-                )
-            if centralized and need_ul:
-                sinr = instantaneous_sinr(v, bundle, p)
-                entry["ul"] = ErgodicLogAccumulator.batch_partial(sinr)
-            elif need_ul and "dl" in entry:
+                out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(v, h)
+            ul = acc.get((scheme, "ul"))
+            if ul is None:
+                continue
+            if centralized:
+                out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
+            elif (scheme, "dl") in out:
                 # uplink-downlink duality: the block sums give the moments
-                entry["ul"] = UatfAccumulator.block_partial(
-                    entry["dl"], blocks, p, cfg.noise_ul_w, prelog_ul
-                )
-            elif need_ul:
-                entry["ul"] = UatfAccumulator.batch_partial(
-                    v, h, p, cfg.noise_ul_w, prelog_ul,
-                    norm=entry["norm"][0] if two_pass else None,
-                )
-            out[scheme] = entry
+                out[(scheme, "ul")] = ul.block_partial(out[(scheme, "dl")], blocks)
+            else:
+                out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
         return out
 
-    ul_acc = {}
-    norm_sums = {}      # two passes: combiner-norm sums for the DL normalization
-    dl_acc = {}
-    for scheme in cfg.schemes:
-        if centralized:
-            ul_acc[scheme] = ErgodicLogAccumulator(K)
-        else:
-            ul_acc[scheme] = UatfAccumulator(K)
-        if two_pass:
-            norm_sums[scheme] = (np.zeros(K), np.zeros((K, L)))
-            dl_acc[scheme] = DownlinkAccumulator(K)
-        elif need_dl:
-            genie_noise_w = cfg.noise_dl_w if cfg.genie_dl else None
-            dl_acc[scheme] = DownlinkBlockMoments(blocks, genie_noise_w)
+    def pass2(b):
+        h, bundle = realizations(b)
+        out = {}
+        for scheme in cfg.schemes:
+            v = compute_combiners(scheme, bundle)
+            norm, norm_local = (total / v.shape[0] for total in combiner_norms(v))
+            dl = acc[(scheme, "dl")]
+            if centralized:
+                # both gain sets scale the columns of u[b, k, i] = h_k^H v_i
+                u = combining_gains(h, v)
+                out[(scheme, "dl")] = dl.gain_partial(
+                    u * precoder_scales(rho, global_norm[scheme][0]), u * precoder_scales(rho, norm)
+                )
+            else:
+                wg = build_precoders_distributed(v, rho, global_norm[scheme][1])
+                wb = build_precoders_distributed(v, rho, norm_local)
+                out[(scheme, "dl")] = dl.batch_partial(wg, wb, h)
+        return out
 
-    for partial in _map_batches(_with_context(pass1, s), len(sizes), threads):
-        for scheme, entry in partial.items():
-            if "ul" in entry:
-                ul_acc[scheme].merge(entry["ul"])
-            if "norm" in entry:
-                norm_sums[scheme] = tuple(map(np.add, norm_sums[scheme], entry["norm"]))
-            if "dl" in entry:
-                dl_acc[scheme].merge(entry["dl"])
+    def merge(pass_fn):
+        for partial in _map_batches(_with_context(pass_fn, s), len(sizes), threads):
+            for key, entry in partial.items():
+                acc[key].merge(entry)
+
+    merge(pass1)
+    if two_pass:
+        global_norm = {scheme: acc.pop((scheme, "norm")).means() for scheme in cfg.schemes}
+        merge(pass2)
 
     results = {"assignment_json": assignment.to_json()}
-    for scheme in cfg.schemes:
-        if need_ul:
-            try:
-                if centralized:
-                    results[(scheme, "ul")] = ul_acc[scheme].finalize(prelog_ul)
-                else:
-                    results[(scheme, "ul")] = ul_acc[scheme].finalize(
-                        p, cfg.noise_ul_w, prelog_ul
-                    )
-            except Exception as exc:
-                exc.args = (f"setup {s}, scheme {scheme}: {exc}",) + exc.args[1:]
-                raise
-
-    if two_pass:
-        global_norm = {
-            scheme: tuple(total / cfg.num_realizations for total in norm_sums[scheme])
-            for scheme in cfg.schemes
-        }
-
-        def pass2(b):
-            h, bundle = realizations(b)
-            out = {}
-            for scheme in cfg.schemes:
-                v = compute_combiners(scheme, bundle)
-                norm, norm_local = (total / v.shape[0] for total in combiner_norms(v))
-                if centralized:
-                    # both gain sets scale the columns of u[b, k, i] = h_k^H v_i
-                    u = combining_gains(h, v)
-                    out[scheme] = DownlinkAccumulator.gain_partial(
-                        u * precoder_scales(rho, global_norm[scheme][0]),
-                        u * precoder_scales(rho, norm), cfg.noise_dl_w, prelog_dl
-                    )
-                else:
-                    wg = build_precoders_distributed(v, rho, global_norm[scheme][1])
-                    wb = build_precoders_distributed(v, rho, norm_local)
-                    out[scheme] = DownlinkAccumulator.batch_partial(
-                        wg, wb, h, cfg.noise_dl_w, prelog_dl
-                    )
-            return out
-
-        for partial in _map_batches(_with_context(pass2, s), len(sizes), threads):
-            for scheme, entry in partial.items():
-                dl_acc[scheme].merge(entry)
-    for scheme in dl_acc:
-        results[(scheme, "dl")] = dl_acc[scheme].finalize(cfg.noise_dl_w, prelog_dl)
-        if cfg.genie_dl:
-            results[(scheme, "dl_genie")] = dl_acc[scheme].finalize_genie(prelog_dl)
+    for (scheme, bound), bound_acc in acc.items():
+        try:
+            results[(scheme, bound)] = bound_acc.finalize()
+            if bound == "dl" and cfg.genie_dl:
+                results[(scheme, "dl_genie")] = bound_acc.finalize_genie()
+        except Exception as exc:
+            exc.args = (f"setup {s}, scheme {scheme}: {exc}",) + exc.args[1:]
+            raise
     return results
 
 

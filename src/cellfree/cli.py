@@ -7,8 +7,6 @@ from .accounting import cost_table_rows
 from .campaign import emit_results, run_campaign
 from .clustering import build_assignment
 from .config import parse_config
-from .estimation import SetupContext
-from .power import ul_full_power
 from .rng import TOPOLOGY, stream
 from .scenarios import run_scenario, scenario_names
 from .topology import generate_topology
@@ -63,7 +61,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         topology = generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY))
         assignment = build_assignment(cfg, topology)
-        SetupContext(topology, assignment, ul_full_power(cfg), cfg)  # validates
         print("entity,index,scheme,metric,value")
         for row in cost_table_rows(assignment, cfg):
             print(",".join(str(x) for x in row))

@@ -182,7 +182,7 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
     v = np.zeros_like(bundle.hhat)
     partners = ctx.partners()
     for k in range(K):
-        aps = ctx.compact_blocks(k)
+        aps = ctx.assignment.serving_aps(k)
         if aps.size == 0:
             continue
         members = np.flatnonzero(partners[k]) if partial else np.arange(K)
@@ -207,7 +207,7 @@ def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
     bundle.ensure_all()
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
-    aps = ctx.compact_blocks(k)
+    aps = ctx.assignment.serving_aps(k)
     B = bundle.hhat.shape[0]
     n = N * aps.size
     others = np.flatnonzero(np.arange(ctx.topology.beta.shape[0]) != k)
@@ -268,7 +268,7 @@ def combiner_single(scheme: str, k: int, hhat, ctx: SetupContext,
     K, L, N = hhat.shape
     p = ctx.ul_power
     sigma2 = ctx.cfg.noise_ul_w
-    aps = ctx.compact_blocks(k)
+    aps = ctx.assignment.serving_aps(k)
     v = np.zeros((L, N), dtype=complex)
 
     def fetch(i, l):

@@ -70,14 +70,6 @@ class SetupContext:
         self._partners = None
         self._noise_cache = {}
 
-    def pilot_correlation(self, t: int, l: int) -> np.ndarray:
-        """Psi_tl for one pilot/AP pair."""
-        return self.psi[t, l]
-
-    def compact_blocks(self, k: int) -> np.ndarray:
-        """Serving-AP indices defining UE k's reduced-dimension subspace."""
-        return self.assignment.serving_aps(k)
-
     def partners(self) -> np.ndarray:
         if self._partners is None:
             self._partners = compute_partners(self.assignment)
@@ -97,7 +89,7 @@ class SetupContext:
         key = (k, partner_only)
         if key in self._noise_cache:
             return self._noise_cache[key]
-        aps = self.compact_blocks(k)
+        aps = self.assignment.serving_aps(k)
         N = self.topology.antennas_per_ap
         if partner_only:
             members = np.flatnonzero(self.partners()[k])

@@ -20,7 +20,13 @@ so can the genie reference, from each realization's gain powers.
 Both ratio-of-means bounds have the form
 |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise): each has one
 (numerator, denominator) helper, and their accumulators share one base that
-sums the moments, keeps the replicas and finalizes.
+keeps the replicas and finalizes. Every accumulator takes its constants
+(powers, noise, prelog) when it is built, sums its batch partials through
+BatchSums.merge and finalizes with no arguments, so a campaign merges and
+finalizes all bounds in one loop each.
+
+MR has closed forms (mr_closed_form_terms): written once for the downlink
+with per-AP scales, the uplink moments are its unit-scale terms, transposed.
 
 Monte-Carlo standard errors: ergodic-log bounds use the exact per-realization
 std/sqrt(n); ratio-of-means bounds use batch means (the SE is recomputed per
@@ -93,11 +99,13 @@ def _hardening_terms(signal: np.ndarray, second: np.ndarray, noise_w: float) -> 
     return num, den
 
 
-def _genie_sinr(q: np.ndarray, noise_w: float) -> np.ndarray:
-    """Per-realization hardening SINR of the genie-aided reference, from the
-    gain powers q[b, k, i] = |h_k^H D_i w_i|^2 with the powers folded in."""
+def _power_sinr(q: np.ndarray, noise) -> np.ndarray:
+    """Per-realization SINR q_kk / (sum_i q_ki - q_kk + noise) from the gain
+    powers q[b, k, i] with the powers folded in: the genie-aided reference
+    (q = |h_k^H D_i w_i|^2) and the centralized uplink (q = p_i |v_k^H h_i|^2,
+    with a noise term per UE)."""
     num = np.diagonal(q, axis1=-2, axis2=-1)
-    return _safe_ratio(num, q.sum(axis=-1) - num + noise_w)
+    return _safe_ratio(num, q.sum(axis=-1) - num + noise)
 
 
 def _safe_ratio(num, den):
@@ -168,25 +176,46 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
     g = combining_gains(v, bundle.hhat)                                   # (B, K, K)
     zq = np.real(np.einsum("bklm,lmn,bkln->bk", np.conj(v), ctx.C_weighted_sum, v))
     zq += ctx.cfg.noise_ul_w * np.sum(np.abs(v) ** 2, axis=(2, 3))
-    power_g = ul_power[None, None, :] * np.abs(g) ** 2
-    num = np.diagonal(power_g, axis1=1, axis2=2)
-    den = power_g.sum(axis=2) - num + zq
-    sinr = np.zeros(num.shape)
-    np.divide(num, den, out=sinr, where=den > 0)
-    return sinr
+    return _power_sinr(ul_power[None, None, :] * np.abs(g) ** 2, zq)
 
 
 # ---------------------------------------------------------------------------
 # accumulators (mergeable in fixed batch order for bit-reproducibility)
 # ---------------------------------------------------------------------------
 
-class ErgodicLogAccumulator:
+class BatchSums:
+    """Sums of batch partials, merged in fixed batch order.
+
+    A partial is a dict with the batch's realization count n and one array
+    per name; each named sum starts at zero at the first merge and is added
+    in place. The accumulators below hold their constants (powers, noise,
+    prelog) from construction, so every one merges and finalizes the same
+    way; a two-pass campaign uses this class as is for its combiner-norm sums.
+    """
+
+    def __init__(self, *names):
+        self.n = 0
+        self.names = names
+
+    def merge(self, partial: dict) -> None:
+        self.n += partial["n"]
+        for name in self.names:
+            total = getattr(self, name, None)
+            if total is None:
+                total = np.zeros_like(partial[name])
+                setattr(self, name, total)
+            total += partial[name]
+
+    def means(self) -> tuple:
+        return tuple(getattr(self, name) / self.n for name in self.names)
+
+
+class ErgodicLogAccumulator(BatchSums):
     """Mean and stderr of prelog * log2(1 + SINR_r) over realizations."""
 
-    def __init__(self, num_ues: int):
-        self.n = 0
-        self.log_sum = np.zeros(num_ues)
-        self.log_sq_sum = np.zeros(num_ues)
+    def __init__(self, prelog: float):
+        super().__init__("log_sum", "log_sq_sum")
+        self.prelog = prelog
 
     @staticmethod
     def batch_partial(sinr: np.ndarray) -> dict:
@@ -194,55 +223,49 @@ class ErgodicLogAccumulator:
         return {"n": sinr.shape[0], "log_sum": logs.sum(axis=0),
                 "log_sq_sum": (logs**2).sum(axis=0)}
 
-    def merge(self, partial: dict) -> None:
-        self.n += partial["n"]
-        self.log_sum += partial["log_sum"]
-        self.log_sq_sum += partial["log_sq_sum"]
-
-    def finalize(self, prelog: float) -> tuple:
+    def finalize(self) -> tuple:
         mean = self.log_sum / self.n
         if self.n > 1:
             var = np.maximum(self.log_sq_sum - self.n * mean**2, 0.0) / (self.n - 1)
             stderr = np.sqrt(var / self.n)
         else:
             stderr = np.full_like(mean, np.nan)
-        return prelog * mean, prelog * stderr
+        return self.prelog * mean, self.prelog * stderr
 
 
-class _RatioOfMeans:
+def _gain_sums(g: np.ndarray, q: np.ndarray) -> dict:
+    """Batch sums from gains g[b, k, i] and their powers q = |g|^2:
+    signal[k] = sum_b g[b, k, k] and cross[k, i] = sum_b q[b, k, i]."""
+    return {"n": g.shape[0], "signal": np.einsum("bkk->k", g), "cross": q.sum(axis=0)}
+
+
+class _RatioOfMeans(BatchSums):
     """Sums and batch-means replicas of a bound whose SINR is a ratio of
     expectations, |E{g_kk}|^2 / (sum_i E{|g_ki|^2} - |E{g_kk}|^2 + noise).
 
     Batch partials carry the subclass's sums plus one SE replica computed
     from the batch's own moments; the spread of the replicas gives the stderr.
-    Each subclass allocates and merges its own sums.
     """
 
-    def __init__(self):
-        self.n = 0
+    def __init__(self, prelog: float, *names):
+        super().__init__(*names)
+        self.prelog = prelog
         self.den_replicas = []
         self.se_replicas = []
 
-    @staticmethod
-    def _sums(g: np.ndarray, q: np.ndarray) -> dict:
-        """Batch sums from gains g[b, k, i] and their powers q = |g|^2:
-        signal[k] = sum_b g[b, k, k] and cross[k, i] = sum_b q[b, k, i]."""
-        return {"n": g.shape[0], "signal": np.einsum("bkk->k", g), "cross": q.sum(axis=0)}
-
-    @staticmethod
-    def _replica(num: np.ndarray, den: np.ndarray, prelog: float) -> dict:
+    def _replica(self, num: np.ndarray, den: np.ndarray) -> dict:
         """One batch's SE (NaN where its denominator is not positive)."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            se = np.where(den > 0, prelog * np.log2(1.0 + np.maximum(num / den, 0.0)), np.nan)
+            se = np.where(den > 0, self.prelog * np.log2(1.0 + np.maximum(num / den, 0.0)), np.nan)
         return {"den_replica": den, "se_replica": se}
 
     def merge(self, partial: dict) -> None:
-        self.n += partial["n"]
+        super().merge(partial)
         self.den_replicas.append(partial["den_replica"])
         self.se_replicas.append(partial["se_replica"])
 
     def _finalize(self, signal: np.ndarray, second: np.ndarray, num: np.ndarray,
-                  den: np.ndarray, prelog: float) -> tuple:
+                  den: np.ndarray) -> tuple:
         """(se, stderr) after the second-moment check and the denominator clamp.
 
         signal[k] = E{g_kk} and second[k, i] = E{|g_ki|^2} are the means the
@@ -252,7 +275,7 @@ class _RatioOfMeans:
         if np.any(own - np.abs(signal) ** 2 < -1e-9 * np.maximum(own, 1e-300)):
             raise NumericError("second moment below squared mean beyond tolerance")
         den = self._clamp_denominator(den, num)
-        return se_from_sinr(_safe_ratio(num, den), prelog), _replica_stderr(self.se_replicas)
+        return se_from_sinr(_safe_ratio(num, den), self.prelog), _replica_stderr(self.se_replicas)
 
     def _clamp_denominator(self, den, num):
         """Clamp a negative denominator within 3 batch-means standard errors of
@@ -275,25 +298,20 @@ class UatfAccumulator(_RatioOfMeans):
     """Use-and-then-forget moments of the gains g[b, k, i] = v_k^H D_k h_i
     and of the combiner norms ||D_k v_k||^2."""
 
-    def __init__(self, num_ues: int):
-        super().__init__()
-        self.signal = np.zeros(num_ues, dtype=complex)
-        self.cross = np.zeros((num_ues, num_ues))
-        self.norm = np.zeros(num_ues)
+    def __init__(self, ul_power: np.ndarray, noise_w: float, prelog: float):
+        super().__init__(prelog, "signal", "cross", "norm")
+        self.ul_power = ul_power
+        self.noise_w = noise_w
 
-    @staticmethod
-    def batch_partial(v: np.ndarray, h: np.ndarray, ul_power: np.ndarray,
-                      noise_w: float, prelog: float, norm: np.ndarray = None) -> dict:
+    def batch_partial(self, v: np.ndarray, h: np.ndarray, norm: np.ndarray = None) -> dict:
         """norm: the batch sums of ||D_k v_k||^2 when the caller has them
         (combiner_norms(v)[0]); computed here otherwise."""
         g = combining_gains(v, h)
-        partial = _RatioOfMeans._sums(g, np.abs(g) ** 2)
+        partial = _gain_sums(g, np.abs(g) ** 2)
         partial["norm"] = combiner_norms(v)[0] if norm is None else norm
-        return UatfAccumulator._with_replica(partial, ul_power, noise_w, prelog)
+        return self._with_replica(partial)
 
-    @staticmethod
-    def block_partial(dl: dict, blocks: "PrecoderBlocks", ul_power: np.ndarray,
-                      noise_w: float, prelog: float) -> dict:
+    def block_partial(self, dl: dict, blocks: "PrecoderBlocks") -> dict:
         """The same sums by uplink-downlink duality, from the block sums of
         the batch's DownlinkBlockMoments.batch_partial, with no gain product.
 
@@ -305,73 +323,54 @@ class UatfAccumulator(_RatioOfMeans):
         signal, second = blocks.contract(np.ones(blocks.ues.size), dl["sig"], dl["S"])
         norm = np.bincount(blocks.ues, weights=dl["norm"], minlength=blocks.num_ues)
         partial = {"n": dl["n"], "signal": np.conj(signal), "cross": second.T, "norm": norm}
-        return UatfAccumulator._with_replica(partial, ul_power, noise_w, prelog)
+        return self._with_replica(partial)
 
-    @staticmethod
-    def _with_replica(partial: dict, ul_power: np.ndarray, noise_w: float, prelog: float) -> dict:
-        B = partial["n"]
-        batch = UatfMoments(partial["signal"] / B, partial["cross"] / B, partial["norm"] / B)
-        partial.update(_RatioOfMeans._replica(*_uatf_terms(batch, ul_power, noise_w), prelog))
+    def _with_replica(self, partial: dict) -> dict:
+        batch = UatfMoments(*(partial[name] / partial["n"] for name in self.names))
+        partial.update(self._replica(*_uatf_terms(batch, self.ul_power, self.noise_w)))
         return partial
 
-    def merge(self, partial: dict) -> None:
-        super().merge(partial)
-        self.signal += partial["signal"]
-        self.cross += partial["cross"]
-        self.norm += partial["norm"]
-
-    def moments(self) -> UatfMoments:
-        return UatfMoments(self.signal / self.n, self.cross / self.n, self.norm / self.n)
-
-    def finalize(self, ul_power: np.ndarray, noise_w: float, prelog: float) -> tuple:
-        m = self.moments()
-        return self._finalize(m.signal, m.cross, *_uatf_terms(m, ul_power, noise_w), prelog)
+    def finalize(self) -> tuple:
+        m = UatfMoments(*self.means())
+        return self._finalize(m.signal, m.cross, *_uatf_terms(m, self.ul_power, self.noise_w))
 
 
 class DownlinkAccumulator(_RatioOfMeans):
     """Hardening-bound moments of the gains g[b, k, i] = h_k^H D_i w_i, plus
     the genie-aided reference. Precoders arrive with powers folded in."""
 
-    def __init__(self, num_ues: int):
-        super().__init__()
-        self.signal = np.zeros(num_ues, dtype=complex)
-        self.cross = np.zeros((num_ues, num_ues))
-        self.genie = ErgodicLogAccumulator(num_ues)
+    def __init__(self, noise_w: float, prelog: float):
+        super().__init__(prelog, "signal", "cross")
+        self.noise_w = noise_w
+        self.genie = ErgodicLogAccumulator(prelog)
 
-    @staticmethod
-    def batch_partial(w: np.ndarray, w_batchnorm: np.ndarray, h: np.ndarray,
-                      noise_dl_w: float, prelog: float) -> dict:
+    def batch_partial(self, w: np.ndarray, w_batchnorm: np.ndarray, h: np.ndarray) -> dict:
         """w uses the campaign-wide normalization (reported SE and genie);
         w_batchnorm is renormalized from this batch alone (stderr replicas)."""
-        return DownlinkAccumulator.gain_partial(
-            combining_gains(h, w), combining_gains(h, w_batchnorm), noise_dl_w, prelog)
+        return self.gain_partial(combining_gains(h, w), combining_gains(h, w_batchnorm))
 
-    @staticmethod
-    def gain_partial(g: np.ndarray, g_batchnorm: np.ndarray, noise_dl_w: float,
-                     prelog: float) -> dict:
+    def gain_partial(self, g: np.ndarray, g_batchnorm: np.ndarray) -> dict:
         """The same from the precoded gains g = combining_gains(h, w) and
         g_batchnorm = combining_gains(h, w_batchnorm)."""
         q = np.abs(g) ** 2
-        partial = _RatioOfMeans._sums(g, q)
-        partial["genie"] = ErgodicLogAccumulator.batch_partial(_genie_sinr(q, noise_dl_w))
-        batch = _RatioOfMeans._sums(g_batchnorm, np.abs(g_batchnorm) ** 2)
+        partial = _gain_sums(g, q)
+        partial["genie"] = ErgodicLogAccumulator.batch_partial(_power_sinr(q, self.noise_w))
+        batch = _gain_sums(g_batchnorm, np.abs(g_batchnorm) ** 2)
         B = batch["n"]
-        terms = _hardening_terms(batch["signal"] / B, batch["cross"] / B, noise_dl_w)
-        partial.update(_RatioOfMeans._replica(*terms, prelog))
+        terms = _hardening_terms(batch["signal"] / B, batch["cross"] / B, self.noise_w)
+        partial.update(self._replica(*terms))
         return partial
 
     def merge(self, partial: dict) -> None:
         super().merge(partial)
-        self.signal += partial["signal"]
-        self.cross += partial["cross"]
         self.genie.merge(partial["genie"])
 
-    def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
-        signal, second = self.signal / self.n, self.cross / self.n
-        return self._finalize(signal, second, *_hardening_terms(signal, second, noise_dl_w), prelog)
+    def finalize(self) -> tuple:
+        signal, second = self.means()
+        return self._finalize(signal, second, *_hardening_terms(signal, second, self.noise_w))
 
-    def finalize_genie(self, prelog: float) -> tuple:
-        return self.genie.finalize(prelog)
+    def finalize_genie(self) -> tuple:
+        return self.genie.finalize()
 
 
 class PrecoderBlocks:
@@ -487,56 +486,48 @@ class DownlinkBlockMoments(_RatioOfMeans):
     are applied at finalize; the campaign then needs one pass over the
     realizations. Each batch's replica applies that batch's own scales.
 
-    With one block per UE (per-UE powers) and genie_noise_w given, the
-    genie-aided reference is kept too: each realization's gain powers
+    With one block per UE (per-UE powers) and the genie on, the genie-aided
+    reference is kept too: each realization's gain powers
     a[b, k, i] = |h_k^H v_i|^2, to which finalize_genie applies the
     setup-wide scales, n * K^2 values per setup.
     """
 
-    def __init__(self, blocks: PrecoderBlocks, genie_noise_w: float = None):
-        super().__init__()
+    def __init__(self, blocks: PrecoderBlocks, noise_w: float, prelog: float,
+                 genie: bool = False):
+        super().__init__(prelog, "sig", "S", "norm")
         self.blocks = blocks
-        self.genie_noise_w = genie_noise_w
-        self.sig = np.zeros(blocks.ues.size, dtype=complex)
-        self.S = np.zeros((blocks.num_ues, blocks.num_pairs))
-        self.norm = np.zeros(blocks.ues.size)
-        if genie_noise_w is not None:
-            self.powers = []
+        self.noise_w = noise_w
+        self.genie = genie
+        self.powers = []
 
-    @staticmethod
-    def batch_partial(v: np.ndarray, h: np.ndarray, blocks: PrecoderBlocks,
-                      noise_dl_w: float, prelog: float, genie: bool = False) -> dict:
-        """genie: also return the batch's gain powers a (B, K, K)."""
+    def batch_partial(self, v: np.ndarray, h: np.ndarray) -> dict:
+        """With the genie on, the partial also holds the batch's gain powers
+        a (B, K, K)."""
         B = v.shape[0]
-        sig, S, norm, powers = blocks.moments(v, h, powers=genie)
-        scales = precoder_scales(blocks.rho, norm / B)
-        signal, second = blocks.contract(scales, sig, S)
-        terms = _hardening_terms(signal / B, second / B, noise_dl_w)
-        return {"n": B, "sig": sig, "S": S, "norm": norm, "powers": powers,
-                **_RatioOfMeans._replica(*terms, prelog)}
+        sig, S, norm, powers = self.blocks.moments(v, h, powers=self.genie)
+        signal, second = self.blocks.contract(precoder_scales(self.blocks.rho, norm / B), sig, S)
+        terms = _hardening_terms(signal / B, second / B, self.noise_w)
+        return {"n": B, "sig": sig, "S": S, "norm": norm, "powers": powers, **self._replica(*terms)}
 
     def merge(self, partial: dict) -> None:
         super().merge(partial)
-        self.sig += partial["sig"]
-        self.S += partial["S"]
-        self.norm += partial["norm"]
-        if self.genie_noise_w is not None:
+        if self.genie:
             self.powers.append(partial["powers"])
 
-    def finalize(self, noise_dl_w: float, prelog: float) -> tuple:
+    def finalize(self) -> tuple:
         scales = precoder_scales(self.blocks.rho, self.norm / self.n)
         signal, second = (total / self.n for total in self.blocks.contract(scales, self.sig, self.S))
-        return self._finalize(signal, second, *_hardening_terms(signal, second, noise_dl_w), prelog)
+        return self._finalize(signal, second, *_hardening_terms(signal, second, self.noise_w))
 
-    def finalize_genie(self, prelog: float) -> tuple:
+    def finalize_genie(self) -> tuple:
         """The genie reference with the setup-wide scales c_i: the gain powers
         are c_i^2 a[b, k, i], and each batch's logs are accumulated in batch
         order, as the two-pass DownlinkAccumulator does."""
         c2 = precoder_scales(self.blocks.rho, self.norm / self.n) ** 2
-        genie = ErgodicLogAccumulator(self.blocks.num_ues)
+        genie = ErgodicLogAccumulator(self.prelog)
         for a in self.powers:
-            genie.merge(ErgodicLogAccumulator.batch_partial(_genie_sinr(a * c2, self.genie_noise_w)))
-        return genie.finalize(prelog)
+            genie.merge(ErgodicLogAccumulator.batch_partial(_power_sinr(a * c2, self.noise_w)))
+        return genie.finalize()
 
 
 def _replica_stderr(replicas: list) -> np.ndarray:
@@ -554,33 +545,38 @@ def _replica_stderr(replicas: list) -> np.ndarray:
 # closed forms for MR (no sampling)
 # ---------------------------------------------------------------------------
 
-def ul_mr_closed_form_moments(ctx) -> UatfMoments:
-    """The use-and-then-forget moments under MR combining, in closed form.
+def mr_closed_form_terms(ctx, scales: np.ndarray) -> tuple:
+    """Closed-form hardening-bound terms of scaled MR, w_i = sum_l c_il hhat_il
+    over UE i's serving APs, with the scales c (K, L).
 
-    signal[k] = norm[k] = sum_{l in M_k} tr(B_kl) with B the estimate
-    covariance; cross[k, i] adds to the trace term a coherent part for UEs
-    sharing UE k's pilot.
+    signal[i] = E{h_i^H D_i w_i} = sum_l c_il tr(B_il), with B the estimate
+    covariance, and second[k, i] = E{|h_k^H D_i w_i|^2} =
+    sum_l c_il^2 tr(R_kl B_il), plus for the UEs k sharing UE i's pilot the
+    coherent part p_k p_i tau_p^2 |sum_l c_il tr(R_kl psi^-1 R_il)|^2.
     """
-    K, L = ctx.topology.beta.shape
-    serves = ctx.assignment.serves
-    R = ctx.topology.R
-    B = ctx.B
-    pilot_of = ctx.pilot_of
-    tau_p = ctx.cfg.pilot_len
-    p = ctx.ul_power
-
+    K = ctx.pilot_of.size
+    R, B, p, tau_p = ctx.topology.R, ctx.B, ctx.ul_power, ctx.cfg.pilot_len
+    trB = np.real(np.trace(B, axis1=-2, axis2=-1))
     signal = np.zeros(K)
-    cross = np.zeros((K, K))
-    for k in range(K):
-        aps = np.flatnonzero(serves[:, k])
-        signal[k] = np.real(np.einsum("lmm->", B[k, aps]))
-        # noncoherent: sum_l tr(R_il B_kl)
-        cross[k] = np.real(np.einsum("ilmn,lnm->i", R[:, aps], B[k, aps]))
-        # coherent addition for pilot sharers: p_k p_i tau_p^2 |sum_l tr(R_il psi^-1 R_kl)|^2
-        coh = np.einsum("ilmn,lnm->i", R[:, aps], ctx.psi_inv_R[k, aps])
-        sharers = pilot_of == pilot_of[k]
-        cross[k, sharers] += (p[k] * p[sharers] * tau_p**2) * np.abs(coh[sharers]) ** 2
-    return UatfMoments(signal.astype(complex), cross, signal.copy())
+    second = np.zeros((K, K))
+    for i in range(K):
+        aps = ctx.assignment.serving_aps(i)
+        c = scales[i, aps]
+        signal[i] = c @ trB[i, aps]
+        second[:, i] = np.real(np.einsum("klmn,lnm->kl", R[:, aps], B[i, aps])) @ c**2
+        sharers = np.flatnonzero(ctx.pilot_of == ctx.pilot_of[i])
+        coh = np.einsum("klmn,lnm->kl", R[sharers[:, None], aps], ctx.psi_inv_R[i, aps]) @ c
+        second[sharers, i] += (p[sharers] * p[i] * tau_p**2) * np.abs(coh) ** 2
+    return signal, second
+
+
+def ul_mr_closed_form_moments(ctx) -> UatfMoments:
+    """The use-and-then-forget moments under MR combining, in closed form: by
+    uplink-downlink duality, the unit-scale terms of mr_closed_form_terms
+    with cross[k, i] = second[i, k], and norm[k] = signal[k]."""
+    K, L = ctx.topology.beta.shape
+    signal, second = mr_closed_form_terms(ctx, np.ones((K, L)))
+    return UatfMoments(signal.astype(complex), second.T, signal.copy())
 
 
 def ul_se_mr_closed_form(ctx, prelog: float) -> np.ndarray:
@@ -589,37 +585,11 @@ def ul_se_mr_closed_form(ctx, prelog: float) -> np.ndarray:
 
 
 def dl_mr_closed_form_terms(ctx, rho_per_ap: np.ndarray) -> tuple:
-    """Closed-form hardening-bound terms under per-AP-normalized MR precoding.
-
-    Returns (signal_mean, second_moment) with powers folded in:
-    signal_mean[k] = E{h_k^H D_k w_k}, second_moment[k, i] = E{|h_k^H D_i w_i|^2}.
-    """
-    K, L = ctx.topology.beta.shape
-    serves = ctx.assignment.serves
-    R = ctx.topology.R
-    pilot_of = ctx.pilot_of
-    tau_p = ctx.cfg.pilot_len
-    p = ctx.ul_power
-    # unpowered estimate covariance B0 = R psi^-1 R and its traces
-    B0 = ctx.B / (p * tau_p)[:, None, None, None]
-    trB0 = np.real(np.trace(B0, axis1=-2, axis2=-1))  # (K, L)
-
-    signal = np.zeros(K)
-    second = np.zeros((K, K))
-    for i in range(K):
-        aps = np.flatnonzero(serves[:, i])
-        rho_il = rho_per_ap[i, aps]
-        # E{h_i^H D_i w_i} contribution (used when i is the target UE)
-        signal[i] = np.sum(np.sqrt(rho_il * p[i] * tau_p * trB0[i, aps]))
-        # noncoherent term toward every UE k: rho_il tr(B0_il R_kl) / tr(B0_il)
-        frac = np.real(np.einsum("lmn,klnm->kl", B0[i, aps], R[:, aps]))
-        second[:, i] = frac @ (rho_il / trB0[i, aps])
-        # coherent term for pilot sharers of UE i
-        sharers = np.flatnonzero(pilot_of == pilot_of[i])
-        weights = np.sqrt(rho_il * p[sharers, None] * tau_p / trB0[i, aps][None, :])
-        cross_tr = np.einsum("klmn,lnm->kl", R[sharers][:, aps], ctx.psi_inv_R[i, aps])
-        second[sharers, i] += np.abs(np.sum(weights * cross_tr, axis=1)) ** 2
-    return signal, second
+    """Closed-form hardening-bound terms under per-AP-normalized MR precoding,
+    c_il = sqrt(rho_il / tr(B_il)): (signal_mean, second_moment) with powers
+    folded in, as in mr_closed_form_terms."""
+    trB = np.real(np.trace(ctx.B, axis1=-2, axis2=-1))
+    return mr_closed_form_terms(ctx, precoder_scales(rho_per_ap, trB))
 
 
 def dl_se_mr_closed_form(ctx, rho_per_ap: np.ndarray, prelog: float) -> np.ndarray:

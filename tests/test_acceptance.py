@@ -2,7 +2,7 @@
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them inline).
 Criterion 7 reproduces the full-scale reference numbers and takes about
-20 minutes on two cores; it only runs when CELLFREE_FULL_SCALE=1 is set.
+17 minutes (1045 s) on two cores; it only runs when CELLFREE_FULL_SCALE=1 is set.
 """
 
 import os
@@ -131,7 +131,7 @@ def test_criterion_3_mmse_optimality():
                 sinr = instantaneous_sinr(v, bundle, ctx.ul_power)
                 violations += int(np.sum(sinr > best * (1 + 1e-9)))
             for k in range(cfg.num_ues):
-                aps = ctx.compact_blocks(k)
+                aps = ctx.assignment.serving_aps(k)
                 n = aps.size * cfg.antennas_per_ap
                 hh = bundle.hhat[:, :, aps, :].reshape(batch, cfg.num_ues, n)
                 Z = ctx.noise_matrix(k)
@@ -241,7 +241,7 @@ def test_criterion_6_scalability_invariants():
 FULL_SCALE = os.environ.get("CELLFREE_FULL_SCALE", "") == "1"
 
 
-@pytest.mark.skipif(not FULL_SCALE, reason="full-scale reproduction, about 20 min on 2 cores; set CELLFREE_FULL_SCALE=1")
+@pytest.mark.skipif(not FULL_SCALE, reason="full-scale reproduction, about 17 min on 2 cores; set CELLFREE_FULL_SCALE=1")
 def test_criterion_7_full_scale_reference_numbers():
     with criterion("7 full-scale reference-number reproduction"):
         threads = int(os.environ.get("CELLFREE_THREADS", str(os.cpu_count() or 1)))

@@ -9,7 +9,8 @@ from cellfree.combining import DegeneratePrecoderError, compute_combiners
 from cellfree.estimation import EstimationBundle
 from cellfree.power import dl_centralized_equal, per_ap_dl_power
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
-from cellfree.se import UatfAccumulator, combiner_norms
+from cellfree.se import (DownlinkAccumulator, DownlinkBlockMoments, NumericError,
+                         UatfAccumulator, combiner_norms)
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup, same_bits
@@ -49,6 +50,22 @@ class TestCampaign:
                        num_realizations=30, genie_dl=True)
         report = run_campaign(cfg)
         assert ("MR", "dl_genie") in report.entries
+
+
+    @pytest.mark.parametrize("mode, genie, accumulator", [
+        ("centralized", False, DownlinkBlockMoments),     # one pass
+        ("distributed", True, DownlinkAccumulator),       # the genie's second pass
+    ])
+    def test_downlink_failure_names_setup_and_scheme(self, monkeypatch, mode, genie,
+                                                     accumulator):
+        def fail(self, *args):
+            raise NumericError("injected")
+
+        monkeypatch.setattr(accumulator, "finalize", fail)
+        cfg = make_cfg(mode=mode, genie_dl=genie, ul_data_len=0, num_realizations=48,
+                       schemes=("LP-MMSE",))
+        with pytest.raises(NumericError, match="^setup 0, scheme LP-MMSE: injected$"):
+            run_campaign(cfg)
 
 
 class TestDeterminism:

@@ -37,11 +37,11 @@ class TestPilotCorrelation:
     def test_scalar_value(self):
         # Psi = tau_p p R + sigma^2 = 10 * 0.1 * 2 + 1 = 3
         _, _, _, ctx = scalar_setup()
-        assert ctx.pilot_correlation(0, 0)[0, 0] == pytest.approx(3.0)
+        assert ctx.psi[0, 0, 0, 0] == pytest.approx(3.0)
 
     def test_unused_pilot_is_noise_only(self):
         _, _, _, ctx = scalar_setup()
-        assert ctx.pilot_correlation(1, 0)[0, 0] == pytest.approx(1.0)
+        assert ctx.psi[1, 0, 0, 0] == pytest.approx(1.0)
 
     def test_two_sharers_sum(self):
         cfg = make_cfg(num_aps=3, num_ues=4, pilot_len=2, area_side_km=0.3)
@@ -50,14 +50,14 @@ class TestPilotCorrelation:
         expected = np.sum(
             cfg.pilot_len * cfg.ue_power_w * topo.R[assignment.sharers(t), l], axis=0
         ) + cfg.noise_ul_w * np.eye(cfg.antennas_per_ap)
-        assert np.allclose(ctx.pilot_correlation(t, l), expected, rtol=1e-12)
+        assert np.allclose(ctx.psi[t, l], expected, rtol=1e-12)
 
     def test_hermitian_positive_definite(self):
         cfg = make_cfg(num_aps=4, num_ues=6, pilot_len=3)
         _, _, ctx = make_setup(cfg)
         for t in range(cfg.pilot_len):
             for l in range(cfg.num_aps):
-                psi = ctx.pilot_correlation(t, l)
+                psi = ctx.psi[t, l]
                 assert np.allclose(psi, psi.conj().T)
                 assert np.linalg.eigvalsh(psi).min() > 0
 
@@ -129,7 +129,7 @@ class TestDespreading:
         t, l = 0, 0
         y = bundle.y_pilot[:, t, l, :]
         emp = np.einsum("bm,bn->mn", y, np.conj(y)) / n
-        psi = ctx.pilot_correlation(t, l)
+        psi = ctx.psi[t, l]
         tol = 5.0 * np.sqrt(np.outer(np.diag(psi).real, np.diag(psi).real) / n)
         assert np.all(np.abs(emp - psi) <= tol)
 

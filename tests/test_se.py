@@ -152,12 +152,11 @@ class TestPerfectCsiOracle:
         beta, p, s2 = 1.7, 0.3, 0.8
         n = 200_000
         h = np.sqrt(beta) * complex_normal(np.random.default_rng(5), (n, 1, 1, 1))
-        acc = UatfAccumulator(1)
+        acc = UatfAccumulator(np.array([p]), s2, 1.0)
         for start in range(0, n, 50_000):
             chunk = h[start:start + 50_000]
-            acc.merge(UatfAccumulator.batch_partial(
-                chunk, chunk, np.array([p]), s2, 1.0))
-        se, err = acc.finalize(np.array([p]), s2, 1.0)
+            acc.merge(acc.batch_partial(chunk, chunk))
+        se, err = acc.finalize()
         predicted = np.log2(1.0 + p * beta / (p * beta + s2))
         assert se[0] == pytest.approx(predicted, abs=3 * max(err[0], 1e-4))
 
@@ -169,18 +168,17 @@ class TestBoundOrdering:
         topo, assignment, ctx = make_setup(cfg)
         n, batch = 20_000, 2_000
         prelog = 0.95
-        erg = ErgodicLogAccumulator(cfg.num_ues)
-        uatf = UatfAccumulator(cfg.num_ues)
+        erg = ErgodicLogAccumulator(prelog)
+        uatf = UatfAccumulator(ctx.ul_power, cfg.noise_ul_w, prelog)
         for b in range(n // batch):
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), batch)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, b))
             v = compute_combiners("LP-MMSE", bundle)
             erg.merge(ErgodicLogAccumulator.batch_partial(
                 instantaneous_sinr(v, bundle, ctx.ul_power)))
-            uatf.merge(UatfAccumulator.batch_partial(
-                v, h, ctx.ul_power, cfg.noise_ul_w, prelog))
-        se1, err1 = erg.finalize(prelog)
-        se2, err2 = uatf.finalize(ctx.ul_power, cfg.noise_ul_w, prelog)
+            uatf.merge(uatf.batch_partial(v, h))
+        se1, err1 = erg.finalize()
+        se2, err2 = uatf.finalize()
         assert np.all(se1 >= se2 - 3 * (err1 + err2))
 
 
@@ -223,7 +221,7 @@ def compact_sinr(v, bundle, ul_power):
     B, K = v.shape[:2]
     sinr = np.zeros((B, K))
     for k in range(K):
-        aps = ctx.compact_blocks(k)
+        aps = ctx.assignment.serving_aps(k)
         n = aps.size * ctx.topology.antennas_per_ap
         hh = bundle.hhat[:, :, aps].reshape(B, K, n)
         sinr[:, k] = _probe_sinr(v[:, k, aps].reshape(B, n), hh, ctx.noise_matrix(k), ul_power, k)
@@ -308,19 +306,19 @@ class TestGenie:
         h = (rng.standard_normal((40, 2, 1, 1)) + 1j * rng.standard_normal((40, 2, 1, 1)))
         w = h.copy()
         w[:, 0] = 0.0
-        acc = DownlinkAccumulator(2)
-        acc.merge(DownlinkAccumulator.batch_partial(w, w, h, 1.0, 0.95))
-        se, _ = acc.finalize(1.0, 0.95)
+        acc = DownlinkAccumulator(1.0, 0.95)
+        acc.merge(acc.batch_partial(w, w, h))
+        se, _ = acc.finalize()
         assert se[0] == 0.0 and se[1] > 0.0
 
     def test_constant_channel_closes_the_gap(self):
         # no channel variance: hardening bound and genie coincide exactly
         w = np.ones((50, 1, 1, 1), dtype=complex) * 0.7
         h = np.ones((50, 1, 1, 1), dtype=complex) * 1.3
-        acc = DownlinkAccumulator(1)
-        acc.merge(DownlinkAccumulator.batch_partial(w, w, h, 0.5, 1.0))
-        se, _ = acc.finalize(0.5, 1.0)
-        genie, _ = acc.finalize_genie(1.0)
+        acc = DownlinkAccumulator(0.5, 1.0)
+        acc.merge(acc.batch_partial(w, w, h))
+        se, _ = acc.finalize()
+        genie, _ = acc.finalize_genie()
         assert se[0] == pytest.approx(genie[0], rel=1e-12)
 
 
@@ -329,13 +327,14 @@ class TestNumericGuards:
     the same cases on the downlink accumulator, which shares the finalize path."""
 
     def _accumulator(self, n, signal, cross):
-        acc = UatfAccumulator(1)
+        acc = UatfAccumulator(np.array([1.0]), None, 1.0)
         acc.norm = np.array([float(n)])
         acc.n, acc.signal, acc.cross = n, np.array([signal + 0j]), np.array([[cross]])
         return acc
 
     def _finalize(self, acc, noise_w):
-        return acc.finalize(np.array([1.0]), noise_w, 1.0)
+        acc.noise_w = noise_w
+        return acc.finalize()
 
     def _acc_with_denominator(self, replica_std, num_replicas=20):
         # cancellation case: own variance -5e-10 (within the 1e-9 proxy
@@ -374,25 +373,20 @@ class TestNumericGuards:
 
 class TestDownlinkNumericGuards(TestNumericGuards):
     def _accumulator(self, n, signal, cross):
-        acc = DownlinkAccumulator(1)
+        acc = DownlinkAccumulator(None, 1.0)
         acc.n, acc.signal, acc.cross = n, np.array([signal + 0j]), np.array([[cross]])
         return acc
-
-    def _finalize(self, acc, noise_w):
-        return acc.finalize(noise_w, 1.0)
 
 
 class TestDownlinkBlockNumericGuards(TestNumericGuards):
     """One UE whose precoder is one block of unit scale (rho = 1, energy n)."""
 
     def _accumulator(self, n, signal, cross):
-        acc = DownlinkBlockMoments(PrecoderBlocks(_assignment([[True]]), np.array([1.0])))
+        blocks = PrecoderBlocks(_assignment([[True]]), np.array([1.0]))
+        acc = DownlinkBlockMoments(blocks, None, 1.0)
         acc.n, acc.sig, acc.S, acc.norm = n, np.array([signal + 0j]), np.array([[cross]]), \
             np.array([float(n)])
         return acc
-
-    def _finalize(self, acc, noise_w):
-        return acc.finalize(noise_w, 1.0)
 
 
 class TestCombiningGains:
@@ -419,10 +413,10 @@ class TestUplinkByDuality:
         blocks = PrecoderBlocks(assignment, dl_distributed_proportional(assignment, topo, cfg))
         h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), batch)
         v = compute_combiners(scheme, EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0)))
-        args = (ctx.ul_power, cfg.noise_ul_w, 0.95)
-        expected = UatfAccumulator.batch_partial(v, h, *args)
-        dl = DownlinkBlockMoments.batch_partial(v, h, blocks, cfg.noise_dl_w, 0.95)
-        got = UatfAccumulator.block_partial(dl, blocks, *args)
+        uatf = UatfAccumulator(ctx.ul_power, cfg.noise_ul_w, 0.95)
+        expected = uatf.batch_partial(v, h)
+        dl = DownlinkBlockMoments(blocks, cfg.noise_dl_w, 0.95).batch_partial(v, h)
+        got = uatf.block_partial(dl, blocks)
         assert got.keys() == expected.keys() and got["n"] == batch
         for key in ("signal", "cross", "norm", "den_replica", "se_replica"):
             np.testing.assert_allclose(got[key], expected[key], rtol=1e-12, atol=0, err_msg=key)
@@ -461,20 +455,19 @@ class TestDownlinkBlockMoments:
         topo, assignment, ctx = make_setup(cfg)
         rho = dl_centralized_equal(cfg)
         blocks = PrecoderBlocks(assignment, rho)
-        acc = DownlinkBlockMoments(blocks, cfg.noise_dl_w)
+        acc = DownlinkBlockMoments(blocks, cfg.noise_dl_w, 1.0, genie=True)
         v, h = [], []
         for b in range(2):
             h.append(sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), 7))
             bundle = EstimationBundle(ctx, h[-1], stream(cfg.seed, 0, PILOT_NOISE, b))
             v.append(compute_combiners("P-MMSE", bundle))
-            acc.merge(DownlinkBlockMoments.batch_partial(v[-1], h[-1], blocks, cfg.noise_dl_w,
-                                                         1.0, genie=True))
+            acc.merge(acc.batch_partial(v[-1], h[-1]))
         norm = sum(combiner_norms(x)[0] for x in v) / 14
-        reference = DownlinkAccumulator(cfg.num_ues)
+        reference = DownlinkAccumulator(cfg.noise_dl_w, 1.0)
         for vb, hb in zip(v, h):
             w = build_precoders_centralized(vb, rho, norm)
-            reference.merge(DownlinkAccumulator.batch_partial(w, w, hb, cfg.noise_dl_w, 1.0))
-        for got, expected in zip(acc.finalize_genie(1.0), reference.finalize_genie(1.0)):
+            reference.merge(reference.batch_partial(w, w, hb))
+        for got, expected in zip(acc.finalize_genie(), reference.finalize_genie()):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     def test_blocks_follow_the_power_layout(self):
