@@ -12,12 +12,12 @@ import numpy as np
 
 from . import clustering
 from .combining import OpCounter, combiner_single
-from .config import SimulationConfig
+from .config import SCHEMES, SimulationConfig
 from .estimation import SetupContext
 from .rng import TOPOLOGY, stream
 from .topology import generate_topology
 
-COUNTED_SCHEMES = ("MR", "MMSE", "P-MMSE", "L-MMSE", "LP-MMSE")
+COUNTED_SCHEMES = SCHEMES
 
 
 def fronthaul_load(mode: str, assignment, cfg: SimulationConfig) -> np.ndarray:
@@ -99,7 +99,7 @@ class ScalabilityRow:
     within_bounds: bool
 
 
-def assert_scalable(cfg: SimulationConfig, ue_counts, seed_offset: int = 0) -> tuple:
+def assert_scalable(cfg: SimulationConfig, ue_counts) -> tuple:
     """Grow the network at fixed density and check the scalability witnesses.
 
     For each K the area scales to keep AP/UE densities fixed; the admission
@@ -122,7 +122,7 @@ def assert_scalable(cfg: SimulationConfig, ue_counts, seed_offset: int = 0) -> t
         side = float(np.sqrt(area))
         L = int(round(ap_density * area))
         scaled = cfg.replace(num_ues=int(K), num_aps=L, area_side_km=side)
-        topo = generate_topology(scaled, stream(scaled.seed + seed_offset, idx, TOPOLOGY))
+        topo = generate_topology(scaled, stream(scaled.seed, idx, TOPOLOGY))
         assignment = clustering.build_assignment(scaled, topo)
         sizes = assignment.cluster_sizes()
         loads = fronthaul_load("distributed", assignment, scaled)[:, 1:].sum(axis=1)

@@ -7,13 +7,13 @@ slot free or prefer the new UE's channel. An AP serves at most one UE per
 pilot, so every AP serves at most pilot_len UEs no matter how many UEs the
 network admits - this is what keeps per-AP cost bounded.
 
-The assignment also represents the benchmark "all APs serve all UEs" mode
-used for unscalable reference schemes; there the one-UE-per-pilot-per-AP
-bookkeeping is disabled but pilots are still assigned by the same rule.
+The benchmark "all APs serve all UEs" mode of the unscalable reference
+schemes is derived from the same admission: it keeps every pilot and master
+and lets every AP serve every admitted UE.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ClusterAssignment:
     pilot_of: np.ndarray          # (K,) pilot index, -1 while unadmitted
     master_of: np.ndarray         # (K,) AP index, -1 while unadmitted
     serves: np.ndarray            # (L, K) bool, serves[l, k] iff AP l serves UE k
-    ue_on_pilot: np.ndarray       # (L, pilot_len) occupant UE or -1 (unused in all-serve-all)
     all_serve_all: bool = False
 
     @property
@@ -70,6 +69,12 @@ class ClusterAssignment:
         """|D_l| for every AP."""
         return self.serves.sum(axis=1)
 
+    def served_by_all(self) -> "ClusterAssignment":
+        """The all-serve-all assignment with these pilots and masters (the
+        arrays are shared): every AP serves every admitted UE."""
+        serves = np.broadcast_to(self.pilot_of >= 0, self.serves.shape).copy()
+        return replace(self, serves=serves, all_serve_all=True)
+
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -86,25 +91,16 @@ class ClusterAssignment:
     @classmethod
     def from_json(cls, text: str) -> "ClusterAssignment":
         data = json.loads(text)
-        K = len(data["pilot_of"])
-        L = data["num_aps"]
-        serves = np.zeros((L, K), dtype=bool)
+        serves = np.zeros((data["num_aps"], len(data["pilot_of"])), dtype=bool)
         for k, aps in enumerate(data["serving_aps"]):
             serves[aps, k] = True
-        assignment = cls(
+        return cls(
             pilot_len=data["pilot_len"],
             pilot_of=np.asarray(data["pilot_of"], dtype=int),
             master_of=np.asarray(data["master_of"], dtype=int),
             serves=serves,
-            ue_on_pilot=np.full((L, data["pilot_len"]), -1, dtype=int),
             all_serve_all=data["all_serve_all"],
         )
-        if not assignment.all_serve_all:
-            for k in range(K):
-                t = assignment.pilot_of[k]
-                if t >= 0:
-                    assignment.ue_on_pilot[assignment.serving_aps(k), t] = k
-        return assignment
 
 
 def compute_partners(assignment: ClusterAssignment) -> np.ndarray:
@@ -125,27 +121,26 @@ class AdmissionState:
     assignment: ClusterAssignment
     trace_psi: np.ndarray          # (L, pilot_len) running tr(Psi_tl)
     master_pilot_taken: np.ndarray  # (L, pilot_len) AP is master of a UE on that pilot
+    ue_on_pilot: np.ndarray        # (L, pilot_len) UE the AP serves on that pilot, or -1
     neighbors: dict = field(default_factory=dict)  # master AP -> its Step-3 list
 
     @classmethod
-    def empty(cls, cfg: SimulationConfig, topology: Topology, all_serve_all: bool = False):
+    def empty(cls, cfg: SimulationConfig, topology: Topology):
         L, K = cfg.num_aps, cfg.num_ues
         assignment = ClusterAssignment(
             pilot_len=cfg.pilot_len,
             pilot_of=np.full(K, -1, dtype=int),
             master_of=np.full(K, -1, dtype=int),
             serves=np.zeros((L, K), dtype=bool),
-            ue_on_pilot=np.full((L, cfg.pilot_len), -1, dtype=int),
-            all_serve_all=all_serve_all,
         )
         # with no UEs assigned, tr(Psi_tl) = N * sigma_ul^2 on every pilot
         trace_psi = np.full((L, cfg.pilot_len), cfg.antennas_per_ap * cfg.noise_ul_w)
         # a master is argmax_l beta_kl whatever has been admitted, so the
         # Step-3 lists of all masters come from one pass over the AP pairs
-        neighbors = {} if all_serve_all else _neighbor_table(
-            cfg, topology, np.unique(np.argmax(topology.beta, axis=1)))
+        neighbors = _neighbor_table(cfg, topology, np.unique(np.argmax(topology.beta, axis=1)))
         return cls(cfg, topology, assignment, trace_psi,
-                   np.zeros((L, cfg.pilot_len), dtype=bool), neighbors)
+                   np.zeros((L, cfg.pilot_len), dtype=bool),
+                   np.full((L, cfg.pilot_len), -1, dtype=int), neighbors)
 
     def _pilot_trace(self, k: int) -> np.ndarray:
         """tau_p * p_k * tr(R_kl) at every AP l: UE k's share of tr(Psi_tl)."""
@@ -222,7 +217,7 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
     assignment = state.assignment
     beta = state.topology.beta
     aps = np.concatenate(([master], neighbors)).astype(int)
-    occupant = assignment.ue_on_pilot[aps, pilot]
+    occupant = state.ue_on_pilot[aps, pilot]
     held = occupant >= 0
     # never drop a UE from its own master (index -1, a free slot, reads some
     # UE's entries, which `held` masks out)
@@ -235,7 +230,7 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
     evict = take & held
     assignment.serves[aps[evict], occupant[evict]] = False
     assignment.serves[aps[take], k] = True
-    assignment.ue_on_pilot[aps[take], pilot] = k
+    state.ue_on_pilot[aps[take], pilot] = k
     assignment.pilot_of[k] = pilot
     assignment.master_of[k] = master
     state.master_pilot_taken[master, pilot] = True
@@ -247,30 +242,13 @@ def admit_ue(state: AdmissionState, k: int, forced_pilot: int = None) -> None:
     if state.assignment.pilot_of[k] >= 0:
         raise AdmissionError(f"UE {k} is already admitted")
     master = appoint_master(state, k)
-    if state.assignment.all_serve_all:
-        _admit_all_serve_all(state, k, master, forced_pilot)
-        return
     if forced_pilot is None:
         pilot = assign_pilot(state, master)
     else:
         pilot = forced_pilot
         if state.master_pilot_taken[master, pilot]:
-            raise AdmissionError(
-                f"pilot {pilot} already carries a master-bound UE at AP {master}"
-            )
+            raise AdmissionError(f"pilot {pilot} already carries a master-bound UE at AP {master}")
     form_cluster(state, k, pilot, master, neighbor_aps(state, master))
-
-
-def _admit_all_serve_all(state: AdmissionState, k: int, master: int, forced_pilot):
-    # benchmark mode: D_i = I for everyone; pilots follow the same Step-2
-    # rule but per-AP pilot occupancy is not enforced
-    pilot = forced_pilot if forced_pilot is not None else assign_pilot(state, master)
-    assignment = state.assignment
-    assignment.serves[:, k] = True
-    assignment.pilot_of[k] = pilot
-    assignment.master_of[k] = master
-    state.master_pilot_taken[master, pilot] = True
-    state._register_pilot(k, pilot)
 
 
 def remove_ue(state: AdmissionState, k: int) -> None:
@@ -279,8 +257,7 @@ def remove_ue(state: AdmissionState, k: int) -> None:
     t = assignment.pilot_of[k]
     if t < 0:
         raise AdmissionError(f"UE {k} is not admitted")
-    self_mask = assignment.ue_on_pilot[:, t] == k
-    assignment.ue_on_pilot[self_mask, t] = -1
+    state.ue_on_pilot[state.ue_on_pilot[:, t] == k, t] = -1
     assignment.serves[:, k] = False
     state.master_pilot_taken[assignment.master_of[k], t] = False
     state.trace_psi[:, t] -= state._pilot_trace(k)
@@ -289,11 +266,12 @@ def remove_ue(state: AdmissionState, k: int) -> None:
 
 
 def build_assignment(cfg: SimulationConfig, topology: Topology) -> ClusterAssignment:
-    """Admit every UE: first pilot_len UEs on distinct pilots, rest in order."""
-    state = AdmissionState.empty(cfg, topology, all_serve_all=cfg.all_serve_all)
+    """Admit every UE: first pilot_len UEs on distinct pilots, rest in order.
+    In all-serve-all mode every AP then serves every UE."""
+    state = AdmissionState.empty(cfg, topology)
     initial = min(cfg.pilot_len, cfg.num_ues)
     for k in range(initial):
         admit_ue(state, k, forced_pilot=k)
     for k in range(initial, cfg.num_ues):
         admit_ue(state, k)
-    return state.assignment
+    return state.assignment.served_by_all() if cfg.all_serve_all else state.assignment

@@ -290,7 +290,7 @@ def combiner_single(scheme: str, k: int, hhat, ctx: SetupContext,
                 gram += p[i] * (np.outer(hi, np.conj(hi)) + ctx.C[i, l])
                 if counter is not None:
                     counter.outer_product(N)
-            v[l] = p[k] * np.linalg.solve(gram, hhat[k, l])
+            v[l] = p[k] * _solve_hermitian(gram, hhat[k, l, :, None])[:, 0]
             if counter is not None:
                 counter.factor_and_solve(N)
         return v

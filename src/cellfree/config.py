@@ -165,32 +165,23 @@ _KEY_OF = {field: key for key, field in _KEY_TO_FIELD.items()}
 # a single shared noise key is accepted as a shorthand for both directions
 _ALIAS_KEYS = {"power.noise_w": ("noise_ul_w", "noise_dl_w")}
 
-_INT_FIELDS = {"num_aps", "antennas_per_ap", "num_ues", "coherence_len", "pilot_len",
-               "ul_data_len", "dl_data_len", "seed", "num_setups", "num_realizations",
-               "max_neighbors"}
-_FLOAT_FIELDS = {"area_side_km", "ap_height_m", "ue_power_w", "ap_power_w",
-                 "noise_ul_w", "noise_dl_w", "pathloss_ref_db", "pathloss_slope_db",
-                 "shadow_std_db", "angular_spread_deg", "neighbor_radius_km"}
-_BOOL_FIELDS = {"all_serve_all", "genie_dl"}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimulationConfig)}
 
 
 def _coerce(key: str, field: str, raw: str):
     raw = raw.strip()
+    kind = _FIELD_TYPES[field]
     try:
-        if field in _INT_FIELDS:
-            return int(raw)
-        if field in _FLOAT_FIELDS:
-            return float(raw)
-        if field in _BOOL_FIELDS:
+        if kind is bool:
             low = raw.lower()
             if low in ("true", "yes", "1"):
                 return True
             if low in ("false", "no", "0"):
                 return False
             raise ValueError
-        if field == "schemes":
+        if kind is tuple:
             return tuple(part.strip() for part in raw.split(",") if part.strip())
-        return raw
+        return kind(raw)  # int, float or str
     except ValueError:
         raise ConfigError(f"{key}: cannot parse value {raw!r}") from None
 

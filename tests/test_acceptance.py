@@ -166,7 +166,6 @@ def test_criterion_4_pmmse_coincides_with_mmse_when_everyone_serves():
                 pilot_len=cfg.pilot_len, pilot_of=assignment.pilot_of.copy(),
                 master_of=assignment.master_of.copy(),
                 serves=np.ones_like(assignment.serves),
-                ue_on_pilot=np.full((cfg.num_aps, cfg.pilot_len), -1),
                 all_serve_all=False,
             )
             ctx2 = SetupContext(topo, manual, ul_full_power(cfg), cfg)

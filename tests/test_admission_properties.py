@@ -5,11 +5,16 @@ neighbor cap, and admits its UEs in build_assignment's order: the first
 pilot_len UEs on distinct pilots, then the rest. A UE whose master AP is
 already master on every pilot is refused with AdmissionError and stays
 unadmitted; the properties are stated for the UEs that were admitted.
-The padded served table is checked against its loop definition, on
-admitted networks and on arbitrary serving patterns.
+Properties of the admission state hold on clustered networks; those of the
+assignment also hold on its all-serve-all form, which keeps the admitted
+pilots and masters. The padded served table is checked against its loop
+definition, on admitted networks and on arbitrary serving patterns.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,6 +23,7 @@ from cellfree.clustering import (
     AdmissionState,
     ClusterAssignment,
     admit_ue,
+    build_assignment,
     remove_ue,
 )
 from cellfree.rng import TOPOLOGY, stream
@@ -43,10 +49,14 @@ CLUSTERED = _networks(st.just(False))
 ANY_MODE = _networks(st.booleans())
 
 
-def _state(params, skip=None) -> AdmissionState:
+def _drop(params):
     cfg = make_cfg(antennas_per_ap=1, ul_data_len=95, dl_data_len=95, **params)
-    topo = generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY))
-    state = AdmissionState.empty(cfg, topo, all_serve_all=cfg.all_serve_all)
+    return cfg, generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY))
+
+
+def _state(params, skip=None) -> AdmissionState:
+    cfg, topo = _drop(params)
+    state = AdmissionState.empty(cfg, topo)
     for k in range(cfg.num_ues):
         if k == skip:
             continue
@@ -55,6 +65,11 @@ def _state(params, skip=None) -> AdmissionState:
         except AdmissionError:
             pass
     return state
+
+
+def _assignment(params) -> ClusterAssignment:
+    a = _state(params).assignment
+    return a.served_by_all() if params["all_serve_all"] else a
 
 
 def _admitted(assignment):
@@ -69,7 +84,7 @@ def test_cluster_sizes_stay_within_the_pilot_count(params):
 
 @given(ANY_MODE)
 def test_master_always_serves(params):
-    a = _state(params).assignment
+    a = _assignment(params)
     admitted = _admitted(a)
     assert np.all(a.serves[a.master_of[admitted], admitted])
     assert not a.serves[:, a.pilot_of < 0].any()
@@ -77,29 +92,30 @@ def test_master_always_serves(params):
 
 @given(CLUSTERED)
 def test_one_ue_per_pilot_per_ap(params):
-    a = _state(params).assignment
+    state = _state(params)
+    a = state.assignment
     for l in range(a.num_aps):
         pilots = a.pilot_of[a.served_ues(l)]
         assert len(set(pilots.tolist())) == len(pilots)
     # the occupancy table names exactly the served UEs
     occupied = np.zeros_like(a.serves)
-    ls, ts = np.nonzero(a.ue_on_pilot >= 0)
-    occupied[ls, a.ue_on_pilot[ls, ts]] = True
+    ls, ts = np.nonzero(state.ue_on_pilot >= 0)
+    occupied[ls, state.ue_on_pilot[ls, ts]] = True
     assert np.array_equal(occupied, a.serves)
-    assert np.all(a.pilot_of[a.ue_on_pilot[ls, ts]] == ts)
+    assert np.all(a.pilot_of[state.ue_on_pilot[ls, ts]] == ts)
 
 
-_STATE_ARRAYS = ("pilot_of", "master_of", "serves", "ue_on_pilot")
+_ASSIGNMENT_ARRAYS = ("pilot_of", "master_of", "serves")
 
 
 def _snapshot(state) -> dict:
-    arrays = {name: getattr(state.assignment, name).copy() for name in _STATE_ARRAYS}
-    arrays["master_pilot_taken"] = state.master_pilot_taken.copy()
-    arrays["trace_psi"] = state.trace_psi.copy()
+    arrays = {name: getattr(state.assignment, name).copy() for name in _ASSIGNMENT_ARRAYS}
+    for name in ("ue_on_pilot", "master_pilot_taken", "trace_psi"):
+        arrays[name] = getattr(state, name).copy()
     return arrays
 
 
-@given(ANY_MODE, st.data())
+@given(CLUSTERED, st.data())
 def test_remove_undoes_admit(params, data):
     """Everything returns to the state before the admission, except that a
     slot UE k took from another UE stays free, and tr(Psi) comes back up to
@@ -129,12 +145,30 @@ def test_remove_undoes_admit(params, data):
 
 @given(ANY_MODE)
 def test_assignment_survives_a_json_round_trip(params):
-    a = _state(params).assignment
+    a = _assignment(params)
     again = ClusterAssignment.from_json(a.to_json())
-    for name in _STATE_ARRAYS:
-        assert np.array_equal(getattr(again, name), getattr(a, name)), name
-    assert (again.pilot_len, again.all_serve_all) == (a.pilot_len, a.all_serve_all)
+    # every field comes back: an assignment holds nothing the file leaves out
+    for f in dataclasses.fields(ClusterAssignment):
+        assert np.array_equal(getattr(again, f.name), getattr(a, f.name)), f.name
     assert again.to_json() == a.to_json()
+
+
+@given(CLUSTERED)
+def test_all_serve_all_keeps_the_pilots_and_masters(params):
+    """The all-serve-all drop has the clustered drop's pilots and masters, with
+    every AP serving every UE; a drop one mode refuses, the other refuses too."""
+    cfg, topo = _drop(params)
+    everyone_cfg = cfg.replace(all_serve_all=True)
+    try:
+        clustered = build_assignment(cfg, topo)
+    except AdmissionError:
+        with pytest.raises(AdmissionError):
+            build_assignment(everyone_cfg, topo)
+        return
+    everyone = build_assignment(everyone_cfg, topo)
+    assert everyone.all_serve_all and everyone.serves.all()
+    assert np.array_equal(everyone.pilot_of, clustered.pilot_of)
+    assert np.array_equal(everyone.master_of, clustered.master_of)
 
 
 def _served_table_by_loop(serves):
@@ -165,13 +199,13 @@ def _check_served_table(a):
 
 @given(ANY_MODE)
 def test_served_table_of_admitted_networks(params):
-    _check_served_table(_state(params).assignment)
+    _check_served_table(_assignment(params))
 
 
 @given(hnp.arrays(bool, st.tuples(st.integers(1, 8), st.integers(1, 8))))
 def test_served_table_of_any_serving_pattern(serves):
     """Every (L, K) pattern, idle APs and APs that serve everyone included."""
-    L, K = serves.shape
+    K = serves.shape[1]
     _check_served_table(ClusterAssignment(
         pilot_len=1, pilot_of=np.zeros(K, dtype=int), master_of=np.zeros(K, dtype=int),
-        serves=serves, ue_on_pilot=np.full((L, 1), -1)))
+        serves=serves))

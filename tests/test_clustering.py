@@ -22,11 +22,11 @@ from cellfree.topology import generate_topology
 from conftest import make_cfg
 
 
-def make_state(cfg, seed=0, beta=None, all_serve_all=False):
+def make_state(cfg, seed=0, beta=None):
     topo = generate_topology(cfg, stream(seed, 0, TOPOLOGY))
     if beta is not None:
         topo.beta = np.asarray(beta, dtype=float)
-    return AdmissionState.empty(cfg, topo, all_serve_all=all_serve_all), topo
+    return AdmissionState.empty(cfg, topo), topo
 
 
 class TestMasterAppointment:
@@ -176,15 +176,13 @@ class TestPartners:
             pilot_of=np.array([0, 0]),
             master_of=np.array([0, 1]),
             serves=np.array([[True, False], [False, True]]),
-            ue_on_pilot=np.array([[0, -1], [1, -1]]),
         )
         partners = compute_partners(a)
         assert np.array_equal(partners, np.eye(2, dtype=bool))
 
     def test_everyone_served_everywhere(self):
         serves = np.ones((3, 4), dtype=bool)
-        a = ClusterAssignment(2, np.zeros(4, int), np.zeros(4, int), serves,
-                              np.full((3, 2), -1), all_serve_all=True)
+        a = ClusterAssignment(2, np.zeros(4, int), np.zeros(4, int), serves, all_serve_all=True)
         assert compute_partners(a).all()
 
     def test_matches_bruteforce_oracle(self):
@@ -243,7 +241,6 @@ class TestAllServeAll:
         assert np.array_equal(again.serves, assignment.serves)
         assert np.array_equal(again.pilot_of, assignment.pilot_of)
         assert np.array_equal(again.master_of, assignment.master_of)
-        assert np.array_equal(again.ue_on_pilot, assignment.ue_on_pilot)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +266,7 @@ def _loop_form_cluster(state, k, pilot, master, neighbors):
     assignment = state.assignment
     beta = state.topology.beta
     for l in (master, *neighbors):
-        occupant = assignment.ue_on_pilot[l, pilot]
+        occupant = state.ue_on_pilot[l, pilot]
         if occupant >= 0:
             if assignment.master_of[occupant] == l:
                 assert l != master
@@ -278,7 +275,7 @@ def _loop_form_cluster(state, k, pilot, master, neighbors):
                 continue
             assignment.serves[l, occupant] = False
         assignment.serves[l, k] = True
-        assignment.ue_on_pilot[l, pilot] = k
+        state.ue_on_pilot[l, pilot] = k
     assignment.pilot_of[k] = pilot
     assignment.master_of[k] = master
     state.master_pilot_taken[master, pilot] = True
@@ -298,8 +295,9 @@ def _admit_in_order(state, admit, ues):
 
 
 def _assert_same_state(got, expected):
-    for name in ("pilot_of", "master_of", "serves", "ue_on_pilot"):
+    for name in ("pilot_of", "master_of", "serves"):
         assert np.array_equal(getattr(got.assignment, name), getattr(expected.assignment, name)), name
+    assert np.array_equal(got.ue_on_pilot, expected.ue_on_pilot)
     assert np.array_equal(got.master_pilot_taken, expected.master_pilot_taken)
     assert np.array_equal(got.trace_psi.view(np.uint64), expected.trace_psi.view(np.uint64))
 
@@ -355,11 +353,6 @@ class TestNeighborTable:
         assert build_assignment(cfg, topo).serves.shape == (9, 0)
         for m in range(cfg.num_aps):
             assert np.array_equal(neighbor_aps(state, m), _loop_neighbors(state, m))
-
-    def test_all_serve_all_builds_no_table(self):
-        cfg = make_cfg(num_aps=6, num_ues=4)
-        state, _ = make_state(cfg, all_serve_all=True)
-        assert state.neighbors == {}
 
 
 class TestStep3MatchesLoop:

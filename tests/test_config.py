@@ -1,6 +1,14 @@
+import re
+
 import pytest
 
-from cellfree.config import ConfigError, SimulationConfig, parse_config, parse_config_text
+from cellfree.config import (
+    _KEY_TO_FIELD,
+    ConfigError,
+    SimulationConfig,
+    parse_config,
+    parse_config_text,
+)
 
 PAPER_FRAME = """
 frame.coherence_len = 200
@@ -91,3 +99,66 @@ def test_missing_file_errors_with_path(tmp_path):
 def test_comments_and_blank_lines_ignored():
     cfg = parse_config_text("# header\n\nrun.seed = 9  # trailing\n")
     assert cfg.seed == 9
+
+
+# room in the frame for every value below; each key's own entry overrides these
+_BASE_ENTRIES = {"run.seed": "1", "frame.coherence_len": "400", "frame.ul_data_len": "100"}
+
+# a valid value other than the default, for every key
+_NON_DEFAULT = {
+    "network.num_aps": "50",
+    "network.antennas_per_ap": "4",
+    "network.num_ues": "20",
+    "network.area_side_km": "0.75",
+    "network.ap_height_m": "12.5",
+    "network.all_serve_all": "true",
+    "frame.coherence_len": "300",
+    "frame.pilot_len": "5",
+    "frame.ul_data_len": "150",
+    "frame.dl_data_len": "80",
+    "power.ue_tx_w": "0.2",
+    "power.ap_tx_w": "0.5",
+    "power.noise_ul_w": "2e-13",
+    "power.noise_dl_w": "3e-13",
+    "channel.pathloss_ref_db": "31.5",
+    "channel.pathloss_slope_db": "35",
+    "channel.shadow_std_db": "8",
+    "channel.angular_spread_deg": "10",
+    "cluster.radius_km": "0.3",
+    "cluster.max_neighbors": "7",
+    "run.seed": "9",
+    "run.num_setups": "3",
+    "run.num_realizations": "64",
+    "run.schemes": "MR, LP-MMSE",
+    "run.mode": "centralized",
+    "run.genie_dl": "yes",
+}
+
+# by the type of the field's default: ill-typed for int, float and bool, not
+# one of the allowed names for the scheme list and the mode
+_BAD_VALUE = {int: "2.5", float: "ten", bool: "maybe", tuple: "MR, ZF", str: "hybrid"}
+
+
+def _text(entries: dict) -> str:
+    return "\n".join(f"{key} = {value}" for key, value in {**_BASE_ENTRIES, **entries}.items())
+
+
+def test_every_key_has_a_non_default_value():
+    assert sorted(_NON_DEFAULT) == sorted(_KEY_TO_FIELD)
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_TO_FIELD))
+def test_bad_value_names_its_key(key):
+    kind = type(getattr(SimulationConfig(), _KEY_TO_FIELD[key]))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config_text(_text({key: _BAD_VALUE[kind]}))
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_TO_FIELD))
+def test_non_default_value_round_trips_through_echo(key):
+    field = _KEY_TO_FIELD[key]
+    cfg = parse_config_text(_text({key: _NON_DEFAULT[key]}))
+    assert getattr(cfg, field) != getattr(SimulationConfig(), field)
+    again = parse_config_text("\n".join(cfg.to_lines()))
+    assert again == cfg
+    assert type(getattr(again, field)) is type(getattr(SimulationConfig(), field))

@@ -26,9 +26,8 @@ def scalar_setup(noise_w=1.0, gain=2.0, ue_power=0.1, pilot_len=10):
     )
     assignment = ClusterAssignment(
         pilot_len=cfg.pilot_len, pilot_of=np.array([0]), master_of=np.array([0]),
-        serves=np.array([[True]]), ue_on_pilot=np.full((1, cfg.pilot_len), -1),
+        serves=np.array([[True]]),
     )
-    assignment.ue_on_pilot[0, 0] = 0
     ctx = SetupContext(topo, assignment, np.array([ue_power]), cfg)
     return cfg, topo, assignment, ctx
 

@@ -487,9 +487,9 @@ class TestDownlinkBlockMoments:
 
 def _assignment(serves):
     serves = np.array(serves)
-    L, K = serves.shape
+    K = serves.shape[1]
     return ClusterAssignment(pilot_len=K, pilot_of=np.arange(K), master_of=np.argmax(serves, axis=0),
-                             serves=serves, ue_on_pilot=np.full((L, K), -1))
+                             serves=serves)
 
 
 class TestCdf:
