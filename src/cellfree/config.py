@@ -16,6 +16,7 @@ entries, and for invariant violations (e.g. frame budget exceeded).
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,10 +71,14 @@ class SimulationConfig:
     genie_dl: bool = False
 
     def validate(self) -> "SimulationConfig":
+        for key, kind in _FIELD_TYPES.items():
+            if kind is float and not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{_KEY_OF[key]}: must be finite")
         for key in ("num_aps", "antennas_per_ap", "num_ues", "coherence_len", "pilot_len"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{_KEY_OF[key]}: must be a positive integer")
-        for key in ("ul_data_len", "dl_data_len"):
+        for key in ("ul_data_len", "dl_data_len", "ap_height_m", "shadow_std_db",
+                    "max_neighbors", "seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{_KEY_OF[key]}: must be nonnegative")
         if self.pilot_len + self.ul_data_len + self.dl_data_len > self.coherence_len:
@@ -86,10 +91,6 @@ class SimulationConfig:
                     "noise_dl_w", "neighbor_radius_km"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{_KEY_OF[key]}: must be strictly positive")
-        if self.ap_height_m < 0:
-            raise ConfigError("network.ap_height_m: must be nonnegative")
-        if self.max_neighbors < 0:
-            raise ConfigError("cluster.max_neighbors: must be nonnegative")
         if self.num_setups < 1:
             raise ConfigError("run.num_setups: must be a positive integer")
         if self.num_realizations < 1:
@@ -98,9 +99,11 @@ class SimulationConfig:
             raise ConfigError(f"run.mode: expected one of {MODES}, got {self.mode!r}")
         if not self.schemes:
             raise ConfigError("run.schemes: at least one scheme required")
-        for s in self.schemes:
+        for i, s in enumerate(self.schemes):
             if s not in SCHEMES:
                 raise ConfigError(f"run.schemes: unknown scheme {s!r}, expected from {SCHEMES}")
+            if s in self.schemes[:i]:
+                raise ConfigError(f"run.schemes: scheme {s} is listed more than once")
             if self.mode == "distributed" and s in _CENTRALIZED_ONLY:
                 raise ConfigError(
                     f"run.schemes: {s} needs network-wide estimates and is only "

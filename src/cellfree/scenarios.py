@@ -7,9 +7,16 @@ comparisons are paired). Desk-scale geometries keep the reference densities
 scheme ordering can be checked in minutes; --full-scale switches to the full
 geometry (tens of minutes of compute) where the quantitative ratios are
 asserted.
+
+Each expected property is a check function with its arguments bound in the
+registry; ``run_scenario`` calls it on the finished runs and gets a
+``PropertyResult``. The scheme ordering is an exact one-sided sign test over
+the paired setups.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,13 +33,6 @@ class Variant:
 
 
 @dataclass
-class Property:
-    name: str
-    kind: str              # "ordering" | "mean_ratio_range" | "genie_ratio_greater" | "genie_ratio_range"
-    params: dict
-
-
-@dataclass
 class Scenario:
     name: str
     description: str
@@ -40,8 +40,8 @@ class Scenario:
     full: SimulationConfig
     variants: list
     direction: str
-    properties: list = field(default_factory=list)
-    full_properties: list = field(default_factory=list)
+    properties: list = field(default_factory=list)       # check(run, direction) -> PropertyResult
+    full_properties: list = field(default_factory=list)  # further checks at full scale
 
 
 @dataclass
@@ -61,6 +61,45 @@ class ScenarioReport:
     properties: list       # list of PropertyResult
 
 
+def _sign_test_pvalue(wins: int, n: int) -> float:
+    """P(X >= wins) for X ~ Bin(n, 1/2): the exact one-sided sign test."""
+    return sum(math.comb(n, j) for j in range(wins, n + 1)) / 2**n
+
+
+def _ordering(run: ScenarioReport, direction: str, *, name: str, order: list,
+              alpha: float) -> PropertyResult:
+    """Each label beats the next one in significantly many paired setups."""
+    details, passed = [], True
+    for hi, lo in zip(order, order[1:]):
+        a = run.reports[hi].setup_means(run.reports[hi].schemes[0], direction)
+        b = run.reports[lo].setup_means(run.reports[lo].schemes[0], direction)
+        wins = int(np.sum(a > b))
+        p_value = _sign_test_pvalue(wins, a.size)
+        passed &= p_value < alpha
+        details.append(f"{hi} > {lo}: {wins}/{a.size} setups, p={p_value:.2e}")
+    return PropertyResult(name, passed, "; ".join(details))
+
+
+def _mean_ratio(run: ScenarioReport, direction: str, *, name: str, a: str, b: str,
+                lo: float, hi: float) -> PropertyResult:
+    ratio = run.means[a] / run.means[b]
+    return PropertyResult(name, lo <= ratio <= hi,
+                          f"mean({a}) / mean({b}) = {ratio:.3f}, expected [{lo}, {hi}]")
+
+
+def _genie_ratio_greater(run: ScenarioReport, direction: str, *, name: str, a: str,
+                         b: str) -> PropertyResult:
+    ra, rb = (run.means[x] / run.genie_means[x] for x in (a, b))
+    return PropertyResult(name, ra > rb, f"bound/genie {a} = {ra:.3f} vs {b} = {rb:.3f}")
+
+
+def _genie_ratio(run: ScenarioReport, direction: str, *, name: str, label: str,
+                 lo: float, hi: float) -> PropertyResult:
+    ratio = run.means[label] / run.genie_means[label]
+    return PropertyResult(name, lo <= ratio <= hi,
+                          f"bound/genie {label} = {ratio:.3f}, expected [{lo}, {hi}]")
+
+
 _UL_VARIANTS = [
     Variant("MMSE (All)", "MMSE", "centralized", all_serve_all=True),
     Variant("P-MMSE", "P-MMSE", "centralized"),
@@ -74,11 +113,8 @@ _DL_VARIANTS = [
     Variant("MR", "MR", "distributed"),
 ]
 
-_ORDERING = Property(
-    "ul-mean-ordering",
-    "ordering",
-    {"order": ["MMSE (All)", "P-MMSE", "LP-MMSE", "MR (All)"], "alpha": 0.05},
-)
+_UL_ORDERING = partial(_ordering, name="ul-mean-ordering",
+                       order=["MMSE (All)", "P-MMSE", "LP-MMSE", "MR (All)"], alpha=0.05)
 
 
 def _base(**kw) -> SimulationConfig:
@@ -111,35 +147,30 @@ def _registry() -> dict:
             name="setup-i-ul",
             description="uplink, many single-antenna APs (desk: 100 APs / 1 km^2)",
             desk=ul_desk_i, full=ul_full_i, variants=_UL_VARIANTS, direction="ul",
-            properties=[_ORDERING],
+            properties=[_UL_ORDERING],
             full_properties=[
-                Property("lpmmse-over-mr", "mean_ratio_range",
-                         {"a": "LP-MMSE", "b": "MR (All)", "lo": 2.2, "hi": 3.2}),
-                Property("pmmse-over-mmse", "mean_ratio_range",
-                         {"a": "P-MMSE", "b": "MMSE (All)", "lo": 0.80, "hi": 0.98}),
+                partial(_mean_ratio, name="lpmmse-over-mr",
+                        a="LP-MMSE", b="MR (All)", lo=2.2, hi=3.2),
+                partial(_mean_ratio, name="pmmse-over-mmse",
+                        a="P-MMSE", b="MMSE (All)", lo=0.80, hi=0.98),
             ],
         ),
         Scenario(
             name="setup-ii-ul",
             description="uplink, fewer four-antenna APs (desk: 25 APs / 1 km^2)",
             desk=ul_desk_ii, full=ul_full_ii, variants=_UL_VARIANTS, direction="ul",
-            properties=[_ORDERING],
+            properties=[_UL_ORDERING],
         ),
         Scenario(
             name="setup-i-dl",
             description="downlink with genie-aided reference, single-antenna APs",
             desk=dl_desk, full=dl_full, variants=_DL_VARIANTS, direction="dl",
-            properties=[
-                Property("hardening-tightness", "genie_ratio_greater",
-                         {"a": "LP-MMSE", "b": "MR"}),
-            ],
+            properties=[partial(_genie_ratio_greater, name="hardening-tightness",
+                                a="LP-MMSE", b="MR")],
             full_properties=[
-                Property("lpmmse-tightness", "genie_ratio_range",
-                         {"label": "LP-MMSE", "lo": 0.85, "hi": 1.0}),
-                Property("mr-tightness", "genie_ratio_range",
-                         {"label": "MR", "lo": 0.0, "hi": 0.75}),
-                Property("pmmse-tightness", "genie_ratio_range",
-                         {"label": "P-MMSE", "lo": 0.93, "hi": 1.0}),
+                partial(_genie_ratio, name="lpmmse-tightness", label="LP-MMSE", lo=0.85, hi=1.0),
+                partial(_genie_ratio, name="mr-tightness", label="MR", lo=0.0, hi=0.75),
+                partial(_genie_ratio, name="pmmse-tightness", label="P-MMSE", lo=0.93, hi=1.0),
             ],
         ),
     ]
@@ -163,66 +194,19 @@ def run_scenario(name: str, full_scale: bool = False, threads: int = 1,
     if seed is not None:
         cfg = cfg.replace(seed=seed)
 
-    reports, means, genie_means = {}, {}, {}
+    run = ScenarioReport(name, full_scale, {}, {}, {}, [])
     for variant in scenario.variants:
         vcfg = cfg.replace(schemes=(variant.scheme,), mode=variant.mode,
                            all_serve_all=variant.all_serve_all)
         report = run_campaign(vcfg, threads=threads)
-        reports[variant.label] = report
-        means[variant.label] = report.mean(variant.scheme, scenario.direction)
+        run.reports[variant.label] = report
+        run.means[variant.label] = report.mean(variant.scheme, scenario.direction)
         if scenario.direction == "dl" and vcfg.genie_dl:
-            genie_means[variant.label] = report.mean(variant.scheme, "dl_genie")
+            run.genie_means[variant.label] = report.mean(variant.scheme, "dl_genie")
         if out_dir is not None:
             slug = variant.label.lower().replace(" ", "-").replace("(", "").replace(")", "")
             emit_results(report, f"{out_dir}/{slug}")
 
-    checks = list(scenario.properties)
-    if full_scale:
-        checks += scenario.full_properties
-    results = [_check_property(p, scenario, reports, means, genie_means) for p in checks]
-    return ScenarioReport(name, full_scale, means, genie_means, reports, results)
-
-
-def _check_property(prop: Property, scenario: Scenario, reports, means, genie_means):
-    if prop.kind == "ordering":
-        from scipy.stats import binomtest  # deferred: importing scipy.stats takes ~1 s
-
-        order = prop.params["order"]
-        alpha = prop.params["alpha"]
-        details, passed = [], True
-        for hi, lo in zip(order, order[1:]):
-            scheme_hi = next(v.scheme for v in scenario.variants if v.label == hi)
-            scheme_lo = next(v.scheme for v in scenario.variants if v.label == lo)
-            a = reports[hi].setup_means(scheme_hi, scenario.direction)
-            b = reports[lo].setup_means(scheme_lo, scenario.direction)
-            wins = int(np.sum(a > b))
-            p_value = binomtest(wins, a.size, alternative="greater").pvalue
-            ok = p_value < alpha
-            passed &= ok
-            details.append(f"{hi} > {lo}: {wins}/{a.size} setups, p={p_value:.2e}")
-        return PropertyResult(prop.name, passed, "; ".join(details))
-    if prop.kind == "mean_ratio_range":
-        ratio = means[prop.params["a"]] / means[prop.params["b"]]
-        ok = prop.params["lo"] <= ratio <= prop.params["hi"]
-        return PropertyResult(
-            prop.name, ok,
-            f"mean({prop.params['a']}) / mean({prop.params['b']}) = {ratio:.3f}, "
-            f"expected [{prop.params['lo']}, {prop.params['hi']}]",
-        )
-    if prop.kind == "genie_ratio_greater":
-        ra = means[prop.params["a"]] / genie_means[prop.params["a"]]
-        rb = means[prop.params["b"]] / genie_means[prop.params["b"]]
-        return PropertyResult(
-            prop.name, ra > rb,
-            f"bound/genie {prop.params['a']} = {ra:.3f} vs {prop.params['b']} = {rb:.3f}",
-        )
-    if prop.kind == "genie_ratio_range":
-        label = prop.params["label"]
-        ratio = means[label] / genie_means[label]
-        ok = prop.params["lo"] <= ratio <= prop.params["hi"]
-        return PropertyResult(
-            prop.name, ok,
-            f"bound/genie {label} = {ratio:.3f}, expected "
-            f"[{prop.params['lo']}, {prop.params['hi']}]",
-        )
-    raise ValueError(f"unknown property kind {prop.kind!r}")
+    checks = scenario.properties + (scenario.full_properties if full_scale else [])
+    run.properties = [check(run, scenario.direction) for check in checks]
+    return run

@@ -3,6 +3,7 @@ import re
 import pytest
 
 from cellfree.config import (
+    _FIELD_TYPES,
     _KEY_TO_FIELD,
     ConfigError,
     SimulationConfig,
@@ -162,3 +163,28 @@ def test_non_default_value_round_trips_through_echo(key):
     again = parse_config_text("\n".join(cfg.to_lines()))
     assert again == cfg
     assert type(getattr(again, field)) is type(getattr(SimulationConfig(), field))
+
+
+_FLOAT_KEYS = sorted(key for key, field in _KEY_TO_FIELD.items() if _FIELD_TYPES[field] is float)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_float_names_its_key(key, value):
+    with pytest.raises(ConfigError, match=re.escape(key) + ": must be finite"):
+        parse_config_text(_text({key: value}))
+
+
+def test_negative_shadow_std_rejected():
+    with pytest.raises(ConfigError, match="channel.shadow_std_db: must be nonnegative"):
+        parse_config_text(_text({"channel.shadow_std_db": "-1"}))
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="run.seed: must be nonnegative"):
+        parse_config_text(_text({"run.seed": "-1"}))
+
+
+def test_repeated_scheme_rejected():
+    with pytest.raises(ConfigError, match="run.schemes: scheme MR is listed more than once"):
+        parse_config_text(_text({"run.schemes": "MR, LP-MMSE, MR"}))
