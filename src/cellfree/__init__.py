@@ -7,7 +7,7 @@ and downlink spectral-efficiency bounds by Monte-Carlo campaigns.
 """
 
 from .config import SimulationConfig, ConfigError, parse_config
-from .topology import Topology, generate_topology, sample_channels, wraparound_distance
+from .topology import Topology, generate_topology, sample_channels
 from .clustering import ClusterAssignment, build_assignment, compute_partners
 from .estimation import SetupContext, EstimationBundle
 from .campaign import SEReport, run_campaign, emit_results
@@ -19,7 +19,6 @@ __all__ = [
     "Topology",
     "generate_topology",
     "sample_channels",
-    "wraparound_distance",
     "ClusterAssignment",
     "build_assignment",
     "compute_partners",

@@ -6,7 +6,7 @@ import sys
 from .accounting import cost_table_rows
 from .campaign import emit_results, run_campaign
 from .clustering import build_assignment
-from .config import parse_config
+from .config import ConfigError, parse_config
 from .rng import TOPOLOGY, stream
 from .scenarios import run_scenario, scenario_names
 from .topology import generate_topology
@@ -27,7 +27,7 @@ def _add_account(sub):
 
 def _add_bench(sub):
     p = sub.add_parser("bench", help="run a named benchmark scenario")
-    p.add_argument("--scenario", help="scenario name (see --list)")
+    p.add_argument("--scenario", choices=scenario_names(), help="scenario name (see --list)")
     p.add_argument("--list", action="store_true", help="list registered scenarios")
     p.add_argument("--full-scale", action="store_true",
                    help="full reference geometry (tens of minutes)")
@@ -44,10 +44,15 @@ def main(argv=None) -> int:
     _add_bench(sub)
     args = parser.parse_args(argv)
 
+    if args.command in ("simulate", "account"):
+        try:
+            cfg = parse_config(args.config)
+            if args.command == "simulate" and args.seed is not None:
+                cfg = cfg.replace(seed=args.seed)
+        except ConfigError as exc:
+            parser.error(str(exc))
+
     if args.command == "simulate":
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = cfg.replace(seed=args.seed)
         report = run_campaign(cfg, threads=args.threads)
         emit_results(report, args.out)
         for scheme in report.schemes:
@@ -58,7 +63,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "account":
-        cfg = parse_config(args.config)
         topology = generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY))
         assignment = build_assignment(cfg, topology)
         print("entity,index,scheme,metric,value")

@@ -61,10 +61,6 @@ class ClusterAssignment:
         served[valid] = np.nonzero(self.serves)[1]
         return served, valid
 
-    def sharers(self, t: int) -> np.ndarray:
-        """S_t: UEs assigned to pilot t."""
-        return np.flatnonzero(self.pilot_of == t)
-
     def cluster_sizes(self) -> np.ndarray:
         """|D_l| for every AP."""
         return self.serves.sum(axis=1)
@@ -142,14 +138,11 @@ class AdmissionState:
                    np.zeros((L, cfg.pilot_len), dtype=bool),
                    np.full((L, cfg.pilot_len), -1, dtype=int), neighbors)
 
-    def _pilot_trace(self, k: int) -> np.ndarray:
-        """tau_p * p_k * tr(R_kl) at every AP l: UE k's share of tr(Psi_tl)."""
-        return (self.cfg.pilot_len * self.cfg.ue_power_w
-                * self.cfg.antennas_per_ap * self.topology.beta[k])
-
     def _register_pilot(self, k: int, t: int):
-        # UE k joins S_t
-        self.trace_psi[:, t] += self._pilot_trace(k)
+        # UE k joins S_t: tau_p * p_k * tr(R_kl) is its share of tr(Psi_tl)
+        # at every AP l
+        self.trace_psi[:, t] += (self.cfg.pilot_len * self.cfg.ue_power_w
+                                 * self.cfg.antennas_per_ap * self.topology.beta[k])
 
 
 # masters per block of the Step-3 distance table: at 1600 APs a block's
@@ -249,20 +242,6 @@ def admit_ue(state: AdmissionState, k: int, forced_pilot: int = None) -> None:
         if state.master_pilot_taken[master, pilot]:
             raise AdmissionError(f"pilot {pilot} already carries a master-bound UE at AP {master}")
     form_cluster(state, k, pilot, master, neighbor_aps(state, master))
-
-
-def remove_ue(state: AdmissionState, k: int) -> None:
-    """Detach UE k entirely (used to re-run access after movement)."""
-    assignment = state.assignment
-    t = assignment.pilot_of[k]
-    if t < 0:
-        raise AdmissionError(f"UE {k} is not admitted")
-    state.ue_on_pilot[state.ue_on_pilot[:, t] == k, t] = -1
-    assignment.serves[:, k] = False
-    state.master_pilot_taken[assignment.master_of[k], t] = False
-    state.trace_psi[:, t] -= state._pilot_trace(k)
-    assignment.pilot_of[k] = -1
-    assignment.master_of[k] = -1
 
 
 def build_assignment(cfg: SimulationConfig, topology: Topology) -> ClusterAssignment:

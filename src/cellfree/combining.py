@@ -44,8 +44,8 @@ class OpCounter:
     estimates: int = 0
     combining_mults: int = 0
 
-    def count_estimate(self, n: int = 1):
-        self.estimates += n
+    def count_estimate(self):
+        self.estimates += 1
 
     def outer_product(self, n: int):
         self.combining_mults += (n * n + n) // 2

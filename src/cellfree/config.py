@@ -17,6 +17,7 @@ entries, and for invariant violations (e.g. frame budget exceeded).
 import dataclasses
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,7 +73,10 @@ class SimulationConfig:
 
     def validate(self) -> "SimulationConfig":
         for key, kind in _FIELD_TYPES.items():
-            if kind is float and not math.isfinite(getattr(self, key)):
+            value = getattr(self, key)
+            if not isinstance(value, _ADMITS[kind]) or isinstance(value, bool) != (kind is bool):
+                raise ConfigError(f"{_KEY_OF[key]}: expected {kind.__name__}, got {value!r}")
+            if kind is float and not math.isfinite(value):
                 raise ConfigError(f"{_KEY_OF[key]}: must be finite")
         for key in ("num_aps", "antennas_per_ap", "num_ues", "coherence_len", "pilot_len"):
             if getattr(self, key) < 1:
@@ -123,8 +127,8 @@ class SimulationConfig:
                 text = "true" if value else "false"
             elif isinstance(value, tuple):
                 text = ", ".join(value)
-            elif isinstance(value, float):
-                text = f"{value:.17g}"
+            elif _FIELD_TYPES[field] is float:
+                text = f"{float(value):.17g}"
             else:
                 text = str(value)
             lines.append(f"{key} = {text}")
@@ -169,6 +173,10 @@ _KEY_OF = {field: key for key, field in _KEY_TO_FIELD.items()}
 _ALIAS_KEYS = {"power.noise_w": ("noise_ul_w", "noise_dl_w")}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimulationConfig)}
+
+# what each declared type admits (NumPy numbers too; a bool only where declared),
+# checked before any check reads the value; a non-str scheme is rejected as unknown
+_ADMITS = {int: numbers.Integral, float: numbers.Real, bool: bool, str: str, tuple: tuple}
 
 
 def _coerce(key: str, field: str, raw: str):

@@ -143,11 +143,3 @@ class EstimationBundle:
 
     def ensure_all(self) -> None:
         self.ensure(np.ones(self._computed.shape, dtype=bool))
-
-    def estimate(self, k: int, l: int) -> np.ndarray:
-        """(B, N) estimates of one link, computing them if needed."""
-        if not self._computed[k, l]:
-            mask = np.zeros(self._computed.shape, dtype=bool)
-            mask[k, l] = True
-            self.ensure(mask)
-        return self.hhat[:, k, l, :]

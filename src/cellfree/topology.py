@@ -27,13 +27,12 @@ class Topology:
         drops the cached square roots.
     """
 
-    def __init__(self, ap_pos, ue_pos, beta, R, area_side_km, ap_height_m,
+    def __init__(self, ap_pos, ue_pos, beta, R, area_side_km,
                  antennas_per_ap=None, angular_spread_rad=None):
         self.ap_pos = ap_pos
         self.ue_pos = ue_pos
         self.beta = beta
         self.area_side_km = float(area_side_km)
-        self.ap_height_m = float(ap_height_m)
         self._antennas = antennas_per_ap
         self._angular_spread_rad = angular_spread_rad
         self.R = R
@@ -61,14 +60,6 @@ class Topology:
             self._antennas = value.shape[-1]
 
     @property
-    def num_aps(self):
-        return self.ap_pos.shape[0]
-
-    @property
-    def num_ues(self):
-        return self.ue_pos.shape[0]
-
-    @property
     def antennas_per_ap(self):
         return self._antennas
 
@@ -86,14 +77,12 @@ def place_entities(cfg: SimulationConfig, rng) -> tuple:
     return ap_pos, ue_pos
 
 
-def _unwrap_0d(x):
-    """x itself, or the NumPy float inside a 0-d array."""
-    return x if x.ndim else x[()]
-
-
 def _displacement(a, b, side: float) -> list:
-    """[dx, dy] of `toroidal_displacement`, as arrays (0-d for two points).
+    """Minimal displacement b - a on the torus, as [dx, dy] arrays.
 
+    a and b are (..., 2) positions that broadcast against each other. Each
+    axis is computed on its own contiguous array: a trailing length-2 axis
+    makes the elementwise passes and the reductions several times slower.
     Each wrap d - side * round(d / side) runs in place, in that order, in one
     scratch array shared by the two axes: three arrays of the broadcast shape
     at most.
@@ -119,47 +108,18 @@ def _squared_norm(dx, dy) -> np.ndarray:
     return dx
 
 
-def toroidal_displacement(a, b, side: float) -> tuple:
-    """Minimal displacement b - a on the torus, as one array per axis (x, y).
-
-    a and b are (..., 2) positions that broadcast against each other. Each
-    axis is computed on its own contiguous array: a trailing length-2 axis
-    makes the elementwise passes and the reductions several times slower.
-    """
-    return tuple(_unwrap_0d(d) for d in _displacement(a, b, side))
-
-
-def _planar_distance(a, b, side: float) -> np.ndarray:
-    """`toroidal_distance` as an array (0-d for two points), computed in the
-    memory of the x displacement."""
+def toroidal_distance(a, b, side: float) -> np.ndarray:
+    """Planar torus distance between (..., 2) positions (broadcasts),
+    computed in the memory of the x displacement."""
     dist = _squared_norm(*_displacement(a, b, side))
     return np.sqrt(dist, out=dist)
-
-
-def toroidal_distance(a, b, side: float) -> np.ndarray:
-    """Planar torus distance between (..., 2) positions (broadcasts)."""
-    return _unwrap_0d(_planar_distance(a, b, side))
-
-
-def wraparound_distance(a, b, side_km: float, height_m: float = 0.0) -> np.ndarray:
-    """3-D distance in km with toroidal x/y wrap and a fixed height offset.
-
-    a and b are (..., 2) positions that broadcast against each other; the
-    result has their broadcast shape without the last axis (a NumPy float
-    for two points).
-    """
-    dist = _planar_distance(a, b, side_km)
-    np.square(dist, out=dist)
-    dist += (height_m / 1000.0) ** 2
-    return _unwrap_0d(np.sqrt(dist, out=dist))
 
 
 def large_scale_coefficient(distance_km, shadow_db, cfg: SimulationConfig, out=None):
     """Linear channel gain 10^((-PL0 - slope*log10(d_m) + shadowing)/10).
 
     The passes run in place, in that order, in `out` (which may be the
-    distance array itself) or in one new array; a NumPy float for scalar
-    inputs.
+    distance array itself) or in one new array (0-d for scalar inputs).
     """
     distance_km = np.asarray(distance_km, dtype=float)
     if np.any(distance_km <= 0):
@@ -172,7 +132,7 @@ def large_scale_coefficient(distance_km, shadow_db, cfg: SimulationConfig, out=N
     np.subtract(-cfg.pathloss_ref_db, gain, out=gain)
     gain += shadow_db
     gain /= 10.0
-    return _unwrap_0d(np.power(10.0, gain, out=gain))
+    return np.power(10.0, gain, out=gain)
 
 
 def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_antennas):
@@ -213,7 +173,7 @@ def generate_topology(cfg: SimulationConfig, rng) -> Topology:
     np.sqrt(dist, out=dist)
     shadow_db = rng.normal(0.0, cfg.shadow_std_db, size=(cfg.num_ues, cfg.num_aps))
     beta = large_scale_coefficient(dist, shadow_db, cfg, out=dist)
-    return Topology(ap_pos, ue_pos, beta, None, cfg.area_side_km, cfg.ap_height_m,
+    return Topology(ap_pos, ue_pos, beta, None, cfg.area_side_km,
                     cfg.antennas_per_ap, np.deg2rad(cfg.angular_spread_deg))
 
 

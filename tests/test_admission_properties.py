@@ -15,7 +15,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cellfree.clustering import (
@@ -24,7 +24,6 @@ from cellfree.clustering import (
     ClusterAssignment,
     admit_ue,
     build_assignment,
-    remove_ue,
 )
 from cellfree.rng import TOPOLOGY, stream
 from cellfree.topology import generate_topology
@@ -54,12 +53,10 @@ def _drop(params):
     return cfg, generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY))
 
 
-def _state(params, skip=None) -> AdmissionState:
+def _state(params) -> AdmissionState:
     cfg, topo = _drop(params)
     state = AdmissionState.empty(cfg, topo)
     for k in range(cfg.num_ues):
-        if k == skip:
-            continue
         try:
             admit_ue(state, k, forced_pilot=k if k < cfg.pilot_len else None)
         except AdmissionError:
@@ -103,44 +100,6 @@ def test_one_ue_per_pilot_per_ap(params):
     occupied[ls, state.ue_on_pilot[ls, ts]] = True
     assert np.array_equal(occupied, a.serves)
     assert np.all(a.pilot_of[state.ue_on_pilot[ls, ts]] == ts)
-
-
-_ASSIGNMENT_ARRAYS = ("pilot_of", "master_of", "serves")
-
-
-def _snapshot(state) -> dict:
-    arrays = {name: getattr(state.assignment, name).copy() for name in _ASSIGNMENT_ARRAYS}
-    for name in ("ue_on_pilot", "master_pilot_taken", "trace_psi"):
-        arrays[name] = getattr(state, name).copy()
-    return arrays
-
-
-@given(CLUSTERED, st.data())
-def test_remove_undoes_admit(params, data):
-    """Everything returns to the state before the admission, except that a
-    slot UE k took from another UE stays free, and tr(Psi) comes back up to
-    the rounding of one addition and one subtraction."""
-    k = data.draw(st.integers(0, params["num_ues"] - 1))
-    state = _state(params, skip=k)
-    before = _snapshot(state)
-    try:
-        admit_ue(state, k)
-    except AdmissionError:
-        assume(False)
-    during = _snapshot(state)
-    remove_ue(state, k)
-    after = _snapshot(state)
-
-    evicted = before["serves"] & ~during["serves"]
-    assert np.array_equal(after["serves"], before["serves"] & ~evicted)
-    freed = before["ue_on_pilot"].copy()
-    for l, j in zip(*np.nonzero(evicted)):
-        freed[l, before["pilot_of"][j]] = -1
-    assert np.array_equal(after["ue_on_pilot"], freed)
-    for name in ("pilot_of", "master_of", "master_pilot_taken"):
-        assert np.array_equal(after[name], before[name]), name
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(after["trace_psi"] - before["trace_psi"]) <= 2 * eps * during["trace_psi"])
 
 
 @given(ANY_MODE)

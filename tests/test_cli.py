@@ -1,3 +1,5 @@
+import pytest
+
 from cellfree.cli import main
 
 CONFIG = """
@@ -70,3 +72,37 @@ def test_bench_list(capsys):
     out = capsys.readouterr().out
     assert "setup-i-ul" in out
     assert "setup-i-dl" in out
+
+
+def _usage_error(capsys, argv) -> str:
+    """The last stderr line of a run that argparse ends with exit status 2."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "account"])
+def test_invalid_config_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_text(CONFIG.replace("MR, LP-MMSE", "MMSE"))
+    argv = [command, "--config", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "results")]
+    line = _usage_error(capsys, argv)
+    assert line.startswith("cellfree: error: run.schemes: MMSE needs network-wide estimates")
+    assert not (tmp_path / "results").exists()
+
+
+def test_invalid_seed_override_is_a_usage_error(tmp_path, capsys):
+    argv = ["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "r"),
+            "--seed", "-1"]
+    assert _usage_error(capsys, argv) == "cellfree: error: run.seed: must be nonnegative"
+
+
+def test_unknown_bench_scenario_is_a_usage_error(capsys):
+    line = _usage_error(capsys, ["bench", "--scenario", "nope"])
+    assert line.startswith("cellfree bench: error: argument --scenario: invalid choice: 'nope'")
+    assert "setup-i-ul" in line

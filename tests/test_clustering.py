@@ -14,7 +14,6 @@ from cellfree.clustering import (
     compute_partners,
     form_cluster,
     neighbor_aps,
-    remove_ue,
 )
 from cellfree.rng import TOPOLOGY, stream
 from cellfree.topology import generate_topology
@@ -145,19 +144,6 @@ class TestAdmission:
         admit_ue(state, 0)
         with pytest.raises(AdmissionError, match="already admitted"):
             admit_ue(state, 0)
-
-    def test_remove_then_readmit(self):
-        cfg = make_cfg(num_aps=16, num_ues=8, pilot_len=3, area_side_km=0.3)
-        state, _ = make_state(cfg, seed=7)
-        for k in range(3):
-            admit_ue(state, k)
-        trace_before = state.trace_psi.copy()
-        remove_ue(state, 2)
-        assert state.assignment.pilot_of[2] == -1
-        assert not state.assignment.serves[:, 2].any()
-        admit_ue(state, 2)
-        assert state.assignment.serving_aps(2).size >= 1
-        assert np.allclose(state.trace_psi, trace_before)
 
     def test_one_ue_per_pilot_per_ap(self):
         cfg = make_cfg(num_aps=25, num_ues=25, pilot_len=3, area_side_km=0.8,
@@ -414,19 +400,6 @@ class TestStep3MatchesLoop:
         assert not set(np.argmax(topo.beta, axis=1)) <= set(got.neighbors)
         _admit_in_order(got, admit_ue, range(cfg.num_ues))
         _admit_in_order(expected, _loop_admit, range(cfg.num_ues))
-        _assert_same_state(got, expected)
-
-    def test_remove_then_readmit(self):
-        cfg = make_cfg(num_aps=40, num_ues=20, pilot_len=3, area_side_km=0.7,
-                       antennas_per_ap=1)
-        topo = generate_topology(cfg, stream(6, 0, TOPOLOGY))
-        got, expected = _states(cfg, topo)
-        for state, admit in ((got, admit_ue), (expected, _loop_admit)):
-            _admit_in_order(state, admit, range(cfg.num_ues))
-            for k in (3, 11, 0, 17):
-                remove_ue(state, k)
-            for k in (11, 0, 17, 3):
-                admit(state, k)
         _assert_same_state(got, expected)
 
     def test_form_cluster_with_an_empty_neighbor_list(self):

@@ -1,5 +1,7 @@
+import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from cellfree.config import (
@@ -188,3 +190,46 @@ def test_negative_seed_rejected():
 def test_repeated_scheme_rejected():
     with pytest.raises(ConfigError, match="run.schemes: scheme MR is listed more than once"):
         parse_config_text(_text({"run.schemes": "MR, LP-MMSE, MR"}))
+
+
+# a value of another type than each declared field type admits
+_WRONG_TYPE = {int: 2.0, float: "0.5", bool: 1, str: 3, tuple: ["MR"]}
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_TO_FIELD))
+def test_field_of_the_wrong_type_names_its_key(key):
+    field = _KEY_TO_FIELD[key]
+    wrong = _WRONG_TYPE[_FIELD_TYPES[field]]
+    cfg = dataclasses.replace(SimulationConfig(seed=1), **{field: wrong})
+    with pytest.raises(ConfigError, match=re.escape(key) + ": expected "):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    pytest.param("num_aps", True, "network.num_aps: expected int, got True", id="bool-as-int"),
+    pytest.param("ap_height_m", False, "network.ap_height_m: expected float, got False",
+                 id="bool-as-float"),
+    pytest.param("num_setups", 2.0, "run.num_setups: expected int, got 2.0", id="float-as-int"),
+    pytest.param("area_side_km", "1", "network.area_side_km: expected float, got '1'",
+                 id="str-as-float"),
+    pytest.param("schemes", ["MR"], "run.schemes: expected tuple, got ['MR']", id="list-as-tuple"),
+])
+def test_type_is_checked_before_any_other_check(field, value, expected):
+    # the frame budget is exceeded too, and num_ues is out of range
+    cfg = SimulationConfig(seed=1, num_ues=0, ul_data_len=500, **{field: value})
+    with pytest.raises(ConfigError, match="^" + re.escape(expected) + "$"):
+        cfg.validate()
+
+
+def test_non_str_scheme_names_its_key():
+    with pytest.raises(ConfigError, match="run.schemes: unknown scheme 3"):
+        SimulationConfig(seed=1, schemes=("MR", 3)).validate()
+
+
+def test_numpy_numbers_are_admitted_and_echoed_exactly():
+    cfg = SimulationConfig(seed=np.int64(3), num_aps=np.int32(50), area_side_km=np.float32(0.1),
+                           ue_power_w=1).validate()
+    again = parse_config_text("\n".join(cfg.to_lines()))
+    for field in ("seed", "num_aps", "area_side_km", "ue_power_w"):
+        assert getattr(again, field) == float(getattr(cfg, field)), field
+    assert again.to_lines() == cfg.to_lines()

@@ -22,7 +22,7 @@ def scalar_setup(noise_w=1.0, gain=2.0, ue_power=0.1, pilot_len=10):
     topo = Topology(
         ap_pos=np.zeros((1, 2)), ue_pos=np.zeros((1, 2)),
         beta=np.array([[gain]]), R=np.full((1, 1, 1, 1), gain, dtype=complex),
-        area_side_km=cfg.area_side_km, ap_height_m=0.0,
+        area_side_km=cfg.area_side_km,
     )
     assignment = ClusterAssignment(
         pilot_len=cfg.pilot_len, pilot_of=np.array([0]), master_of=np.array([0]),
@@ -46,8 +46,9 @@ class TestPilotCorrelation:
         cfg = make_cfg(num_aps=3, num_ues=4, pilot_len=2, area_side_km=0.3)
         topo, assignment, ctx = make_setup(cfg)
         t, l = 0, 1
+        sharers = np.flatnonzero(assignment.pilot_of == t)
         expected = np.sum(
-            cfg.pilot_len * cfg.ue_power_w * topo.R[assignment.sharers(t), l], axis=0
+            cfg.pilot_len * cfg.ue_power_w * topo.R[sharers, l], axis=0
         ) + cfg.noise_ul_w * np.eye(cfg.antennas_per_ap)
         assert np.allclose(ctx.psi[t, l], expected, rtol=1e-12)
 
@@ -84,7 +85,8 @@ class TestScalarEstimation:
         h = np.zeros((2, 1, 1, 1), dtype=complex)
         bundle = EstimationBundle(ctx, h, stream(1, 0, PILOT_NOISE, 0))
         bundle.y_pilot[:] = 0
-        assert np.all(bundle.estimate(0, 0) == 0)
+        bundle.ensure_all()
+        assert np.all(bundle.hhat == 0)
 
 
 class TestDecomposition:
