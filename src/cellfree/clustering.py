@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import SimulationConfig
-from .topology import Topology, toroidal_distance
+from .topology import BLOCK_VALUES, Topology, toroidal_distance
 
 
 class AdmissionError(RuntimeError):
@@ -104,8 +104,10 @@ def compute_partners(assignment: ClusterAssignment) -> np.ndarray:
 
     Symmetric, and contains k itself for every admitted UE.
     """
-    serves = assignment.serves
-    return (serves.T.astype(np.int32) @ serves.astype(np.int32)) > 0
+    # the overlap counts are at most L, so a float product is exact, and it
+    # runs on BLAS where an integer product does not
+    serves = assignment.serves.astype(float)
+    return (serves.T @ serves) > 0
 
 
 @dataclass
@@ -145,21 +147,17 @@ class AdmissionState:
                                  * self.cfg.antennas_per_ap * self.topology.beta[k])
 
 
-# masters per block of the Step-3 distance table: at 1600 APs a block's
-# distances take 0.8 MB, against 5 MB for a 400-UE drop's beta
-_NEIGHBOR_BLOCK = 64
-
-
 def _neighbor_table(cfg: SimulationConfig, topology: Topology, masters: np.ndarray) -> dict:
     """Step-3 list of each master: the other APs within the radius, nearest
     first (ties: lowest index), cut to max_neighbors.
 
-    The master-to-AP distances are taken for _NEIGHBOR_BLOCK masters at a
-    time, so the table never holds more than that many rows of them."""
+    The master-to-AP distances are taken a block of masters at a time, about
+    BLOCK_VALUES distances per block, as the drop's rows are."""
     pos = topology.ap_pos
+    per_block = max(1, BLOCK_VALUES // len(pos))
     table = {}
-    for start in range(0, len(masters), _NEIGHBOR_BLOCK):
-        block = masters[start:start + _NEIGHBOR_BLOCK]
+    for start in range(0, len(masters), per_block):
+        block = masters[start:start + per_block]
         dist = toroidal_distance(pos[block, None, :], pos[None, :, :], topology.area_side_km)
         inside = dist <= cfg.neighbor_radius_km
         inside[np.arange(len(block)), block] = False
@@ -208,22 +206,23 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
     distinct, so each decides on its own slot independently of the others.
     """
     assignment = state.assignment
+    serves, master_of = assignment.serves, assignment.master_of
     beta = state.topology.beta
-    aps = np.concatenate(([master], neighbors)).astype(int)
-    occupant = state.ue_on_pilot[aps, pilot]
-    held = occupant >= 0
-    # never drop a UE from its own master (index -1, a free slot, reads some
-    # UE's entries, which `held` masks out)
-    own_master = held & (assignment.master_of[occupant] == aps)
-    # Step-2 pilot exclusion keeps the master slot collision-free
-    assert not own_master[0]
-    weaker = held & (beta[k, aps] <= beta[occupant, aps])
-    weaker[0] = False  # the master always serves
-    take = ~(own_master | weaker)
-    evict = take & held
-    assignment.serves[aps[evict], occupant[evict]] = False
-    assignment.serves[aps[take], k] = True
-    state.ue_on_pilot[aps[take], pilot] = k
+    on_pilot = state.ue_on_pilot[:, pilot]  # a view: writes land in the state
+    # .item() reads Python scalars, which index and compare faster than
+    # numpy scalars
+    for l in (master, *neighbors.tolist()):
+        occupant = on_pilot.item(l)
+        if occupant >= 0:
+            if master_of.item(occupant) == l:
+                # Step-2 pilot exclusion keeps the master slot collision-free
+                assert l != master
+                continue  # never drop a UE from its own master
+            if l != master and beta.item(k, l) <= beta.item(occupant, l):
+                continue
+            serves[l, occupant] = False
+        serves[l, k] = True
+        on_pilot[l] = k
     assignment.pilot_of[k] = pilot
     assignment.master_of[k] = master
     state.master_pilot_taken[master, pilot] = True

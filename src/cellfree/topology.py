@@ -158,21 +158,32 @@ def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_
     return beta[..., None, None] * phase * envelope
 
 
+# values per temporary of one row block of a drop or of the Step-3 distance
+# table: 2^15 floats take 256 kB, so a block's few temporaries stay in L2,
+# where whole (K, L) passes sweep L3
+BLOCK_VALUES = 2 ** 15
+
+
 def generate_topology(cfg: SimulationConfig, rng) -> Topology:
     """Drop the network and compute beta for every AP-UE pair; R is built on
     first use.
 
-    The distances are squared, summed and turned into gains in place, so
-    the drop peaks at three (K, L) float arrays, in the displacement. The
-    stream is read as always, positions first and then the shadowing, but
-    the shadowing is drawn only once the distances are down to one array.
+    The stream is read positions first and then the whole (K, L) shadowing
+    draw. Displacement, distance and pathloss then run on blocks of UE rows
+    of about BLOCK_VALUES entries, and each block's beta is written over
+    its shadowing rows, so the drop holds one (K, L) float array and one
+    block's temporaries.
     """
     ap_pos, ue_pos = place_entities(cfg, rng)
-    dist = _squared_norm(*_displacement(ap_pos[None, :, :], ue_pos[:, None, :], cfg.area_side_km))
-    dist += (cfg.ap_height_m / 1000.0) ** 2
-    np.sqrt(dist, out=dist)
-    shadow_db = rng.normal(0.0, cfg.shadow_std_db, size=(cfg.num_ues, cfg.num_aps))
-    beta = large_scale_coefficient(dist, shadow_db, cfg, out=dist)
+    beta = rng.normal(0.0, cfg.shadow_std_db, size=(cfg.num_ues, cfg.num_aps))
+    rows = max(1, BLOCK_VALUES // cfg.num_aps)
+    for start in range(0, cfg.num_ues, rows):
+        block = slice(start, start + rows)
+        dist = _squared_norm(*_displacement(ap_pos[None, :, :], ue_pos[block, None, :],
+                                            cfg.area_side_km))
+        dist += (cfg.ap_height_m / 1000.0) ** 2
+        np.sqrt(dist, out=dist)
+        beta[block] = large_scale_coefficient(dist, beta[block], cfg, out=dist)
     return Topology(ap_pos, ue_pos, beta, None, cfg.area_side_km,
                     cfg.antennas_per_ap, np.deg2rad(cfg.angular_spread_deg))
 
@@ -182,9 +193,17 @@ def hermitian_sqrt(R: np.ndarray) -> np.ndarray:
 
     Eigenvalues slightly negative from rounding (>= -1e-10 * tr/N) are
     clipped to zero; anything more negative means the input was not PSD.
+    A 1 x 1 matrix is its own eigenvalue, real on the diagonal: its root is
+    the elementwise square root of Re R, the bits of the eigendecomposition
+    route without running it.
     """
-    vals, vecs = np.linalg.eigh(R)
     n = R.shape[-1]
+    if n == 1:
+        vals = R.real
+        if np.any(vals < 0):
+            raise np.linalg.LinAlgError("correlation matrix is not positive semi-definite")
+        return np.sqrt(vals).astype(complex)
+    vals, vecs = np.linalg.eigh(R)
     floor = -1e-10 * np.real(np.trace(R, axis1=-2, axis2=-1)) / n
     if np.any(vals < floor[..., None]):
         raise np.linalg.LinAlgError("correlation matrix is not positive semi-definite")

@@ -230,9 +230,8 @@ class TestAllServeAll:
 
 
 # ---------------------------------------------------------------------------
-# Step 3 against its loop definitions: one distance scan per master and one
-# decision per AP in a Python loop, as admission ran before the neighbor table
-# and the whole-array cluster step.
+# Step 3 against its definitions written plainly: one distance scan per
+# master, and one decision per AP read through numpy scalar indexing.
 
 
 def _loop_neighbors(state, master):
@@ -300,6 +299,8 @@ STEP3_CASES = {
                                 neighbor_radius_km=1.0, max_neighbors=50),
     "cut-to-max-neighbors": dict(num_aps=40, num_ues=30, pilot_len=4, area_side_km=0.6,
                                  max_neighbors=3),
+    # 16 masters per block of the distance table, the last block partial
+    "several-table-blocks": dict(num_aps=2000, num_ues=60, pilot_len=4, area_side_km=4.5),
 }
 
 
@@ -401,6 +402,31 @@ class TestStep3MatchesLoop:
         _admit_in_order(got, admit_ue, range(cfg.num_ues))
         _admit_in_order(expected, _loop_admit, range(cfg.num_ues))
         _assert_same_state(got, expected)
+
+    # UE 0 holds pilot 0 at its master AP 1 and at AP 2; UE 1 appoints AP 0
+    # on the same pilot and invites APs 1, 2 and 3
+    @pytest.mark.parametrize("beta_1, kept", [
+        # stronger than UE 0 at APs 1 and 2, but AP 1 is UE 0's master
+        pytest.param([2.0, 1.5, 0.9, 0.1], [1], id="neighbor-is-the-occupants-master"),
+        # equal at AP 2: beta_kl <= beta_jl keeps the occupant
+        pytest.param([2.0, 0.1, 0.5, 0.1], [1, 2], id="tie-keeps-the-occupant"),
+    ])
+    def test_contested_neighbor_slots(self, beta_1, kept):
+        beta = [[0.1, 1.0, 0.5, 0.1], beta_1]
+        got, _ = self._hand_state(beta)
+        expected, _ = self._hand_state(beta)
+        for state, form in ((got, form_cluster), (expected, _loop_form_cluster)):
+            form(state, 0, 0, 1, np.array([2]))
+            form(state, 1, 0, 0, np.array([1, 2, 3]))
+        _assert_same_state(got, expected)
+        assert got.assignment.serving_aps(0).tolist() == kept
+        assert got.assignment.serving_aps(1).tolist() == [0] + [l for l in (1, 2, 3) if l not in kept]
+
+    @staticmethod
+    def _hand_state(beta):
+        cfg = make_cfg(num_aps=4, num_ues=2, pilot_len=2, area_side_km=0.2,
+                       neighbor_radius_km=0.5)
+        return make_state(cfg, beta=beta)
 
     def test_form_cluster_with_an_empty_neighbor_list(self):
         cfg = make_cfg(num_aps=4, num_ues=2, pilot_len=2, area_side_km=0.2,

@@ -7,10 +7,12 @@ from cellfree.clustering import build_assignment
 from cellfree.rng import TOPOLOGY, complex_normal, stream
 from cellfree.scenarios import SCENARIOS
 from cellfree.topology import (
+    BLOCK_VALUES,
     Topology,
     generate_topology,
     hermitian_sqrt,
     large_scale_coefficient,
+    place_entities,
     sample_channels,
     spatial_correlation_matrix,
     toroidal_distance,
@@ -89,6 +91,20 @@ class TestInPlacePasses:
         d = b - a
         d -= side * np.round(d / side)
         assert same_bits(toroidal_distance(a, b, side), np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2))
+        # a drop's beta, built in row blocks, against one pass over the whole
+        # (K, L) array: K a multiple of the block, not one, and below one block
+        L = 500
+        rows = BLOCK_VALUES // L
+        for K in (2 * rows, 2 * rows + 3, rows // 2):
+            cfg = make_cfg(num_aps=L, num_ues=K, area_side_km=2.0, ap_height_m=10.0)
+            drawn = stream(41, K, TOPOLOGY)
+            ap_pos, ue_pos = place_entities(cfg, drawn)
+            shadow = drawn.normal(0.0, cfg.shadow_std_db, size=(K, L))
+            d = ue_pos[:, None, :] - ap_pos[None, :, :]
+            d -= cfg.area_side_km * np.round(d / cfg.area_side_km)
+            dist = np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2 + 0.010 ** 2)
+            topo = generate_topology(cfg, stream(41, K, TOPOLOGY))
+            assert same_bits(topo.beta, large_scale_coefficient(dist, shadow, cfg)), K
 
 
 class TestCorrelationOnFirstUse:
@@ -126,19 +142,34 @@ class TestCorrelationOnFirstUse:
 
 
 class TestDropMemory:
-    def test_one_drop_peaks_under_four_and_a_half_gain_arrays(self):
-        # criterion-6 density, one antenna: 100 UEs and 400 APs on 2 km x 2 km
-        K = 100
+    # criterion-6 density, one antenna: K UEs and 4K APs; tracemalloc peaks
+    # in units of one (K, L) float array
+    @staticmethod
+    def _peaks(K, side_km):
         cfg = make_cfg(num_aps=4 * K, num_ues=K, antennas_per_ap=1, pilot_len=10,
-                       area_side_km=2.0, ul_data_len=95, dl_data_len=95, seed=0)
+                       area_side_km=side_km, ul_data_len=95, dl_data_len=95, seed=0)
         tracemalloc.start()
         try:
             topo = generate_topology(cfg, stream(1000 + K, 0, TOPOLOGY))
+            topology_peak = tracemalloc.get_traced_memory()[1]
             build_assignment(cfg, topo)
-            peak = tracemalloc.get_traced_memory()[1]
+            drop_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * K * 4 * K * 8
+        unit = K * 4 * K * 8
+        return topology_peak / unit, drop_peak / unit
+
+    def test_one_drop_peaks_under_four_and_a_half_gain_arrays(self):
+        # 100 UEs and 400 APs on 2 km x 2 km: a row block's temporaries are
+        # worth about 2.4 gain arrays at this size
+        assert self._peaks(100, 2.0)[1] <= 4.5
+
+    def test_a_400_ue_drop_holds_one_gain_array_and_a_block(self):
+        # 400 UEs and 1600 APs on 4 km x 4 km: beta plus one row block in
+        # the topology, the Step-3 distance blocks on top in admission
+        topology_peak, drop_peak = self._peaks(400, 4.0)
+        assert topology_peak <= 1.5
+        assert drop_peak <= 2.0
 
 
 class TestCorrelation:
@@ -284,3 +315,22 @@ class TestSampling:
         R = np.array([[[[1.0 + 0j, 0], [0, -0.5]]]])
         with pytest.raises(np.linalg.LinAlgError):
             hermitian_sqrt(R)
+        with pytest.raises(np.linalg.LinAlgError):
+            hermitian_sqrt(np.array([[[[0.5 + 0j]], [[-1e-30 + 0j]]]]))
+
+    def test_single_antenna_root_equals_the_eigendecomposition(self, rng):
+        # one antenna takes the elementwise root; it must give the bits of
+        # the eigendecomposition route, on the scenario drops and on beta
+        # spanning 10^-16..1
+        def eigh_route(R):
+            vals, vecs = np.linalg.eigh(R)
+            return (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) \
+                @ np.conj(np.swapaxes(vecs, -1, -2))
+
+        betas = [10 ** rng.uniform(-16, 0, size=(60, 200))]
+        for scenario in ("setup-i-ul", "setup-i-dl"):
+            cfg = SCENARIOS[scenario].full
+            betas.append(generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY)).beta)
+        for beta in betas:
+            R = spatial_correlation_matrix(beta, 0.0, 0.0, 1)
+            assert same_bits(hermitian_sqrt(R), eigh_route(R))
