@@ -9,7 +9,8 @@ network admits - this is what keeps per-AP cost bounded.
 
 The benchmark "all APs serve all UEs" mode of the unscalable reference
 schemes is derived from the same admission: it keeps every pilot and master
-and lets every AP serve every admitted UE.
+and lets every AP serve every admitted UE. Pilots and masters do not depend
+on the clusters, so that mode runs Steps 1-2 only and invites no neighbors.
 """
 
 import json
@@ -117,7 +118,7 @@ class AdmissionState:
     cfg: SimulationConfig
     topology: Topology
     assignment: ClusterAssignment
-    trace_psi: np.ndarray          # (L, pilot_len) running tr(Psi_tl)
+    trace_psi: np.ndarray          # (pilot_len, L) running tr(Psi_tl)
     master_pilot_taken: np.ndarray  # (L, pilot_len) AP is master of a UE on that pilot
     ue_on_pilot: np.ndarray        # (L, pilot_len) UE the AP serves on that pilot, or -1
     neighbors: dict = field(default_factory=dict)  # master AP -> its Step-3 list
@@ -132,10 +133,12 @@ class AdmissionState:
             serves=np.zeros((L, K), dtype=bool),
         )
         # with no UEs assigned, tr(Psi_tl) = N * sigma_ul^2 on every pilot
-        trace_psi = np.full((L, cfg.pilot_len), cfg.antennas_per_ap * cfg.noise_ul_w)
+        trace_psi = np.full((cfg.pilot_len, L), cfg.antennas_per_ap * cfg.noise_ul_w)
         # a master is argmax_l beta_kl whatever has been admitted, so the
-        # Step-3 lists of all masters come from one pass over the AP pairs
-        neighbors = _neighbor_table(cfg, topology, np.unique(np.argmax(topology.beta, axis=1)))
+        # Step-3 lists of all masters come from one pass over the AP pairs;
+        # all-serve-all admission has no Step 3
+        neighbors = {} if cfg.all_serve_all else _neighbor_table(
+            cfg, topology, np.unique(np.argmax(topology.beta, axis=1)))
         return cls(cfg, topology, assignment, trace_psi,
                    np.zeros((L, cfg.pilot_len), dtype=bool),
                    np.full((L, cfg.pilot_len), -1, dtype=int), neighbors)
@@ -143,8 +146,8 @@ class AdmissionState:
     def _register_pilot(self, k: int, t: int):
         # UE k joins S_t: tau_p * p_k * tr(R_kl) is its share of tr(Psi_tl)
         # at every AP l
-        self.trace_psi[:, t] += (self.cfg.pilot_len * self.cfg.ue_power_w
-                                 * self.cfg.antennas_per_ap * self.topology.beta[k])
+        self.trace_psi[t] += (self.cfg.pilot_len * self.cfg.ue_power_w
+                              * self.cfg.antennas_per_ap * self.topology.beta[k])
 
 
 def _neighbor_table(cfg: SimulationConfig, topology: Topology, masters: np.ndarray) -> dict:
@@ -182,7 +185,7 @@ def assign_pilot(state: AdmissionState, master: int) -> int:
     Pilots on which the master AP already serves a UE as its master are
     excluded (that role has priority). Ties break toward the lowest index.
     """
-    traces = state.trace_psi[master].copy()
+    traces = state.trace_psi[:, master].copy()
     traces[state.master_pilot_taken[master]] = np.inf
     if not np.isfinite(traces).any():
         raise AdmissionError(f"master at capacity: AP {master} is master on all pilots")
@@ -190,7 +193,10 @@ def assign_pilot(state: AdmissionState, master: int) -> int:
 
 
 def neighbor_aps(state: AdmissionState, master: int) -> np.ndarray:
-    """APs invited in Step 3: within the radius of the master, nearest first."""
+    """APs invited in Step 3: within the radius of the master, nearest first.
+    None in all-serve-all mode, which keeps only the pilots and masters."""
+    if state.cfg.all_serve_all:
+        return np.empty(0, dtype=int)
     if master not in state.neighbors:
         # beta changed after the state was built
         state.neighbors.update(_neighbor_table(state.cfg, state.topology, np.array([master])))
@@ -245,7 +251,8 @@ def admit_ue(state: AdmissionState, k: int, forced_pilot: int = None) -> None:
 
 def build_assignment(cfg: SimulationConfig, topology: Topology) -> ClusterAssignment:
     """Admit every UE: first pilot_len UEs on distinct pilots, rest in order.
-    In all-serve-all mode every AP then serves every UE."""
+    In all-serve-all mode only Steps 1-2 run, and every AP then serves every
+    UE."""
     state = AdmissionState.empty(cfg, topology)
     initial = min(cfg.pilot_len, cfg.num_ues)
     for k in range(initial):

@@ -1,4 +1,9 @@
+import ctypes
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,8 @@ from cellfree.se import (DownlinkAccumulator, DownlinkBlockMoments, NumericError
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup, same_bits
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def read_tree(root):
@@ -344,3 +351,60 @@ class TestPerApPowerConstraint:
             norm_local += per_ap
         spend = per_ap_dl_power(dl_centralized_equal(cfg), norm_local / 800, norm / 800)
         assert np.all(spend <= cfg.ap_power_w * (1 + 1e-9))
+
+
+# two desk setup-i-dl MR campaigns in one process; prints whether the heap
+# thresholds took and the minor page faults of the second campaign
+SECOND_CAMPAIGN_FAULTS = """
+import json, resource
+from cellfree import campaign
+from cellfree.scenarios import SCENARIOS
+cfg = SCENARIOS["setup-i-dl"].desk.replace(schemes=("MR",), mode="distributed",
+                                            num_setups=1, num_realizations=256)
+campaign.run_campaign(cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+campaign.run_campaign(cfg)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([campaign._keep_freed_memory(), faults]))
+"""
+
+
+def _missing_library(name):
+    raise OSError(f"cannot load {name}")
+
+
+class TestFreedMemoryStaysInTheProcess:
+    @pytest.fixture
+    def fresh_helper(self):
+        campaign._keep_freed_memory.cache_clear()
+        yield
+        campaign._keep_freed_memory.cache_clear()
+
+    def test_second_campaign_faults_no_batch_arrays_in(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        result = subprocess.run([sys.executable, "-c", SECOND_CAMPAIGN_FAULTS], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        kept, faults = json.loads(result.stdout.splitlines()[-1])
+        if not kept:
+            pytest.skip("the C library takes no mallopt thresholds")
+        # without the thresholds: about 30k faults, most pages of every batch
+        assert faults < 500
+
+    def test_second_call_is_a_no_op(self, monkeypatch):
+        first = campaign._keep_freed_memory()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the C library was opened again")
+
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        assert campaign._keep_freed_memory() is first
+
+    @pytest.mark.parametrize("cdll", [_missing_library, lambda name: object()],
+                             ids=["no-library", "no-mallopt"])
+    def test_without_mallopt_campaigns_still_run(self, monkeypatch, fresh_helper, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert campaign._keep_freed_memory() is False
+        cfg = make_cfg(num_realizations=20, ul_data_len=190, dl_data_len=0)
+        assert run_campaign(cfg).values("MR", "ul").shape == (cfg.num_ues,)

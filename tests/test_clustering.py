@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from cellfree import clustering
 from cellfree.clustering import (
     AdmissionError,
     AdmissionState,
@@ -49,7 +50,7 @@ class TestPilotAssignment:
     def test_argmin_of_observed_pilot_power(self):
         cfg = make_cfg(num_aps=1, num_ues=1, pilot_len=3)
         state, _ = make_state(cfg)
-        state.trace_psi[0] = [5.0, 3.0, 9.0]
+        state.trace_psi[:, 0] = [5.0, 3.0, 9.0]
         assert assign_pilot(state, 0) == 1
 
     def test_empty_network_ties_to_first_pilot(self):
@@ -62,7 +63,7 @@ class TestPilotAssignment:
     def test_master_blocked_pilot_is_excluded(self):
         cfg = make_cfg(num_aps=1, num_ues=2, pilot_len=2)
         state, _ = make_state(cfg)
-        state.trace_psi[0] = [3.0, 3.0]
+        state.trace_psi[:, 0] = [3.0, 3.0]
         state.master_pilot_taken[0, 0] = True
         assert assign_pilot(state, 0) == 1
 
@@ -217,6 +218,18 @@ class TestAllServeAll:
         assert assignment.serves.all()
         assert np.all(assignment.pilot_of >= 0)
         assert np.all(assignment.pilot_of < cfg.pilot_len)
+
+    def test_admission_runs_no_step_3(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("all-serve-all admission built a Step-3 neighbor list")
+
+        monkeypatch.setattr(clustering, "_neighbor_table", refuse)
+        cfg = make_cfg(num_aps=30, num_ues=20, pilot_len=3, area_side_km=0.5,
+                       all_serve_all=True, ul_data_len=95, dl_data_len=95)
+        topo = generate_topology(cfg, stream(4, 0, TOPOLOGY))
+        assignment = build_assignment(cfg, topo)
+        assert assignment.serves.all()
+        assert np.array_equal(assignment.master_of, np.argmax(topo.beta, axis=1))
 
     def test_serialization_round_trip(self):
         cfg = make_cfg(num_aps=6, num_ues=9, pilot_len=3,
