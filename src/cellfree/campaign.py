@@ -40,7 +40,19 @@ realizations); and when the block moments would be large
 more than the second pass. In every case each batch's stderr replica uses
 precoders normalized by that batch's own norm sums. In centralized
 operation both sets of precoded gains are column scalings of one gain
-matrix h_k^H v_i, so the second pass builds no precoder arrays.
+matrix h_k^H v_i, so the second pass builds no precoder arrays; in
+distributed operation it scales the combiners a row block of realizations
+at a time.
+
+A batch holds at most three (batch, K, L, N) arrays: its channels, its
+estimates and one scheme's combiners. Every other per-batch temporary is
+formed a row block of realizations (or of estimate pairs) at a time, about
+topology.BLOCK_VALUES values (at least one realization), and the bundle
+releases its pilot signal once the batch's last estimate is computed. The
+estimates go once the last scheme's combiners (and the centralized uplink,
+which reads them) are done, so the single-pass downlink's block moments,
+whose chunk takes up to one batch array, run next to two. Accumulators keep
+their sums, and the genie's gain powers, across batches.
 """
 
 import concurrent.futures
@@ -53,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import build_assignment
-from .combining import build_precoders_distributed, compute_combiners, precoder_scales
+from .combining import compute_combiners, estimate_demand_mask, precoder_scales
 from .config import SimulationConfig
 from .estimation import EstimationBundle, SetupContext
 from .power import dl_centralized_equal, dl_distributed_proportional, ul_full_power
@@ -214,9 +226,16 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     prelog_dl = cfg.dl_data_len / cfg.coherence_len
     centralized = cfg.mode == "centralized"
 
-    def realizations(b):
+    # every estimate a batch uses (the centralized uplink's SINR reads them
+    # all): a bundle releases its pilot signal once they are computed, before
+    # the combiners are built from them
+    schemes_demand = np.logical_or.reduce([estimate_demand_mask(x, ctx) for x in cfg.schemes])
+    pass1_demand = np.ones_like(schemes_demand) if centralized and need_ul else schemes_demand
+    last = cfg.schemes[-1]
+
+    def realizations(b, demand):
         h = sample_channels(topology, stream(cfg.seed, s, CHANNEL, b), sizes[b])
-        bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b))
+        bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b), demand)
         return h, bundle
 
     two_pass = False
@@ -233,7 +252,8 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
 
     # one accumulator per bound, keyed like the report; with two passes,
-    # pass 1 sums the combiner norms that normalize the precoders of pass 2
+    # pass 1 sums the combiner norms that normalize the precoders of pass 2:
+    # per UE in centralized operation, per AP in distributed operation
     acc = {}
     for scheme in cfg.schemes:
         if need_ul and centralized:
@@ -241,54 +261,65 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         elif need_ul:
             acc[(scheme, "ul")] = UatfAccumulator(p, cfg.noise_ul_w, prelog_ul)
         if two_pass:
-            acc[(scheme, "norm")] = BatchSums("norm", "norm_local")
+            acc[(scheme, "norm")] = BatchSums("norm")
             acc[(scheme, "dl")] = DownlinkAccumulator(cfg.noise_dl_w, prelog_dl)
         elif need_dl:
             acc[(scheme, "dl")] = DownlinkBlockMoments(blocks, cfg.noise_dl_w, prelog_dl,
                                                        cfg.genie_dl)
 
+    # a batch holds at most its channels, its estimates and one scheme's
+    # combiners: the estimates go once the last combiners (and the
+    # centralized uplink, which reads them) are done, and each scheme's
+    # combiners before the next scheme's are built
     def pass1(b):
-        h, bundle = realizations(b)
+        h, bundle = realizations(b, pass1_demand)
         if centralized and need_ul:
             bundle.ensure_all()
         out = {}
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
+            ul = acc.get((scheme, "ul"))
+            if ul is not None and centralized:
+                out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
+            if scheme == last:
+                del bundle
             norm = None
             if two_pass:
-                norm, norm_local = combiner_norms(v)
-                out[(scheme, "norm")] = {"n": v.shape[0], "norm": norm, "norm_local": norm_local}
+                norm, norm_local = combiner_norms(v, per_ap=not centralized)
+                out[(scheme, "norm")] = {"n": v.shape[0],
+                                         "norm": norm if centralized else norm_local}
             elif need_dl:
                 out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(v, h)
-            ul = acc.get((scheme, "ul"))
-            if ul is None:
-                continue
-            if centralized:
-                out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
-            elif (scheme, "dl") in out:
-                # uplink-downlink duality: the block sums give the moments
-                out[(scheme, "ul")] = ul.block_partial(out[(scheme, "dl")], blocks)
-            else:
-                out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
+            if ul is not None and not centralized:
+                if (scheme, "dl") in out:
+                    # uplink-downlink duality: the block sums give the moments
+                    out[(scheme, "ul")] = ul.block_partial(out[(scheme, "dl")], blocks)
+                else:
+                    out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
+            del v
         return out
 
     def pass2(b):
-        h, bundle = realizations(b)
+        h, bundle = realizations(b, schemes_demand)
         out = {}
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
-            norm, norm_local = (total / v.shape[0] for total in combiner_norms(v))
+            if scheme == last:
+                del bundle
+            norm, norm_local = combiner_norms(v, per_ap=not centralized)
+            batch_norm = (norm if centralized else norm_local) / v.shape[0]
             dl = acc[(scheme, "dl")]
             if centralized:
                 # both gain sets scale the columns of u[b, k, i] = h_k^H v_i
                 u = combining_gains(h, v)
                 out[(scheme, "dl")] = dl.gain_partial(
-                    u * precoder_scales(rho, global_norm[scheme][0]), u * precoder_scales(rho, norm)
+                    u * precoder_scales(rho, global_norm[scheme]), u * precoder_scales(rho, batch_norm)
                 )
             else:
-                wg = build_precoders_distributed(v, rho, global_norm[scheme][1])
-                wb = build_precoders_distributed(v, rho, norm_local)
-                out[(scheme, "dl")] = dl.batch_partial(wg, wb, h)
+                out[(scheme, "dl")] = dl.batch_partial(
+                    v, h, precoder_scales(rho, global_norm[scheme]), precoder_scales(rho, batch_norm)
+                )
+            del v
         return out
 
     def merge(pass_fn):
@@ -298,7 +329,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
 
     merge(pass1)
     if two_pass:
-        global_norm = {scheme: acc.pop((scheme, "norm")).means() for scheme in cfg.schemes}
+        global_norm = {scheme: acc.pop((scheme, "norm")).means()[0] for scheme in cfg.schemes}
         merge(pass2)
 
     results = {"assignment_json": assignment.to_json()}
@@ -335,16 +366,16 @@ def _genie_powers_fit(cfg: SimulationConfig) -> bool:
 
     The single pass halves the draws, estimates and combiners, but the
     powers of all schemes, n * K^2 float values each, stay in memory to
-    the end. The second pass instead builds two complex precoder arrays per
-    batch, four times _BATCH_VALUES float values at the batch cap, and that
-    is the budget for the powers. Timed on one core, full-scale setup-i-dl
+    the end. Their budget, four times _BATCH_VALUES, sits below the
+    measured crossover in memory. Timed on one core, full-scale setup-i-dl
     centralized, one setup: with 1000 realizations (10^7 values per scheme)
     one scheme took 4.9-10.4 s and 279 MB peak RSS in one pass against
     11.9-21.0 s and 305 MB in two (P-MMSE, LP-MMSE, MR), and three schemes
     took 13.3 s and 449 MB against 28.9 s and 312 MB. From 1000 to 2600
     realizations of P-MMSE the single pass stayed about twice as fast, and
     its peak RSS passed the two-pass one between 4.8 and 6.2 times
-    _BATCH_VALUES of powers.
+    _BATCH_VALUES of powers. These runs predate the bound of three batch
+    arrays per batch (see the module docstring), which lowered both passes.
     """
     return len(cfg.schemes) * cfg.num_realizations * cfg.num_ues**2 <= 4 * _BATCH_VALUES
 

@@ -43,6 +43,8 @@ def main(argv=None) -> int:
     _add_account(sub)
     _add_bench(sub)
     args = parser.parse_args(argv)
+    if args.command in ("simulate", "bench") and args.threads < 1:
+        parser.error(f"--threads: must be at least 1, got {args.threads}")
 
     if args.command in ("simulate", "account"):
         try:
@@ -75,8 +77,11 @@ def main(argv=None) -> int:
             for name in scenario_names():
                 print(name)
             return 0
-        result = run_scenario(args.scenario, full_scale=args.full_scale,
-                              threads=args.threads, out_dir=args.out, seed=args.seed)
+        try:
+            result = run_scenario(args.scenario, full_scale=args.full_scale,
+                                  threads=args.threads, out_dir=args.out, seed=args.seed)
+        except ConfigError as exc:
+            parser.error(str(exc))
         for label, mean in result.means.items():
             line = f"{label}: mean SE = {mean:.4f} bit/s/Hz"
             if label in result.genie_means:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import SimulationConfig
-from .topology import BLOCK_VALUES, Topology, toroidal_distance
+from .topology import Topology, row_blocks, toroidal_distance
 
 
 class AdmissionError(RuntimeError):
@@ -157,10 +157,9 @@ def _neighbor_table(cfg: SimulationConfig, topology: Topology, masters: np.ndarr
     The master-to-AP distances are taken a block of masters at a time, about
     BLOCK_VALUES distances per block, as the drop's rows are."""
     pos = topology.ap_pos
-    per_block = max(1, BLOCK_VALUES // len(pos))
     table = {}
-    for start in range(0, len(masters), per_block):
-        block = masters[start:start + per_block]
+    for rows in row_blocks(len(masters), len(pos)):
+        block = masters[rows]
         dist = toroidal_distance(pos[block, None, :], pos[None, :, :], topology.area_side_km)
         inside = dist <= cfg.neighbor_radius_km
         inside[np.arange(len(block)), block] = False

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import EstimationBundle, SetupContext
+from .topology import row_blocks
 
 
 class DegeneratePrecoderError(RuntimeError):
@@ -129,7 +130,8 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
 
     All APs are solved at once: each AP's served UEs are gathered into a
     table padded to the largest |D_l|, with zero weight on the padding.
-    L-MMSE sums over all K UEs at every AP instead.
+    L-MMSE sums over all K UEs at every AP instead. The gathers and solves
+    run a row block of realizations at a time.
     """
     ctx = bundle.ctx
     K, L = ctx.topology.beta.shape
@@ -141,16 +143,21 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
         members, weight = np.broadcast_to(np.arange(K), (L, K)), np.broadcast_to(p, (L, K))
     else:
         members, weight = served, p[served] * valid
-    hh = bundle.hhat[:, members, aps, :]                           # (B, L, S, N)
-    gram = _gram(weight[:, None, :], hh)
-    gram += np.einsum("ls,lsmn->lmn", weight, ctx.C[members, aps])
-    gram += ctx.cfg.noise_ul_w * np.eye(N)
-    rhs = np.swapaxes(bundle.hhat[:, served, aps, :], -1, -2)      # (B, L, N, T)
-    sol = np.swapaxes(_solve_hermitian(gram, rhs), -1, -2)         # (B, L, T, N)
+    statistics = np.einsum("ls,lsmn->lmn", weight, ctx.C[members, aps])
     ls, ts = np.nonzero(valid)
     ues = served[ls, ts]
     v = np.zeros_like(bundle.hhat)
-    v[:, ues, ls, :] = p[ues][None, :, None] * sol[:, ls, ts, :]
+    # next to the estimates and the combiners, a block's temporaries (at
+    # most four (L, S, N) arrays a realization at once) share one budget
+    for rows in row_blocks(v.shape[0], 4 * L * members.shape[1] * N):
+        hhat = bundle.hhat[rows]
+        gram = _gram(weight[:, None, :], hhat[:, members, aps, :])  # gathers (b, L, S, N)
+        gram += statistics
+        gram += ctx.cfg.noise_ul_w * np.eye(N)
+        rhs = np.swapaxes(hhat[:, served, aps, :], -1, -2)          # (b, L, N, T)
+        sol = np.swapaxes(_solve_hermitian(gram, rhs), -1, -2)      # (b, L, T, N)
+        v[rows, ues, ls, :] = p[ues][None, :, None] * sol[:, ls, ts, :]
+        del gram, rhs, sol      # before the next block's exist
     return v
 
 
@@ -163,31 +170,43 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
     B = bundle.hhat.shape[0]
 
     if ctx.assignment.all_serve_all:
-        # the push-through identity of the module docstring; every UE is a
-        # partner of every other, so P-MMSE has MMSE's Z and combiners
+        # the push-through identity of the module docstring, a row block of
+        # realizations at a time; every UE is a partner of every other, so
+        # P-MMSE has MMSE's Z and combiners
         s = np.sqrt(p)
         z = ctx.C_weighted_sum + ctx.cfg.noise_ul_w * np.eye(N)        # (L, N, N)
-        if N == 1:
-            x = bundle.hhat / z.real[..., 0]                           # Z is real
-        else:
-            rhs = np.moveaxis(bundle.hhat, (2, 3), (0, 1)).reshape(L, N, B * K)
-            x = np.moveaxis(_solve_hermitian(z, rhs).reshape(L, N, B, K), (0, 1), (2, 3))
-        x = x.reshape(B, K, L * N)                                     # rows (Z^-1 H)^T
-        hh = bundle.hhat.reshape(B, K, L * N)
-        A = s[:, None] * (np.conj(hh) @ np.swapaxes(x, 1, 2)) * s      # S H^H Z^-1 H S
-        A += np.eye(K)
-        sm = s[:, None] * _solve_hermitian(A, np.diag(s))              # S A^-1 S
-        return (np.swapaxes(sm, 1, 2) @ x).reshape(B, K, L, N)
+        # Z is real at N = 1; complex already, so no block casts it again
+        z_real = z.real[..., 0].astype(complex)
+        v = np.empty_like(bundle.hhat)
+        # a block holds two (K, L, N) temporaries a realization at once
+        for rows in row_blocks(B, 2 * K * L * N):
+            hhat = bundle.hhat[rows]
+            b = hhat.shape[0]
+            if N == 1:
+                x = hhat / z_real
+            else:
+                x = _solve_hermitian(z, np.moveaxis(hhat, (2, 3), (0, 1)).reshape(L, N, b * K))
+                x = np.moveaxis(x.reshape(L, N, b, K), (0, 1), (2, 3))
+            x = x.reshape(b, K, L * N)                                 # rows (Z^-1 H)^T
+            hh = hhat.reshape(b, K, L * N)
+            A = s[:, None] * (np.conj(hh) @ np.swapaxes(x, 1, 2)) * s  # S H^H Z^-1 H S
+            A += np.eye(K)
+            sm = s[:, None] * _solve_hermitian(A, np.diag(s))          # S A^-1 S
+            np.matmul(np.swapaxes(sm, 1, 2), x, out=v[rows].reshape(b, K, L * N))
+            del x               # before the next block's exists
+        return v
 
     v = np.zeros_like(bundle.hhat)
     partners = ctx.partners()
+    # the estimates with (UE, AP) pairs on one axis: each UE's gather is one take
+    pairs = bundle.hhat.reshape(B, K * L, N)
     for k in range(K):
         aps = ctx.assignment.serving_aps(k)
         if aps.size == 0:
             continue
         members = np.flatnonzero(partners[k]) if partial else np.arange(K)
         n = N * aps.size
-        hh = bundle.hhat[:, members[:, None], aps, :].reshape(B, members.size, n)
+        hh = np.take(pairs, members[:, None] * L + aps, axis=1).reshape(B, members.size, n)
         gram = _gram(p[members], hh)
         gram += ctx.noise_matrix(k, partner_only=partial)
         rhs = bundle.hhat[:, k, aps, :].reshape(B, n, 1)

@@ -18,7 +18,7 @@ import numpy as np
 from .config import SimulationConfig
 from .clustering import ClusterAssignment, compute_partners
 from .rng import complex_normal
-from .topology import Topology
+from .topology import Topology, row_blocks
 
 
 class SetupContext:
@@ -106,9 +106,14 @@ class SetupContext:
 
 
 class EstimationBundle:
-    """Per-batch pilot observations and lazily computed MMSE estimates."""
+    """Per-batch pilot observations and lazily computed MMSE estimates.
 
-    def __init__(self, ctx: SetupContext, channels: np.ndarray, rng):
+    demand, when given, is the (K, L) mask of every estimate the batch will
+    use: once they are all computed the pilot signal is released, so that it
+    does not stay next to the estimates and the combiners built from them.
+    """
+
+    def __init__(self, ctx: SetupContext, channels: np.ndarray, rng, demand: np.ndarray = None):
         self.ctx = ctx
         self.channels = channels
         batch, K, L, N = channels.shape
@@ -119,10 +124,15 @@ class EstimationBundle:
             self.y_pilot.shape)
         self.hhat = np.zeros_like(channels)
         self._computed = np.zeros((K, L), dtype=bool)
+        self._demand = demand
 
     def ensure(self, mask: np.ndarray) -> None:
         """Materialize estimates for every (UE, AP) pair flagged in mask."""
         fresh = mask & ~self._computed
+        if not fresh.any():
+            return
+        if self.y_pilot is None:
+            raise RuntimeError("estimates demanded beyond the batch's declared demand")
         if fresh.all() and self.hhat.shape[-1] == 1:
             # the whole table at one antenna: each UE's pilot row straight into
             # hhat (SetupContext has indexed with the pilot numbers already; mode
@@ -130,16 +140,20 @@ class EstimationBundle:
             # the scalar filters in place
             np.take(self.y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
             self.hhat *= self.ctx.filter[..., 0]
-            self._computed[...] = True
-            return
-        todo = np.argwhere(fresh)
-        if todo.size == 0:
-            return
-        ues, aps = todo[:, 0], todo[:, 1]
-        filters = self.ctx.filter[ues, aps]                       # (P, N, N)
-        y = self.y_pilot[:, self.ctx.pilot_of[ues], aps, :]       # (B, P, N)
-        self.hhat[:, ues, aps, :] = np.moveaxis(filters @ np.moveaxis(y, 0, -1), -1, 0)
-        self._computed[ues, aps] = True
+        else:
+            # pair by pair, a row block of pairs at a time: each pair's
+            # filter multiply is the same stacked product whatever the block
+            batch, _, _, N = self.hhat.shape
+            todo = np.argwhere(fresh)
+            for rows in row_blocks(len(todo), batch * N):
+                ues, aps = todo[rows, 0], todo[rows, 1]
+                filters = self.ctx.filter[ues, aps]                       # (P, N, N)
+                y = self.y_pilot[:, self.ctx.pilot_of[ues], aps, :]       # (B, P, N)
+                self.hhat[:, ues, aps, :] = np.moveaxis(filters @ np.moveaxis(y, 0, -1), -1, 0)
+                del y           # before the next block's exists
+        self._computed |= fresh
+        if self._demand is not None and not np.any(self._demand & ~self._computed):
+            self.y_pilot = None
 
     def ensure_all(self) -> None:
         self.ensure(np.ones(self._computed.shape, dtype=bool))

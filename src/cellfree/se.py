@@ -43,6 +43,7 @@ import numpy as np
 
 from .combining import precoder_scales
 from .estimation import EstimationBundle
+from .topology import row_blocks
 
 
 class NumericError(RuntimeError):
@@ -125,10 +126,6 @@ def se_from_sinr(sinr: np.ndarray, prelog: float) -> np.ndarray:
 # per-batch Monte-Carlo terms
 # ---------------------------------------------------------------------------
 
-# realizations per conjugated chunk of combining_gains
-_GAIN_CHUNK = 8
-
-
 def combining_gains(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """g[b, k, i] = v_k^H D_k h_i (the mask lives in v's zero blocks).
 
@@ -137,24 +134,48 @@ def combining_gains(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     B, K = v.shape[:2]
     ht = np.swapaxes(h.reshape(B, h.shape[1], -1), 1, 2)
     g = np.empty((B, K, h.shape[1]), dtype=np.result_type(v, h))
-    # v is conjugated _GAIN_CHUNK realizations at a time, not as a whole
-    # batch copy; each realization's product is the same BLAS call either way
-    vc = np.empty((min(B, _GAIN_CHUNK),) + v.shape[1:], dtype=v.dtype)
-    for start in range(0, B, _GAIN_CHUNK):
-        stop = min(start + _GAIN_CHUNK, B)
-        chunk = np.conj(v[start:stop], out=vc[:stop - start]).reshape(stop - start, K, -1)
-        np.matmul(chunk, ht[start:stop], out=g[start:stop])
+    # v is conjugated one row block of realizations at a time: a budget-sized
+    # temporary, never a fourth batch array next to the channels, estimates
+    # and combiners; each realization's product is the same BLAS call either
+    # way
+    blocks = row_blocks(B, v[0].size)
+    vc = np.empty((blocks[0].stop,) + v.shape[1:], dtype=v.dtype)
+    for rows in blocks:
+        n = rows.stop - rows.start
+        chunk = np.conj(v[rows], out=vc[:n]).reshape(n, K, -1)
+        np.matmul(chunk, ht[rows], out=g[rows])
     return g
 
 
-def combiner_norms(v: np.ndarray) -> tuple:
-    """Batch sums of ||D_k v_k||^2, (K,), and of ||v_kl||^2, (K, L).
+def combiner_norms(v: np.ndarray, per_ap: bool = False) -> tuple:
+    """Batch sums of ||D_k v_k||^2, (K,), and with per_ap of ||v_kl||^2,
+    (K, L); None in its place otherwise.
 
     Divided by the realization count they are the precoder normalizations
-    E{v_k^H D_k v_k} and E{||v_kl||^2}.
+    E{v_k^H D_k v_k} and E{||v_kl||^2}. The energies are squared in place a
+    row block of realizations at a time, and every sum over realizations
+    adds them one by one in order, the order of numpy's reduction over the
+    whole batch.
     """
-    energy = np.abs(v) ** 2
-    return energy.sum(axis=(2, 3)).sum(axis=0), energy.sum(axis=3).sum(axis=0)
+    per_realization = np.empty(v.shape[:2])
+    local = None
+    for rows in row_blocks(v.shape[0], v[0].size):
+        energy = np.abs(v[rows])
+        np.square(energy, out=energy)
+        per_realization[rows] = energy.sum(axis=(2, 3))
+        if per_ap:
+            local = _add_realizations(local, energy.sum(axis=3))
+        del energy              # before the next block's exists
+    return per_realization.sum(axis=0), local
+
+
+def _add_realizations(total, rows: np.ndarray) -> np.ndarray:
+    """total + rows[0] + rows[1] + ..., in that order (rows.sum(axis=0)
+    when total is None): a batch sum over realizations taken a block at a
+    time, with the bits of one reduction over the whole batch."""
+    if total is None:
+        return rows.sum(axis=0)
+    return np.concatenate((total[None], rows)).sum(axis=0)
 
 
 def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
@@ -168,15 +189,29 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
     evaluated at once on the full L*N space: Z_k is the restriction of
     blockdiag_l(sum_i p_i C_il) + sigma^2 I to UE k's serving blocks, so for
     a v_k that is zero outside them the full-space quadratic form equals
-    v_k^H Z_k v_k exactly, and v_k^H h_i equals v_k^H D_k h_i.
+    v_k^H Z_k v_k exactly, and v_k^H h_i equals v_k^H D_k h_i. The mask and
+    every term are applied a row block of realizations at a time: the
+    masked combiners and their conjugate, which the gains and the quadratic
+    form share, together take about one budget.
     """
     ctx = bundle.ctx
     bundle.ensure_all()
-    v = v * ctx.assignment.serves.T[None, :, :, None]
-    g = combining_gains(v, bundle.hhat)                                   # (B, K, K)
-    zq = np.real(np.einsum("bklm,lmn,bkln->bk", np.conj(v), ctx.C_weighted_sum, v))
-    zq += ctx.cfg.noise_ul_w * np.sum(np.abs(v) ** 2, axis=(2, 3))
-    return _power_sinr(ul_power[None, None, :] * np.abs(g) ** 2, zq)
+    B, K = v.shape[:2]
+    # complex already, so that the products cast no mask values block by block
+    serving = ctx.assignment.serves.T[None, :, :, None].astype(complex)
+    ht = np.swapaxes(bundle.hhat.reshape(B, K, -1), 1, 2)
+    sinr = np.empty((B, K))
+    for rows in row_blocks(B, 2 * v[0].size):
+        vm = v[rows] * serving
+        vc = np.conj(vm)
+        g = vc.reshape(len(vc), K, -1) @ ht[rows]             # combining_gains(vm, hhat)
+        zq = np.real(np.einsum("bklm,lmn,bkln->bk", vc, ctx.C_weighted_sum, vm))
+        del vc
+        energy = np.abs(vm)
+        zq += ctx.cfg.noise_ul_w * np.sum(np.square(energy, out=energy), axis=(2, 3))
+        sinr[rows] = _power_sinr(ul_power[None, None, :] * np.abs(g) ** 2, zq)
+        del vm, energy          # before the next block's exist
+    return sinr
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +379,19 @@ class DownlinkAccumulator(_RatioOfMeans):
         self.noise_w = noise_w
         self.genie = ErgodicLogAccumulator(prelog)
 
-    def batch_partial(self, w: np.ndarray, w_batchnorm: np.ndarray, h: np.ndarray) -> dict:
-        """w uses the campaign-wide normalization (reported SE and genie);
-        w_batchnorm is renormalized from this batch alone (stderr replicas)."""
-        return self.gain_partial(combining_gains(h, w), combining_gains(h, w_batchnorm))
+    def batch_partial(self, v: np.ndarray, h: np.ndarray, scales: np.ndarray,
+                      batch_scales: np.ndarray) -> dict:
+        """The partial of the precoders w = c v, with block scales c per UE
+        (K,) or per AP (K, L): scales from the campaign-wide normalization
+        (reported SE and genie), batch_scales from this batch's own (stderr
+        replicas). Each w exists one row block of realizations at a time."""
+        B, K = v.shape[:2]
+        g, g_batchnorm = (np.empty((B, K, K), dtype=complex) for _ in range(2))
+        for c, gains in ((scales, g), (batch_scales, g_batchnorm)):
+            c = c.reshape(c.shape + (1,) * (3 - c.ndim))
+            for rows in row_blocks(B, v[0].size):
+                gains[rows] = combining_gains(h[rows], v[rows] * c)
+        return self.gain_partial(g, g_batchnorm)
 
     def gain_partial(self, g: np.ndarray, g_batchnorm: np.ndarray) -> dict:
         """The same from the precoded gains g = combining_gains(h, w) and

@@ -158,10 +158,18 @@ def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_
     return beta[..., None, None] * phase * envelope
 
 
-# values per temporary of one row block of a drop or of the Step-3 distance
-# table: 2^15 floats take 256 kB, so a block's few temporaries stay in L2,
-# where whole (K, L) passes sweep L3
+# values per temporary of one row block: of a drop, of the Step-3 distance
+# table, and of the per-batch work of a campaign (realizations, or estimate
+# pairs, at a time). 2^15 floats take 256 kB, so a block's few temporaries
+# stay in L2, where whole passes sweep L3
 BLOCK_VALUES = 2 ** 15
+
+
+def row_blocks(count: int, per_row: int) -> list:
+    """Slices over count rows of per_row values each, about BLOCK_VALUES
+    values a block and at least one row."""
+    rows = max(1, BLOCK_VALUES // max(1, per_row))
+    return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 
 def generate_topology(cfg: SimulationConfig, rng) -> Topology:
@@ -176,9 +184,7 @@ def generate_topology(cfg: SimulationConfig, rng) -> Topology:
     """
     ap_pos, ue_pos = place_entities(cfg, rng)
     beta = rng.normal(0.0, cfg.shadow_std_db, size=(cfg.num_ues, cfg.num_aps))
-    rows = max(1, BLOCK_VALUES // cfg.num_aps)
-    for start in range(0, cfg.num_ues, rows):
-        block = slice(start, start + rows)
+    for block in row_blocks(cfg.num_ues, cfg.num_aps):
         dist = _squared_norm(*_displacement(ap_pos[None, :, :], ue_pos[block, None, :],
                                             cfg.area_side_km))
         dist += (cfg.ap_height_m / 1000.0) ** 2

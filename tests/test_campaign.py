@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cellfree import campaign
+from cellfree import topology as campaign_topology
 from cellfree.campaign import _batch_sizes, emit_results, run_campaign
 from cellfree.combining import DegeneratePrecoderError, compute_combiners
 from cellfree.estimation import EstimationBundle
@@ -16,7 +18,7 @@ from cellfree.power import dl_centralized_equal, per_ap_dl_power
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.se import (DownlinkAccumulator, DownlinkBlockMoments, NumericError,
                          UatfAccumulator, combiner_norms)
-from cellfree.topology import sample_channels
+from cellfree.topology import BLOCK_VALUES, sample_channels
 
 from conftest import make_cfg, make_setup, same_bits
 
@@ -337,6 +339,91 @@ class TestDownlinkOnlyDistributed:
                 assert same_bits(got.se, expected.se) and same_bits(got.stderr, expected.stderr)
 
 
+class TestBatchMemory:
+    """Traced peak of a campaign's batches, in (B, K, L, N) batch arrays above
+    what the setup holds: at most three (the channels, the estimates and the
+    combiners), plus the budget of one step's temporaries and as much again
+    for numpy's working buffers and the batch's small outputs (gains, SINRs,
+    partial sums). Batches of 256 realizations of a network with K << L: a
+    batch array takes 8 MiB, sixteen budgets."""
+
+    BATCH = 256
+    NETWORK = dict(num_aps=256, num_ues=8, pilot_len=2, antennas_per_ap=1, area_side_km=1.0,
+                   max_neighbors=5, seed=7, num_realizations=2 * BATCH)
+    # route: (config, channel draws per batch)
+    ROUTES = {
+        "centralized-mmse-all-ul": (dict(mode="centralized", schemes=("MMSE",),
+                                         all_serve_all=True, dl_data_len=0), 1),
+        "centralized-p-mmse-ul": (dict(mode="centralized", schemes=("P-MMSE",),
+                                       dl_data_len=0), 1),
+        "distributed-lp-mmse-ul": (dict(mode="distributed", schemes=("LP-MMSE",),
+                                        dl_data_len=0), 1),
+        "distributed-mr-ul": (dict(mode="distributed", schemes=("MR",), dl_data_len=0), 1),
+        "distributed-genie-dl-two-pass": (dict(mode="distributed", schemes=("LP-MMSE",),
+                                               ul_data_len=0, genie_dl=True), 2),
+        "distributed-dl-block-moments": (dict(mode="distributed", schemes=("LP-MMSE",),
+                                              ul_data_len=0), 1),
+        "centralized-genie-dl-single-pass": (dict(mode="centralized", schemes=("P-MMSE",),
+                                                  ul_data_len=0, genie_dl=True), 1),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_peak_within_three_batch_arrays(self, monkeypatch, route):
+        kw, passes = self.ROUTES[route]
+        cfg = make_cfg(**{**self.NETWORK, **kw})
+        monkeypatch.setattr(campaign, "_batch_sizes", lambda cfg: [self.BATCH] * 2)
+        run_campaign(cfg)                       # imports and caches of a first run
+        seen = {"draws": 0}
+
+        def drawing(*args, **kwargs):
+            if not seen["draws"]:
+                seen["setup"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            seen["draws"] += 1
+            return sample_channels(*args, **kwargs)
+
+        def context(*args, build=campaign.SetupContext, **kwargs):
+            seen["ctx"] = build(*args, **kwargs)
+            return seen["ctx"]
+
+        monkeypatch.setattr(campaign, "sample_channels", drawing)
+        monkeypatch.setattr(campaign, "SetupContext", context)
+        tracemalloc.start()
+        try:
+            run_campaign(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen["draws"] == 2 * passes
+        # setup statistics built on first use, and the genie powers kept
+        ctx = seen["ctx"]
+        held = ctx.topology.correlation_sqrt().nbytes
+        held += sum(z.nbytes for z in ctx._noise_cache.values())
+        held += 0 if ctx._partners is None else ctx._partners.nbytes
+        if cfg.genie_dl and cfg.mode == "centralized":
+            held += cfg.num_realizations * cfg.num_ues**2 * 8
+        batch_array = self.BATCH * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap * 16
+        above = (peak - seen["setup"] - held) / batch_array
+        budget = BLOCK_VALUES * 16 / batch_array
+        assert above <= 3 + 2 * budget, f"{above:.3f} batch arrays"
+
+    @pytest.mark.parametrize("antennas", [1, 2])
+    @pytest.mark.parametrize("kw", [
+        dict(mode="centralized", schemes=("MMSE", "P-MMSE", "LP-MMSE", "MR"), genie_dl=True),
+        dict(mode="centralized", schemes=("MMSE", "MR"), all_serve_all=True),
+        dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE"), genie_dl=True),
+        dict(mode="distributed", schemes=("LP-MMSE", "MR"), max_neighbors=0),
+    ], ids=["centralized-genie", "all-serve-all", "distributed-genie", "block-moments"])
+    def test_blocks_of_one_realization_change_no_byte(self, monkeypatch, tmp_path, antennas, kw):
+        # every budget-sized block holds one realization (or one estimate pair)
+        cfg = make_cfg(num_aps=12, num_ues=8, pilot_len=3, antennas_per_ap=antennas, seed=3,
+                       num_realizations=48, **kw)
+        emit_results(run_campaign(cfg), tmp_path / "whole")
+        monkeypatch.setattr(campaign_topology, "BLOCK_VALUES", 1)
+        emit_results(run_campaign(cfg, threads=2), tmp_path / "blocks")
+        assert read_tree(tmp_path / "whole") == read_tree(tmp_path / "blocks")
+
+
 class TestPerApPowerConstraint:
     def test_equal_allocation_fits_budget_with_real_combiner_norms(self):
         cfg = make_cfg(num_aps=8, num_ues=10, pilot_len=4, area_side_km=0.5,
@@ -346,7 +433,7 @@ class TestPerApPowerConstraint:
         for b in range(4):
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), 200)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, b))
-            total, per_ap = combiner_norms(compute_combiners("P-MMSE", bundle))
+            total, per_ap = combiner_norms(compute_combiners("P-MMSE", bundle), per_ap=True)
             norm += total
             norm_local += per_ap
         spend = per_ap_dl_power(dl_centralized_equal(cfg), norm_local / 800, norm / 800)

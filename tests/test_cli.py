@@ -96,10 +96,26 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "results").exists()
 
 
+def _runs(tmp_path):
+    """simulate and bench command lines that would write into tmp_path / "r"."""
+    out = ["--out", str(tmp_path / "r")]
+    return [["simulate", "--config", str(write_cfg(tmp_path))] + out,
+            ["bench", "--scenario", "setup-i-ul"] + out]
+
+
 def test_invalid_seed_override_is_a_usage_error(tmp_path, capsys):
-    argv = ["simulate", "--config", str(write_cfg(tmp_path)), "--out", str(tmp_path / "r"),
-            "--seed", "-1"]
-    assert _usage_error(capsys, argv) == "cellfree: error: run.seed: must be nonnegative"
+    for argv in _runs(tmp_path):
+        assert _usage_error(capsys, argv + ["--seed", "-1"]) == (
+            "cellfree: error: run.seed: must be nonnegative"), argv[0]
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    for argv in _runs(tmp_path):
+        assert _usage_error(capsys, argv + ["--threads", threads]) == (
+            f"cellfree: error: --threads: must be at least 1, got {threads}"), argv[0]
+    assert not (tmp_path / "r").exists()
 
 
 def test_unknown_bench_scenario_is_a_usage_error(capsys):

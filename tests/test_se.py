@@ -304,19 +304,18 @@ class TestGenie:
         # rho_k = 0 folds into an all-zero precoder for that UE
         rng = np.random.default_rng(8)
         h = (rng.standard_normal((40, 2, 1, 1)) + 1j * rng.standard_normal((40, 2, 1, 1)))
-        w = h.copy()
-        w[:, 0] = 0.0
+        scales = np.array([0.0, 1.0])
         acc = DownlinkAccumulator(1.0, 0.95)
-        acc.merge(acc.batch_partial(w, w, h))
+        acc.merge(acc.batch_partial(h, h, scales, scales))
         se, _ = acc.finalize()
         assert se[0] == 0.0 and se[1] > 0.0
 
     def test_constant_channel_closes_the_gap(self):
         # no channel variance: hardening bound and genie coincide exactly
-        w = np.ones((50, 1, 1, 1), dtype=complex) * 0.7
+        v = np.ones((50, 1, 1, 1), dtype=complex) * 0.7
         h = np.ones((50, 1, 1, 1), dtype=complex) * 1.3
         acc = DownlinkAccumulator(0.5, 1.0)
-        acc.merge(acc.batch_partial(w, w, h))
+        acc.merge(acc.batch_partial(v, h, np.ones(1), np.ones(1)))
         se, _ = acc.finalize()
         genie, _ = acc.finalize_genie()
         assert se[0] == pytest.approx(genie[0], rel=1e-12)
@@ -438,7 +437,7 @@ class TestDownlinkBlockMoments:
             w = build_precoders_centralized(v, rho, combiner_norms(v)[0] / B)
         else:
             rho = dl_distributed_proportional(assignment, topo, cfg)
-            w = build_precoders_distributed(v, rho, combiner_norms(v)[1] / B)
+            w = build_precoders_distributed(v, rho, combiner_norms(v, per_ap=True)[1] / B)
         blocks = PrecoderBlocks(assignment, rho)
         if mode == "distributed":
             served, _ = assignment.served_table()
@@ -464,9 +463,9 @@ class TestDownlinkBlockMoments:
             acc.merge(acc.batch_partial(v[-1], h[-1]))
         norm = sum(combiner_norms(x)[0] for x in v) / 14
         reference = DownlinkAccumulator(cfg.noise_dl_w, 1.0)
+        scales = precoder_scales(rho, norm)
         for vb, hb in zip(v, h):
-            w = build_precoders_centralized(vb, rho, norm)
-            reference.merge(reference.batch_partial(w, w, hb))
+            reference.merge(reference.batch_partial(vb, hb, scales, scales))
         for got, expected in zip(acc.finalize_genie(), reference.finalize_genie()):
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
