@@ -386,12 +386,15 @@ class DownlinkAccumulator(_RatioOfMeans):
         (reported SE and genie), batch_scales from this batch's own (stderr
         replicas). Each w exists one row block of realizations at a time."""
         B, K = v.shape[:2]
-        g, g_batchnorm = (np.empty((B, K, K), dtype=complex) for _ in range(2))
-        for c, gains in ((scales, g), (batch_scales, g_batchnorm)):
+
+        def gains(c):
             c = c.reshape(c.shape + (1,) * (3 - c.ndim))
+            g = np.empty((B, K, K), dtype=complex)
             for rows in row_blocks(B, v[0].size):
-                gains[rows] = combining_gains(h[rows], v[rows] * c)
-        return self.gain_partial(g, g_batchnorm)
+                g[rows] = combining_gains(h[rows], v[rows] * c)
+            return g
+
+        return self.gain_partial(gains(scales), gains(batch_scales))
 
     def gain_partial(self, g: np.ndarray, g_batchnorm: np.ndarray) -> dict:
         """The same from the precoded gains g = combining_gains(h, w) and

@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellfree import campaign
-from cellfree import topology as campaign_topology
+from cellfree import campaign, topology
 from cellfree.campaign import _batch_sizes, emit_results, run_campaign
 from cellfree.combining import DegeneratePrecoderError, compute_combiners
 from cellfree.estimation import EstimationBundle
@@ -419,7 +418,7 @@ class TestBatchMemory:
         cfg = make_cfg(num_aps=12, num_ues=8, pilot_len=3, antennas_per_ap=antennas, seed=3,
                        num_realizations=48, **kw)
         emit_results(run_campaign(cfg), tmp_path / "whole")
-        monkeypatch.setattr(campaign_topology, "BLOCK_VALUES", 1)
+        monkeypatch.setattr(topology, "BLOCK_VALUES", 1)
         emit_results(run_campaign(cfg, threads=2), tmp_path / "blocks")
         assert read_tree(tmp_path / "whole") == read_tree(tmp_path / "blocks")
 
