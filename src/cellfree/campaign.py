@@ -38,21 +38,25 @@ powers of all schemes are large (several schemes at full scale, or many
 realizations); and when the block moments would be large
 (_block_moments_fit): large distributed clusters, whose block moments cost
 more than the second pass. In every case each batch's stderr replica uses
-precoders normalized by that batch's own norm sums. In centralized
-operation both sets of precoded gains are column scalings of one gain
-matrix h_k^H v_i, so the second pass builds no precoder arrays; in
-distributed operation it scales the combiners a row block of realizations
-at a time.
+precoders normalized by that batch's own norm sums; both sets of scales go
+to se.DownlinkAccumulator.batch_partial, which takes per-UE scales as
+column scalings of one gain matrix h_k^H v_i and per-AP scales on the
+combiners a row block of realizations at a time.
+
+A batch's estimates are built once, for a demand declared before any batch
+runs (the union of the schemes' demands, or every pair for a centralized
+uplink, whose SINR reads them all): the EstimationBundle constructor
+despreads the pilots, estimates that demand and drops the pilot signal,
+and the combiners and SINRs only read the bundle.
 
 A batch holds at most three (batch, K, L, N) arrays: its channels, its
 estimates and one scheme's combiners. Every other per-batch temporary is
 formed a row block of realizations (or of estimate pairs) at a time, about
-topology.BLOCK_VALUES values (at least one realization), and the bundle
-releases its pilot signal once the batch's last estimate is computed. The
-estimates go once the last scheme's combiners (and the centralized uplink,
-which reads them) are done, so the single-pass downlink's block moments,
-whose chunk takes up to one batch array, run next to two. Accumulators keep
-their sums, and the genie's gain powers, across batches.
+topology.BLOCK_VALUES values (at least one realization). The estimates go
+once the last scheme's combiners (and the centralized uplink, which reads
+them) are done, so the single-pass downlink's block moments, whose chunk
+takes up to one batch array, run next to two. Accumulators keep their
+sums, and the genie's gain powers, across batches.
 """
 
 import concurrent.futures
@@ -79,7 +83,6 @@ from .se import (
     UatfAccumulator,
     cdf_statistics,
     combiner_norms,
-    combining_gains,
     instantaneous_sinr,
 )
 from .topology import generate_topology, sample_channels
@@ -227,8 +230,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     centralized = cfg.mode == "centralized"
 
     # every estimate a batch uses (the centralized uplink's SINR reads them
-    # all): a bundle releases its pilot signal once they are computed, before
-    # the combiners are built from them
+    # all), computed once when the batch's bundle is built
     schemes_demand = np.logical_or.reduce([estimate_demand_mask(x, ctx) for x in cfg.schemes])
     pass1_demand = np.ones_like(schemes_demand) if centralized and need_ul else schemes_demand
     last = cfg.schemes[-1]
@@ -273,8 +275,6 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     # combiners before the next scheme's are built
     def pass1(b):
         h, bundle = realizations(b, pass1_demand)
-        if centralized and need_ul:
-            bundle.ensure_all()
         out = {}
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
@@ -308,17 +308,9 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 del bundle
             norm, norm_local = combiner_norms(v, per_ap=not centralized)
             batch_norm = (norm if centralized else norm_local) / v.shape[0]
-            dl = acc[(scheme, "dl")]
-            if centralized:
-                # both gain sets scale the columns of u[b, k, i] = h_k^H v_i
-                u = combining_gains(h, v)
-                out[(scheme, "dl")] = dl.gain_partial(
-                    u * precoder_scales(rho, global_norm[scheme]), u * precoder_scales(rho, batch_norm)
-                )
-            else:
-                out[(scheme, "dl")] = dl.batch_partial(
-                    v, h, precoder_scales(rho, global_norm[scheme]), precoder_scales(rho, batch_norm)
-                )
+            out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(
+                v, h, precoder_scales(rho, global_norm[scheme]), precoder_scales(rho, batch_norm)
+            )
             del v
         return out
 

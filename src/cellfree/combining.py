@@ -100,8 +100,11 @@ def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:
 
 
 def compute_combiners(scheme: str, bundle: EstimationBundle) -> np.ndarray:
-    """(B, K, L, N) combining vectors, exactly zero outside serving APs."""
-    bundle.ensure(estimate_demand_mask(scheme, bundle.ctx))
+    """(B, K, L, N) combining vectors, exactly zero outside serving APs.
+
+    Raises ValueError when the bundle lacks an estimate the scheme reads.
+    """
+    bundle.require(estimate_demand_mask(scheme, bundle.ctx), f"{scheme} combining")
     if scheme == "MR":
         return mr_combiner(bundle)
     if scheme in ("LP-MMSE", "L-MMSE"):
@@ -223,9 +226,9 @@ def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
     attained by MMSE combining.
     """
     ctx = bundle.ctx
-    bundle.ensure_all()
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
+    bundle.require(ctx.assignment.serves[:, k], "optimal_sinr")    # every UE at M_k
     aps = ctx.assignment.serving_aps(k)
     B = bundle.hhat.shape[0]
     n = N * aps.size

@@ -5,12 +5,12 @@ setup: the pilot-correlation matrices Psi_tl, the estimation filters
 sqrt(p_k*tau_p) R_kl Psi_tl^{-1}, the estimate covariances
 B_kl = p_k*tau_p R_kl Psi_tl^{-1} R_kl, and the error covariances
 C_kl = R_kl - B_kl. Per coherence block only the despreaded pilot signal and
-the filter multiply remain; estimates are materialized lazily for exactly
-the (UE, AP) pairs a processing scheme demands. With one antenna per AP
-every N x N matrix is a scalar: the filters are a division, and a demand
-that covers every pair (centralized uplink, all-serve-all clusters) is
-computed in one elementwise whole-table pass straight into the estimate
-array instead of pair by pair.
+the filter multiply remain: a batch's estimates are computed once, when its
+bundle is built, for exactly the (UE, AP) pairs its processing schemes
+demand. With one antenna per AP every N x N matrix is a scalar: the filters
+are a division, and a demand that covers every pair (centralized uplink,
+all-serve-all clusters) is computed in one elementwise whole-table pass
+straight into the estimate array instead of pair by pair.
 """
 
 import numpy as np
@@ -43,6 +43,8 @@ class SetupContext:
         # Psi_tl = sum_{i in S_t} tau_p p_i R_il + sigma^2 I  -> (tau_p, L, N, N)
         weights = np.zeros((tau_p, K))
         weights[self.pilot_of, np.arange(K)] = tau_p * self.ul_power
+        # despreading weights: y_tl = sum_{i in S_t} sqrt(tau_p p_i) h_il + noise
+        self._despread = np.sqrt(weights)
         self.psi = np.einsum("tk,klmn->tlmn", weights, R) + cfg.noise_ul_w * eye
 
         # statistical filters A_kl = sqrt(p_k tau_p) R_kl Psi_{t_k l}^{-1},
@@ -62,10 +64,6 @@ class SetupContext:
         self.C = 0.5 * (self.C + np.conj(np.swapaxes(self.C, -1, -2)))
         # sum_i p_i C_il, the statistical part of the centralized noise matrix
         self.C_weighted_sum = np.einsum("k,klmn->lmn", self.ul_power, self.C)
-
-        # despreading weights: y_tl = sum_{i in S_t} sqrt(tau_p p_i) h_il + noise
-        self._despread = np.zeros((tau_p, K))
-        self._despread[self.pilot_of, np.arange(K)] = np.sqrt(tau_p * self.ul_power)
 
         self._partners = None
         self._noise_cache = {}
@@ -105,55 +103,60 @@ class SetupContext:
         return Z
 
 
-class EstimationBundle:
-    """Per-batch pilot observations and lazily computed MMSE estimates.
+def despread(ctx: SetupContext, channels: np.ndarray, rng) -> np.ndarray:
+    """(B, tau_p, L, N) despread pilot signal of a batch of (B, K, L, N)
+    channels: y_tl = sum_{i in S_t} sqrt(tau_p p_i) h_il + noise."""
+    batch, K, L, N = channels.shape
+    y = complex_normal(rng, (batch, ctx.cfg.pilot_len, L, N))
+    y *= np.sqrt(ctx.cfg.noise_ul_w)
+    # despread pilots added in place: no third (B, tau_p, L, N) array
+    y += (ctx._despread @ channels.reshape(batch, K, L * N)).reshape(y.shape)
+    return y
 
-    demand, when given, is the (K, L) mask of every estimate the batch will
-    use: once they are all computed the pilot signal is released, so that it
-    does not stay next to the estimates and the combiners built from them.
+
+class EstimationBundle:
+    """One batch's MMSE estimates, a value once built.
+
+    demand is the (K, L) mask of every estimate the batch uses (every pair
+    when None). The constructor despreads the pilots and estimates exactly
+    those pairs; the pilot signal goes when it returns, so that it never
+    stays next to the estimates and the combiners built from them. Readers
+    check _computed for the estimates they need and never write into hhat.
     """
 
     def __init__(self, ctx: SetupContext, channels: np.ndarray, rng, demand: np.ndarray = None):
         self.ctx = ctx
         self.channels = channels
-        batch, K, L, N = channels.shape
-        self.y_pilot = complex_normal(rng, (batch, ctx.cfg.pilot_len, L, N))
-        self.y_pilot *= np.sqrt(ctx.cfg.noise_ul_w)
-        # despread pilots added in place: no third (B, tau_p, L, N) array
-        self.y_pilot += (ctx._despread @ channels.reshape(batch, K, L * N)).reshape(
-            self.y_pilot.shape)
         self.hhat = np.zeros_like(channels)
-        self._computed = np.zeros((K, L), dtype=bool)
-        self._demand = demand
+        self._computed = np.zeros(channels.shape[1:3], dtype=bool)
+        if demand is None:
+            demand = np.ones_like(self._computed)
+        self.ensure(demand, despread(ctx, channels, rng))
 
-    def ensure(self, mask: np.ndarray) -> None:
-        """Materialize estimates for every (UE, AP) pair flagged in mask."""
-        fresh = mask & ~self._computed
-        if not fresh.any():
-            return
-        if self.y_pilot is None:
-            raise RuntimeError("estimates demanded beyond the batch's declared demand")
-        if fresh.all() and self.hhat.shape[-1] == 1:
+    def ensure(self, mask: np.ndarray, y_pilot: np.ndarray) -> None:
+        """The constructor's one estimation step: every (UE, AP) pair flagged
+        in mask, from the despread pilot signal y_pilot."""
+        if mask.all() and self.hhat.shape[-1] == 1:
             # the whole table at one antenna: each UE's pilot row straight into
             # hhat (SetupContext has indexed with the pilot numbers already; mode
             # "raise" would make take copy through a second batch array), then
             # the scalar filters in place
-            np.take(self.y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
+            np.take(y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
             self.hhat *= self.ctx.filter[..., 0]
         else:
             # pair by pair, a row block of pairs at a time: each pair's
             # filter multiply is the same stacked product whatever the block
             batch, _, _, N = self.hhat.shape
-            todo = np.argwhere(fresh)
+            todo = np.argwhere(mask)
             for rows in row_blocks(len(todo), batch * N):
                 ues, aps = todo[rows, 0], todo[rows, 1]
                 filters = self.ctx.filter[ues, aps]                       # (P, N, N)
-                y = self.y_pilot[:, self.ctx.pilot_of[ues], aps, :]       # (B, P, N)
+                y = y_pilot[:, self.ctx.pilot_of[ues], aps, :]            # (B, P, N)
                 self.hhat[:, ues, aps, :] = np.moveaxis(filters @ np.moveaxis(y, 0, -1), -1, 0)
                 del y           # before the next block's exists
-        self._computed |= fresh
-        if self._demand is not None and not np.any(self._demand & ~self._computed):
-            self.y_pilot = None
+        self._computed |= mask
 
-    def ensure_all(self) -> None:
-        self.ensure(np.ones(self._computed.shape, dtype=bool))
+    def require(self, mask: np.ndarray, reader: str) -> None:
+        """Raise ValueError unless every estimate flagged in mask was computed."""
+        if np.any(mask & ~self._computed):
+            raise ValueError(f"{reader} needs estimates outside the bundle's demand")

@@ -192,10 +192,10 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
     v_k^H Z_k v_k exactly, and v_k^H h_i equals v_k^H D_k h_i. The mask and
     every term are applied a row block of realizations at a time: the
     masked combiners and their conjugate, which the gains and the quadratic
-    form share, together take about one budget.
+    form share, together take about one budget. Reads every estimate.
     """
     ctx = bundle.ctx
-    bundle.ensure_all()
+    bundle.require(np.ones_like(bundle._computed), "instantaneous_sinr")
     B, K = v.shape[:2]
     # complex already, so that the products cast no mask values block by block
     serving = ctx.assignment.serves.T[None, :, :, None].astype(complex)
@@ -384,21 +384,19 @@ class DownlinkAccumulator(_RatioOfMeans):
         """The partial of the precoders w = c v, with block scales c per UE
         (K,) or per AP (K, L): scales from the campaign-wide normalization
         (reported SE and genie), batch_scales from this batch's own (stderr
-        replicas). Each w exists one row block of realizations at a time."""
-        B, K = v.shape[:2]
-
-        def gains(c):
-            c = c.reshape(c.shape + (1,) * (3 - c.ndim))
+        replicas). Per UE both gain sets scale the columns of one gain
+        matrix u[b, k, i] = h_k^H v_i; per AP each w exists one row block of
+        realizations at a time."""
+        if scales.ndim == 1:
+            u = combining_gains(h, v)
+            g, g_batchnorm = u * scales, u * batch_scales
+        else:
+            B, K = v.shape[:2]
             g = np.empty((B, K, K), dtype=complex)
+            g_batchnorm = np.empty_like(g)
             for rows in row_blocks(B, v[0].size):
-                g[rows] = combining_gains(h[rows], v[rows] * c)
-            return g
-
-        return self.gain_partial(gains(scales), gains(batch_scales))
-
-    def gain_partial(self, g: np.ndarray, g_batchnorm: np.ndarray) -> dict:
-        """The same from the precoded gains g = combining_gains(h, w) and
-        g_batchnorm = combining_gains(h, w_batchnorm)."""
+                g[rows] = combining_gains(h[rows], v[rows] * scales[:, :, None])
+                g_batchnorm[rows] = combining_gains(h[rows], v[rows] * batch_scales[:, :, None])
         q = np.abs(g) ** 2
         partial = _gain_sums(g, q)
         partial["genie"] = ErgodicLogAccumulator.batch_partial(_power_sinr(q, self.noise_w))

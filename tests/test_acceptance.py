@@ -2,7 +2,8 @@
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them inline).
 Criterion 7 reproduces the full-scale reference numbers and takes about
-17 minutes (1045 s) on two cores; it only runs when CELLFREE_FULL_SCALE=1 is set.
+15 minutes (877.6 s) on two cores with CELLFREE_THREADS=2; it only runs when
+CELLFREE_FULL_SCALE=1 is set.
 """
 
 import os
@@ -124,7 +125,6 @@ def test_criterion_3_mmse_optimality():
         for b in range(total // batch):
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), batch)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, b))
-            bundle.ensure_all()
             best = np.stack([optimal_sinr(bundle, k) for k in range(cfg.num_ues)], axis=1)
             for scheme in ("MR", "P-MMSE", "LP-MMSE", "MMSE"):
                 v = compute_combiners(scheme, bundle)
@@ -189,7 +189,6 @@ def test_criterion_5_estimation_statistics():
         for b in range(n // batch):
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), batch)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, b))
-            bundle.ensure_all()
             err = h - bundle.hhat
             cov_est += np.einsum("bklm,bkln->klmn", bundle.hhat, np.conj(bundle.hhat))
             cov_err += np.einsum("bklm,bkln->klmn", err, np.conj(err))
@@ -240,7 +239,7 @@ def test_criterion_6_scalability_invariants():
 FULL_SCALE = os.environ.get("CELLFREE_FULL_SCALE", "") == "1"
 
 
-@pytest.mark.skipif(not FULL_SCALE, reason="full-scale reproduction, about 17 min on 2 cores; set CELLFREE_FULL_SCALE=1")
+@pytest.mark.skipif(not FULL_SCALE, reason="full-scale reproduction, about 15 min on 2 cores; set CELLFREE_FULL_SCALE=1")
 def test_criterion_7_full_scale_reference_numbers():
     with criterion("7 full-scale reference-number reproduction"):
         threads = int(os.environ.get("CELLFREE_THREADS", str(os.cpu_count() or 1)))
@@ -274,7 +273,6 @@ def test_criterion_8_accounting_exactness():
                 continue  # infeasible density; criterion targets valid clusters
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 1)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
-            bundle.ensure_all()
             for k in range(cfg.num_ues):
                 for scheme in ("MR", "LP-MMSE"):
                     assert measured_counts(scheme, k, ctx, bundle.hhat[0]) == \

@@ -109,7 +109,6 @@ class TestInstrumentedCounters:
         topo, assignment, ctx = make_setup(cfg)
         h = sample_channels(topo, stream(2, 0, CHANNEL, 0), batch=1)
         bundle = EstimationBundle(ctx, h, stream(2, 0, PILOT_NOISE, 0))
-        bundle.ensure_all()
         partners = compute_partners(assignment)
         est_unit = cfg.antennas_per_ap * cfg.pilot_len + cfg.antennas_per_ap**2
         for k in range(cfg.num_ues):

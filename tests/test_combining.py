@@ -21,10 +21,12 @@ from conftest import make_cfg, make_setup, same_bits
 from test_estimation import scalar_setup
 
 
-def make_bundle(cfg, seed=1, batch=6):
+def make_bundle(cfg, seed=1, batch=6, demand=None):
+    """A bundle of the scheme demand's estimates (every pair when None)."""
     topo, assignment, ctx = make_setup(cfg)
     h = sample_channels(topo, stream(seed, 0, CHANNEL, 0), batch=batch)
-    bundle = EstimationBundle(ctx, h, stream(seed, 0, PILOT_NOISE, 0))
+    mask = None if demand is None else estimate_demand_mask(demand, ctx)
+    bundle = EstimationBundle(ctx, h, stream(seed, 0, PILOT_NOISE, 0), mask)
     return topo, assignment, ctx, h, bundle
 
 
@@ -34,7 +36,6 @@ def scalar_bundle(hhat_value=2.0):
     h = np.zeros((1, 1, 1, 1), dtype=complex)
     bundle = EstimationBundle(ctx, h, stream(1, 0, PILOT_NOISE, 0))
     bundle.hhat[:] = hhat_value
-    bundle._computed[:] = True
     return cfg, ctx, bundle
 
 
@@ -55,7 +56,6 @@ class TestMR:
         _, assignment, _, _, bundle = make_bundle(cfg)
         assert assignment.serves.all() == all_serve_all
         # estimates at every AP, as a centralized uplink computes them
-        bundle.ensure_all()
         v = compute_combiners("MR", bundle)
         assert same_bits(v, bundle.hhat * assignment.serves.T[None, :, :, None])
 
@@ -64,9 +64,8 @@ class TestMR:
         # DCC clusters: the L-MMSE demand adds estimates at APs that do not
         # serve the UE, which the mask must then remove
         cfg = make_cfg(num_aps=6, num_ues=5, pilot_len=3)
-        _, assignment, ctx, _, bundle = make_bundle(cfg)
+        _, assignment, ctx, _, bundle = make_bundle(cfg, demand=demand)
         assert not assignment.serves.all()
-        bundle.ensure(estimate_demand_mask(demand, ctx))
         assert bundle._computed.any(axis=None) and (
             np.any(bundle._computed & ~assignment.serves.T) != alias)
         v = compute_combiners("MR", bundle)
@@ -233,9 +232,7 @@ class TestAllServeAllPushThrough:
             p[zero_power_ue] = 0.0
         ctx = SetupContext(topo, assignment, p, cfg)
         h = sample_channels(topo, stream(3, 0, CHANNEL, 0), batch=batch)
-        bundle = EstimationBundle(ctx, h, stream(3, 0, PILOT_NOISE, 0))
-        bundle.ensure_all()
-        return ctx, bundle
+        return ctx, EstimationBundle(ctx, h, stream(3, 0, PILOT_NOISE, 0))
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("batch", [1, 3])
@@ -268,6 +265,50 @@ class TestAllServeAllPushThrough:
         v = compute_combiners("MMSE", bundle)
         sinr = instantaneous_sinr(v, bundle, ctx.ul_power)
         np.testing.assert_allclose(sinr, optimal_sinr_all(bundle, ctx), rtol=1e-9, atol=0)
+
+
+SCHEMES = ["MR", "LP-MMSE", "L-MMSE", "MMSE", "P-MMSE"]
+
+
+class TestReadersOnlyReadTheBundle:
+    """A bundle's estimates are computed once, from its declared demand:
+    combiners and SINRs raise where it lacks an estimate they read, and
+    never write into it."""
+
+    @staticmethod
+    def _cfg(all_serve_all=False):
+        return make_cfg(num_aps=8, num_ues=6, pilot_len=3, all_serve_all=all_serve_all,
+                        mode="centralized", schemes=("MMSE",))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_missing_estimate_raises(self, scheme):
+        _, _, ctx, h, bundle = make_bundle(self._cfg())
+        demand = estimate_demand_mask(scheme, ctx)
+        ue, ap = np.argwhere(demand)[-1]
+        demand[ue, ap] = False
+        short = EstimationBundle(ctx, h, stream(1, 0, PILOT_NOISE, 0), demand)
+        with pytest.raises(ValueError, match="outside the bundle's demand"):
+            compute_combiners(scheme, short)
+        v = compute_combiners(scheme, bundle)
+        with pytest.raises(ValueError, match="outside the bundle's demand"):
+            instantaneous_sinr(v, short, ctx.ul_power)
+
+    def test_optimal_sinr_raises_without_an_estimate_at_a_serving_ap(self):
+        _, assignment, ctx, h, _ = make_bundle(self._cfg())
+        demand = np.ones((6, 8), dtype=bool)
+        demand[0, assignment.serving_aps(1)[0]] = False
+        short = EstimationBundle(ctx, h, stream(1, 0, PILOT_NOISE, 0), demand)
+        with pytest.raises(ValueError, match="outside the bundle's demand"):
+            optimal_sinr(short, 1)
+
+    @pytest.mark.parametrize("all_serve_all", [False, True], ids=["clusters", "all-serve-all"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_read_only_estimates_suffice(self, scheme, all_serve_all):
+        _, _, ctx, _, bundle = make_bundle(self._cfg(all_serve_all))
+        bundle.hhat.flags.writeable = False
+        v = compute_combiners(scheme, bundle)
+        assert np.all(np.isfinite(instantaneous_sinr(v, bundle, ctx.ul_power)))
+        assert np.all(np.isfinite(optimal_sinr(bundle, 0)))
 
 
 class TestLocalSchemes:
@@ -305,7 +346,6 @@ class TestBatchedMatchesReference:
         cfg = make_cfg(num_aps=7, num_ues=6, pilot_len=3, antennas_per_ap=2,
                        mode="centralized", schemes=("MMSE",))
         _, _, ctx, _, bundle = make_bundle(cfg, batch=4)
-        bundle.ensure_all()
         v = compute_combiners(scheme, bundle)
         for b in range(4):
             for k in range(cfg.num_ues):
@@ -320,7 +360,6 @@ class TestBatchedMatchesReference:
         _, assignment, ctx, _, bundle = make_bundle(cfg, batch=3)
         sizes = assignment.cluster_sizes()
         assert sizes.min() == 0 and len(set(sizes[sizes > 0])) > 1, "fixture lost its shape"
-        bundle.ensure_all()
         v = compute_combiners(scheme, bundle)
         for b in range(3):
             for k in range(cfg.num_ues):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cellfree.clustering import ClusterAssignment
-from cellfree.estimation import EstimationBundle, SetupContext
+from cellfree.estimation import EstimationBundle, SetupContext, despread
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.scenarios import SCENARIOS
 from cellfree.topology import Topology, sample_channels
@@ -81,11 +81,11 @@ class TestScalarEstimation:
         assert abs(ctx.C[0, 0, 0, 0]) < 1e-11
 
     def test_zero_observation_gives_zero_estimate(self):
-        cfg, topo, _, ctx = scalar_setup()
+        # no channel and no noise: the pilot signal is zero
+        cfg, topo, _, ctx = scalar_setup(noise_w=0.0)
         h = np.zeros((2, 1, 1, 1), dtype=complex)
+        assert np.all(despread(ctx, h, stream(1, 0, PILOT_NOISE, 0)) == 0)
         bundle = EstimationBundle(ctx, h, stream(1, 0, PILOT_NOISE, 0))
-        bundle.y_pilot[:] = 0
-        bundle.ensure_all()
         assert np.all(bundle.hhat == 0)
 
 
@@ -108,16 +108,16 @@ class TestDespreading:
         # sigma^2 = 0: y = sqrt(tau_p p) h exactly
         cfg, topo, _, ctx = scalar_setup(noise_w=0.0)
         h = sample_channels(topo, stream(2, 0, CHANNEL, 0), batch=8)
-        bundle = EstimationBundle(ctx, h, stream(2, 0, PILOT_NOISE, 0))
+        y = despread(ctx, h, stream(2, 0, PILOT_NOISE, 0))
         expected = np.sqrt(cfg.pilot_len * cfg.ue_power_w) * h[:, 0, 0, :]
-        assert np.allclose(bundle.y_pilot[:, 0, 0, :], expected, rtol=1e-12)
+        assert np.allclose(y[:, 0, 0, :], expected, rtol=1e-12)
 
     def test_unused_pilot_carries_no_signal(self):
         # same noise stream, channels scaled 2x: the empty pilot's signal term is zero
         cfg, topo, _, ctx = scalar_setup()
         h = sample_channels(topo, stream(3, 0, CHANNEL, 0), batch=4)
-        y1 = EstimationBundle(ctx, h, stream(3, 0, PILOT_NOISE, 0)).y_pilot
-        y2 = EstimationBundle(ctx, 2.0 * h, stream(3, 0, PILOT_NOISE, 0)).y_pilot
+        y1 = despread(ctx, h, stream(3, 0, PILOT_NOISE, 0))
+        y2 = despread(ctx, 2.0 * h, stream(3, 0, PILOT_NOISE, 0))
         assert np.allclose(y1[:, 1], y2[:, 1], rtol=1e-12)
         assert not np.allclose(y1[:, 0], y2[:, 0])
 
@@ -126,9 +126,8 @@ class TestDespreading:
         topo, assignment, ctx = make_setup(cfg)
         n = 50_000
         h = sample_channels(topo, stream(4, 0, CHANNEL, 0), batch=n)
-        bundle = EstimationBundle(ctx, h, stream(4, 0, PILOT_NOISE, 0))
         t, l = 0, 0
-        y = bundle.y_pilot[:, t, l, :]
+        y = despread(ctx, h, stream(4, 0, PILOT_NOISE, 0))[:, t, l, :]
         emp = np.einsum("bm,bn->mn", y, np.conj(y)) / n
         psi = ctx.psi[t, l]
         tol = 5.0 * np.sqrt(np.outer(np.diag(psi).real, np.diag(psi).real) / n)
@@ -142,7 +141,6 @@ class TestEstimateStatistics:
         self.n = 50_000
         self.h = sample_channels(self.topo, stream(8, 0, CHANNEL, 0), batch=self.n)
         self.bundle = EstimationBundle(self.ctx, self.h, stream(8, 0, PILOT_NOISE, 0))
-        self.bundle.ensure_all()
 
     def test_estimate_covariance_matches_b(self):
         k, l = 2, 1
@@ -196,13 +194,11 @@ class TestLazyDemand:
         cfg = make_cfg(num_aps=4, num_ues=5, pilot_len=3)
         topo, _, ctx = make_setup(cfg)
         h = sample_channels(topo, stream(6, 0, CHANNEL, 0), batch=3)
-        bundle = EstimationBundle(ctx, h, stream(6, 0, PILOT_NOISE, 0))
         mask = np.zeros((5, 4), dtype=bool)
         mask[2, 1] = mask[0, 3] = True
-        bundle.ensure(mask)
+        bundle = EstimationBundle(ctx, h, stream(6, 0, PILOT_NOISE, 0), mask)
         assert bundle._computed.sum() == 2
-        bundle.ensure(mask)  # idempotent
-        assert bundle._computed.sum() == 2
+        assert np.all(bundle.hhat[:, ~mask] == 0) and np.all(bundle.hhat[:, mask] != 0)
 
     def test_requires_all_ues_admitted(self):
         cfg = make_cfg(num_aps=3, num_ues=2, pilot_len=2)
@@ -225,43 +221,43 @@ def _per_pair_estimates(ctx, y_pilot, mask):
 
 
 class TestWholeTablePass:
-    """A fresh demand for every (UE, AP) pair is estimated in one pass over
-    the whole table at one antenna, and pair by pair at more; both must give
-    the per-pair formula's bits."""
+    """A bundle estimates its declared demand in its constructor: every
+    (UE, AP) pair in one pass over the whole table at one antenna, pair by
+    pair otherwise; both must give the per-pair formula's bits, and exact
+    zeros outside the demand."""
 
     @staticmethod
-    def _bundle(antennas, batch):
+    def _bundle(antennas, batch, demand=None):
         # 8 UEs on 3 pilots: shared and distinct pilot rows
         cfg = make_cfg(num_aps=7, num_ues=8, pilot_len=3, antennas_per_ap=antennas)
         topo, _, ctx = make_setup(cfg)
         assert len(set(ctx.pilot_of.tolist())) == 3
         h = sample_channels(topo, stream(9, 0, CHANNEL, 0), batch=batch)
-        return ctx, EstimationBundle(ctx, h, stream(9, 0, PILOT_NOISE, 0))
+        y = despread(ctx, h, stream(9, 0, PILOT_NOISE, 0))
+        return ctx, y, EstimationBundle(ctx, h, stream(9, 0, PILOT_NOISE, 0), demand)
 
     @pytest.mark.parametrize("antennas", [1, 4])
     @pytest.mark.parametrize("batch", [1, 3, 8])
     def test_equals_the_per_pair_path(self, antennas, batch):
-        ctx, bundle = self._bundle(antennas, batch)
-        bundle.ensure_all()
-        expected = _per_pair_estimates(ctx, bundle.y_pilot, np.ones((8, 7), dtype=bool))
+        ctx, y, bundle = self._bundle(antennas, batch)
+        expected = _per_pair_estimates(ctx, y, np.ones((8, 7), dtype=bool))
         assert same_bits(bundle.hhat, expected)
         assert bundle._computed.all()
 
     @pytest.mark.parametrize("antennas", [1, 4])
-    def test_mask_completed_after_a_partial_ensure(self, antennas):
-        ctx, bundle = self._bundle(antennas, 4)
-        first = np.zeros((8, 7), dtype=bool)
-        first[::2, 1:] = True
-        bundle.ensure(first)
-        assert same_bits(bundle.hhat, _per_pair_estimates(ctx, bundle.y_pilot, first))
-        # a marker on the pairs already computed: completing the demand must
-        # compute the rest only, pair by pair
-        bundle.hhat[:, first] = 7.0 - 3.0j
-        bundle.ensure_all()
-        rest = _per_pair_estimates(ctx, bundle.y_pilot, ~first)
-        assert np.all(bundle.hhat[:, first] == 7.0 - 3.0j)
-        assert same_bits(bundle.hhat[:, ~first], rest[:, ~first])
-        assert bundle._computed.all()
+    @pytest.mark.parametrize("demand", ["every-pair", "partial"])
+    def test_declared_demand_holds_the_per_pair_bits(self, demand, antennas):
+        mask = np.ones((8, 7), dtype=bool)
+        if demand == "partial":
+            mask[1::2] = False
+            mask[:, 0] = False
+        ctx, y, bundle = self._bundle(antennas, 4, mask)
+        # the per-pair formula writes into zeros: the same bits off the demand too
+        assert same_bits(bundle.hhat, _per_pair_estimates(ctx, y, mask))
+        assert np.array_equal(bundle._computed, mask)
+        assert np.all(bundle.hhat[:, ~mask] == 0)
+        # the bundle keeps no pilot signal
+        assert set(vars(bundle)) == {"ctx", "channels", "hhat", "_computed"}
 
 
 class TestSingleAntennaFilters:

@@ -191,7 +191,6 @@ class TestCentralizedBoundOracle:
         topo, assignment, ctx = make_setup(cfg)
         h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 6)
         bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
-        bundle.ensure_all()
         v = compute_combiners("MR", bundle)
         got = instantaneous_sinr(v, bundle, ctx.ul_power)
 
@@ -242,9 +241,7 @@ class TestFullSpaceSinr:
                        schemes=("MMSE",))
         topo, assignment, ctx = make_setup(cfg)
         h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 5)
-        bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
-        bundle.ensure_all()
-        return ctx, bundle
+        return ctx, EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
 
     @pytest.mark.parametrize("config", ["clustered", "all-serve-all"])
     @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE", "L-MMSE", "MMSE", "P-MMSE"])
