@@ -57,6 +57,22 @@ once the last scheme's combiners (and the centralized uplink, which reads
 them) are done, so the single-pass downlink's block moments, whose chunk
 takes up to one batch array, run next to two. Accumulators keep their
 sums, and the genie's gain powers, across batches.
+
+In distributed operation with one pass, every combiner, gain and moment
+of a realization depends on that realization alone, so each batch is
+drawn, despread, estimated and combined a chunk of realizations at a time:
+row blocks of topology.BLOCK_VALUES values for the use-and-then-forget
+uplink, the chunks of PrecoderBlocks.chunks for the block moments. Each
+chunk draws the next rows of the batch's channel and pilot-noise streams
+(a Generator fills in C order, so the chunks draw the batch's values), and
+its sums are added to the batch's in realization order, so the batch keeps
+its bits at one antenna (an uplink with one UE keeps whole batches: numpy
+sums a single column pairwise). At N > 1 the channel and estimate products
+take the chunk's realizations as a matrix dimension, and their last bits
+can move. The batch's replica is formed from its sums after the last
+chunk. Such a batch holds three arrays of one chunk, or two next to the
+block moments. Centralized operation and the second pass take whole
+batches.
 """
 
 import concurrent.futures
@@ -68,7 +84,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import build_assignment
+from .clustering import AdmissionError, build_assignment
 from .combining import compute_combiners, estimate_demand_mask, precoder_scales
 from .config import SimulationConfig
 from .estimation import EstimationBundle, SetupContext
@@ -85,7 +101,7 @@ from .se import (
     combiner_norms,
     instantaneous_sinr,
 )
-from .topology import generate_topology, sample_channels
+from .topology import generate_topology, row_blocks, sample_channels
 
 
 @dataclass
@@ -221,7 +237,11 @@ def run_campaign(cfg: SimulationConfig, threads: int = 1) -> SEReport:
 def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                need_ul: bool, need_dl: bool) -> dict:
     topology = generate_topology(cfg, stream(cfg.seed, s, TOPOLOGY))
-    assignment = build_assignment(cfg, topology)
+    try:
+        assignment = build_assignment(cfg, topology)
+    except AdmissionError as exc:
+        _tag(exc, f"setup {s}, ")
+        raise
     p = ul_full_power(cfg)
     ctx = SetupContext(topology, assignment, p, cfg)
     sizes = _batch_sizes(cfg)
@@ -235,11 +255,6 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     pass1_demand = np.ones_like(schemes_demand) if centralized and need_ul else schemes_demand
     last = cfg.schemes[-1]
 
-    def realizations(b, demand):
-        h = sample_channels(topology, stream(cfg.seed, s, CHANNEL, b), sizes[b])
-        bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b), demand)
-        return h, bundle
-
     two_pass = False
     if need_dl:
         if centralized:
@@ -252,6 +267,20 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         genie_fits = not cfg.genie_dl or (centralized and _genie_powers_fit(cfg))
         blocks = PrecoderBlocks(assignment, rho) if genie_fits else None
         two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
+
+    # distributed operation with one pass draws, estimates and combines each
+    # batch a chunk of realizations at a time, and adds every sum in
+    # realization order
+    chunked = not centralized and not two_pass
+
+    def chunks(batch):
+        if chunked and need_dl:
+            # the chunks the block moments take, so that their sums keep their order
+            return blocks.chunks((batch, cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap))
+        if chunked and cfg.num_ues > 1:
+            # (numpy sums a single UE's column pairwise, which no chunks reproduce)
+            return row_blocks(batch, cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap)
+        return [slice(0, batch)]
 
     # one accumulator per bound, keyed like the report; with two passes,
     # pass 1 sums the combiner norms that normalize the precoders of pass 2:
@@ -269,13 +298,12 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
             acc[(scheme, "dl")] = DownlinkBlockMoments(blocks, cfg.noise_dl_w, prelog_dl,
                                                        cfg.genie_dl)
 
-    # a batch holds at most its channels, its estimates and one scheme's
+    # a chunk holds at most its channels, its estimates and one scheme's
     # combiners: the estimates go once the last combiners (and the
     # centralized uplink, which reads them) are done, and each scheme's
     # combiners before the next scheme's are built
-    def pass1(b):
-        h, bundle = realizations(b, pass1_demand)
-        out = {}
+    def pass1_chunk(h, noise, out):
+        bundle = EstimationBundle(ctx, h, noise, pass1_demand)
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
             ul = acc.get((scheme, "ul"))
@@ -283,24 +311,44 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
             if scheme == last:
                 del bundle
-            norm = None
             if two_pass:
                 norm, norm_local = combiner_norms(v, per_ap=not centralized)
                 out[(scheme, "norm")] = {"n": v.shape[0],
                                          "norm": norm if centralized else norm_local}
+                if ul is not None and not centralized:
+                    out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
+            elif chunked and need_dl:
+                out[(scheme, "dl")] = acc[(scheme, "dl")].chunk_sums(v, h, out.get((scheme, "dl")))
             elif need_dl:
                 out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(v, h)
-            if ul is not None and not centralized:
-                if (scheme, "dl") in out:
-                    # uplink-downlink duality: the block sums give the moments
-                    out[(scheme, "ul")] = ul.block_partial(out[(scheme, "dl")], blocks)
-                else:
-                    out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
+            elif chunked:
+                out[(scheme, "ul")] = ul.batch_partial(v, h, earlier=out.get((scheme, "ul")),
+                                                       replica=False)
             del v
+
+    def pass1(b):
+        channels, noise = stream(cfg.seed, s, CHANNEL, b), stream(cfg.seed, s, PILOT_NOISE, b)
+        out = {}
+        # each chunk draws the next rows of the batch's streams (a Generator
+        # fills in C order): the batch's draws
+        for rows in chunks(sizes[b]):
+            pass1_chunk(sample_channels(topology, channels, rows.stop - rows.start), noise, out)
+        if not chunked:
+            return out
+        # a chunked batch's replicas, from its sums
+        for scheme in cfg.schemes:
+            if need_dl:
+                out[(scheme, "dl")] = dl = acc[(scheme, "dl")].with_replica(out[(scheme, "dl")])
+            if need_dl and need_ul:
+                # uplink-downlink duality: the block sums give the moments
+                out[(scheme, "ul")] = acc[(scheme, "ul")].block_partial(dl, blocks)
+            elif need_ul:
+                out[(scheme, "ul")] = acc[(scheme, "ul")].with_replica(out[(scheme, "ul")])
         return out
 
     def pass2(b):
-        h, bundle = realizations(b, schemes_demand)
+        h = sample_channels(topology, stream(cfg.seed, s, CHANNEL, b), sizes[b])
+        bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b), schemes_demand)
         out = {}
         for scheme in cfg.schemes:
             v = compute_combiners(scheme, bundle)
@@ -331,7 +379,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
             if bound == "dl" and cfg.genie_dl:
                 results[(scheme, "dl_genie")] = bound_acc.finalize_genie()
         except Exception as exc:
-            exc.args = (f"setup {s}, scheme {scheme}: {exc}",) + exc.args[1:]
+            _tag(exc, f"setup {s}, scheme {scheme}: ")
             raise
     return results
 
@@ -388,10 +436,15 @@ def _with_context(fn, setup: int):
         try:
             return fn(b)
         except Exception as exc:
-            exc.args = (f"setup {setup}, batch {b}: {exc}",) + exc.args[1:]
+            _tag(exc, f"setup {setup}, batch {b}: ")
             raise
 
     return wrapped
+
+
+def _tag(exc: Exception, where: str) -> None:
+    """Prefix exc's message with where it happened."""
+    exc.args = (f"{where}{exc}",) + exc.args[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -235,12 +235,17 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
 
 
 def admit_ue(state: AdmissionState, k: int, forced_pilot: int = None) -> None:
-    """Run the three-step access procedure for UE k."""
+    """Run the three-step access procedure for UE k. A master at capacity
+    raises AdmissionError tagged with the UE: "UE k: master at capacity: ..."."""
     if state.assignment.pilot_of[k] >= 0:
         raise AdmissionError(f"UE {k} is already admitted")
     master = appoint_master(state, k)
     if forced_pilot is None:
-        pilot = assign_pilot(state, master)
+        try:
+            pilot = assign_pilot(state, master)
+        except AdmissionError as exc:
+            exc.args = (f"UE {k}: {exc}",) + exc.args[1:]
+            raise
     else:
         pilot = forced_pilot
         if state.master_pilot_taken[master, pilot]:

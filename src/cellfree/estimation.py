@@ -7,10 +7,12 @@ B_kl = p_k*tau_p R_kl Psi_tl^{-1} R_kl, and the error covariances
 C_kl = R_kl - B_kl. Per coherence block only the despreaded pilot signal and
 the filter multiply remain: a batch's estimates are computed once, when its
 bundle is built, for exactly the (UE, AP) pairs its processing schemes
-demand. With one antenna per AP every N x N matrix is a scalar: the filters
-are a division, and a demand that covers every pair (centralized uplink,
-all-serve-all clusters) is computed in one elementwise whole-table pass
-straight into the estimate array instead of pair by pair.
+demand. A campaign in distributed operation with one pass builds one bundle
+per chunk of a batch's realizations, each despreading the next rows of the
+batch's pilot-noise stream. With one antenna per AP every N x N matrix is a
+scalar: the filters are a division, and every demand is computed in one
+elementwise whole-table pass straight into the estimate array, with +0.0 at
+the pairs outside it, instead of pair by pair.
 """
 
 import numpy as np
@@ -127,7 +129,8 @@ class EstimationBundle:
     def __init__(self, ctx: SetupContext, channels: np.ndarray, rng, demand: np.ndarray = None):
         self.ctx = ctx
         self.channels = channels
-        self.hhat = np.zeros_like(channels)
+        # at one antenna ensure writes every entry
+        self.hhat = np.empty_like(channels) if channels.shape[-1] == 1 else np.zeros_like(channels)
         self._computed = np.zeros(channels.shape[1:3], dtype=bool)
         if demand is None:
             demand = np.ones_like(self._computed)
@@ -136,13 +139,16 @@ class EstimationBundle:
     def ensure(self, mask: np.ndarray, y_pilot: np.ndarray) -> None:
         """The constructor's one estimation step: every (UE, AP) pair flagged
         in mask, from the despread pilot signal y_pilot."""
-        if mask.all() and self.hhat.shape[-1] == 1:
-            # the whole table at one antenna: each UE's pilot row straight into
-            # hhat (SetupContext has indexed with the pilot numbers already; mode
-            # "raise" would make take copy through a second batch array), then
-            # the scalar filters in place
+        if self.hhat.shape[-1] == 1:
+            # the whole table at one antenna, whatever the demand: each UE's
+            # pilot row straight into hhat (SetupContext has indexed with the
+            # pilot numbers already; mode "raise" would make take copy through a
+            # second batch array), the scalar filters in place, and +0.0 at the
+            # pairs outside the demand
             np.take(y_pilot, self.ctx.pilot_of, axis=1, out=self.hhat, mode="clip")
             self.hhat *= self.ctx.filter[..., 0]
+            if not mask.all():
+                np.copyto(self.hhat, 0, where=~mask[None, :, :, None])
         else:
             # pair by pair, a row block of pairs at a time: each pair's
             # filter multiply is the same stacked product whatever the block

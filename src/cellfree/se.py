@@ -147,7 +147,7 @@ def combining_gains(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return g
 
 
-def combiner_norms(v: np.ndarray, per_ap: bool = False) -> tuple:
+def combiner_norms(v: np.ndarray, per_ap: bool = False, earlier: np.ndarray = None) -> tuple:
     """Batch sums of ||D_k v_k||^2, (K,), and with per_ap of ||v_kl||^2,
     (K, L); None in its place otherwise.
 
@@ -155,7 +155,8 @@ def combiner_norms(v: np.ndarray, per_ap: bool = False) -> tuple:
     E{v_k^H D_k v_k} and E{||v_kl||^2}. The energies are squared in place a
     row block of realizations at a time, and every sum over realizations
     adds them one by one in order, the order of numpy's reduction over the
-    whole batch.
+    whole batch. earlier holds the (K,) sums of a batch's realizations
+    before v, which v's are added to in that order.
     """
     per_realization = np.empty(v.shape[:2])
     local = None
@@ -166,7 +167,7 @@ def combiner_norms(v: np.ndarray, per_ap: bool = False) -> tuple:
         if per_ap:
             local = _add_realizations(local, energy.sum(axis=3))
         del energy              # before the next block's exists
-    return per_realization.sum(axis=0), local
+    return _add_realizations(earlier, per_realization), local
 
 
 def _add_realizations(total, rows: np.ndarray) -> np.ndarray:
@@ -268,10 +269,16 @@ class ErgodicLogAccumulator(BatchSums):
         return self.prelog * mean, self.prelog * stderr
 
 
-def _gain_sums(g: np.ndarray, q: np.ndarray) -> dict:
+def _gain_sums(g: np.ndarray, q: np.ndarray, earlier: dict = None) -> dict:
     """Batch sums from gains g[b, k, i] and their powers q = |g|^2:
-    signal[k] = sum_b g[b, k, k] and cross[k, i] = sum_b q[b, k, i]."""
-    return {"n": g.shape[0], "signal": np.einsum("bkk->k", g), "cross": q.sum(axis=0)}
+    signal[k] = sum_b g[b, k, k] and cross[k, i] = sum_b q[b, k, i]; added
+    in realization order to the sums of earlier, a partial of the batch's
+    realizations before g, when it is given."""
+    if earlier is None:
+        return {"n": g.shape[0], "signal": np.einsum("bkk->k", g), "cross": q.sum(axis=0)}
+    return {"n": earlier["n"] + g.shape[0],
+            "signal": _add_realizations(earlier["signal"], np.diagonal(g, axis1=1, axis2=2)),
+            "cross": _add_realizations(earlier["cross"], q)}
 
 
 class _RatioOfMeans(BatchSums):
@@ -338,13 +345,24 @@ class UatfAccumulator(_RatioOfMeans):
         self.ul_power = ul_power
         self.noise_w = noise_w
 
-    def batch_partial(self, v: np.ndarray, h: np.ndarray, norm: np.ndarray = None) -> dict:
-        """norm: the batch sums of ||D_k v_k||^2 when the caller has them
-        (combiner_norms(v)[0]); computed here otherwise."""
+    def batch_partial(self, v: np.ndarray, h: np.ndarray, norm: np.ndarray = None,
+                      earlier: dict = None, replica: bool = True) -> dict:
+        """The sums of the realizations v, h, and with replica the replica
+        of their SE.
+
+        norm: the batch sums of ||D_k v_k||^2 when the caller has them
+        (combiner_norms(v)[0]); computed here otherwise. earlier: the
+        partial of the chunks of a batch before v, h; their sums are
+        extended in realization order, the bits of one reduction over the
+        batch when K > 1. A batch taken a chunk at a time forms its replica
+        once, after the last chunk (with_replica).
+        """
         g = combining_gains(v, h)
-        partial = _gain_sums(g, np.abs(g) ** 2)
-        partial["norm"] = combiner_norms(v)[0] if norm is None else norm
-        return self._with_replica(partial)
+        partial = _gain_sums(g, np.abs(g) ** 2, earlier)
+        if norm is None:
+            norm = combiner_norms(v, earlier=None if earlier is None else earlier["norm"])[0]
+        partial["norm"] = norm
+        return self.with_replica(partial) if replica else partial
 
     def block_partial(self, dl: dict, blocks: "PrecoderBlocks") -> dict:
         """The same sums by uplink-downlink duality, from the block sums of
@@ -358,9 +376,10 @@ class UatfAccumulator(_RatioOfMeans):
         signal, second = blocks.contract(np.ones(blocks.ues.size), dl["sig"], dl["S"])
         norm = np.bincount(blocks.ues, weights=dl["norm"], minlength=blocks.num_ues)
         partial = {"n": dl["n"], "signal": np.conj(signal), "cross": second.T, "norm": norm}
-        return self._with_replica(partial)
+        return self.with_replica(partial)
 
-    def _with_replica(self, partial: dict) -> dict:
+    def with_replica(self, partial: dict) -> dict:
+        """The partial with the replica of its SE, from its sums."""
         batch = UatfMoments(*(partial[name] / partial["n"] for name in self.names))
         partial.update(self._replica(*_uatf_terms(batch, self.ul_power, self.noise_w)))
         return partial
@@ -473,40 +492,39 @@ class PrecoderBlocks:
         energy = np.sum(np.abs(vD) ** 2, axis=(0, 3))[self.aps, self.slots]
         return np.ascontiguousarray(np.moveaxis(g, -1, 0)), energy
 
-    def moments(self, v: np.ndarray, h: np.ndarray, powers: bool = False) -> tuple:
-        """Batch sums of the blocks: sig[p] = sum_b h_i^H v_p over UE i's own
-        blocks p, S[k, q] = Re sum_b g[k, a, b] conj(g[k, a', b]) over the
-        block pairs q = (a, a') of one UE, and the energies sum_b ||v_p||^2.
-        The fourth value holds each realization's gain powers |g[k, p, b]|^2
-        as (B, K, P) when powers is set, and is None otherwise.
-
-        Realizations are taken in chunks whose temporaries together take
-        about as much memory as the (B, K, L, N) batch: a copy of the
-        channels, the per-AP gain table (distributed operation) and two
-        copies of the block gains. S, and the products it sums, hold
-        K * sum_i |M_i|^2 values, which grow with the cluster sizes and not
-        with B; the campaign takes this path only when that count is at most
-        a quarter of the batch array.
-        """
-        B, K, L, N = v.shape
-        P = self.ues.size
-        sig = np.zeros(P, dtype=complex)
-        S = np.zeros((K, self.num_pairs))
-        energy = np.zeros(P)
-        temporaries = K * L * N + K * L * self._table_width + 2 * K * P
+    def chunks(self, shape: tuple) -> list:
+        """Slices of a (B, K, L, N) batch into the chunks that moments takes
+        one at a time, whose temporaries together take about as much memory
+        as the batch: a copy of the channels, the per-AP gain table
+        (distributed operation) and two copies of the block gains."""
+        B, K, L, N = shape
+        temporaries = K * L * N + K * L * self._table_width + 2 * K * self.ues.size
         chunk = -(-B // -(-temporaries // (K * L * N)))
-        kept = [] if powers else None
-        for start in range(0, B, chunk):
-            g, e = self._gains(v[start:start + chunk], h[start:start + chunk])
-            if powers:
-                kept.append(np.abs(np.moveaxis(g, -1, 0)) ** 2)
-            sig += g[self.ues, np.arange(P)].sum(axis=-1)
-            energy += e
-            for _, blocks, pairs in self.groups:
-                gm = g[:, blocks]                                       # (K, n, m, b)
-                prod = np.conj(gm) @ np.swapaxes(gm, -1, -2)           # (K, n, m, m)
-                S[:, pairs] += np.real(prod).reshape(K, *pairs.shape)
-        return sig, S, energy, np.concatenate(kept) if powers else None
+        return [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
+
+    def moments(self, v: np.ndarray, h: np.ndarray, powers: bool = False) -> tuple:
+        """Sums of the blocks over one chunk of realizations (see chunks):
+        sig[p] = sum_b h_i^H v_p over UE i's own blocks p,
+        S[k, q] = Re sum_b g[k, a, b] conj(g[k, a', b]) over the block pairs
+        q = (a, a') of one UE, and the energies sum_b ||v_p||^2. The fourth
+        value holds each realization's gain powers |g[k, p, b]|^2 as
+        (b, K, P) when powers is set, and is None otherwise.
+
+        S, and the products it sums, hold K * sum_i |M_i|^2 values, which
+        grow with the cluster sizes and not with the realizations; the
+        campaign takes this path only when that count is at most a quarter
+        of the batch array.
+        """
+        K = v.shape[1]
+        P = self.ues.size
+        S = np.zeros((K, self.num_pairs))
+        g, energy = self._gains(v, h)
+        sig = g[self.ues, np.arange(P)].sum(axis=-1)
+        for _, blocks, pairs in self.groups:
+            gm = g[:, blocks]                                           # (K, n, m, b)
+            prod = np.conj(gm) @ np.swapaxes(gm, -1, -2)               # (K, n, m, m)
+            S[:, pairs] += np.real(prod).reshape(K, *pairs.shape)
+        return sig, S, energy, np.abs(np.moveaxis(g, -1, 0)) ** 2 if powers else None
 
     def contract(self, c: np.ndarray, sig: np.ndarray, S: np.ndarray) -> tuple:
         """Apply block scales c to the sums: signal[k] = sum_p c_p sig[p]
@@ -546,13 +564,37 @@ class DownlinkBlockMoments(_RatioOfMeans):
         self.powers = []
 
     def batch_partial(self, v: np.ndarray, h: np.ndarray) -> dict:
-        """With the genie on, the partial also holds the batch's gain powers
-        a (B, K, K)."""
-        B = v.shape[0]
+        """The partial of one batch, its sums taken in the chunks of
+        PrecoderBlocks.chunks. With the genie on, the partial also holds the
+        batch's gain powers a (B, K, K)."""
+        sums = None
+        for rows in self.blocks.chunks(v.shape):
+            sums = self.chunk_sums(v[rows], h[rows], sums)
+        return self.with_replica(sums)
+
+    def chunk_sums(self, v: np.ndarray, h: np.ndarray, earlier: dict = None) -> dict:
+        """The block sums of one chunk of a batch's realizations (see
+        PrecoderBlocks.chunks), added to earlier, the sums of the batch's
+        chunks before it, in place; with the genie on, the chunk's gain
+        powers follow earlier's."""
         sig, S, norm, powers = self.blocks.moments(v, h, powers=self.genie)
-        signal, second = self.blocks.contract(precoder_scales(self.blocks.rho, norm / B), sig, S)
-        terms = _hardening_terms(signal / B, second / B, self.noise_w)
-        return {"n": B, "sig": sig, "S": S, "norm": norm, "powers": powers, **self._replica(*terms)}
+        if earlier is None:
+            return {"n": v.shape[0], "sig": sig, "S": S, "norm": norm, "powers": powers}
+        earlier["n"] += v.shape[0]
+        earlier["sig"] += sig
+        earlier["S"] += S
+        earlier["norm"] += norm
+        if self.genie:
+            earlier["powers"] = np.concatenate((earlier["powers"], powers))
+        return earlier
+
+    def with_replica(self, sums: dict) -> dict:
+        """A batch's partial: its sums and the replica of its SE, with the
+        batch's own scales."""
+        B = sums["n"]
+        scales = precoder_scales(self.blocks.rho, sums["norm"] / B)
+        signal, second = self.blocks.contract(scales, sums["sig"], sums["S"])
+        return {**sums, **self._replica(*_hardening_terms(signal / B, second / B, self.noise_w))}
 
     def merge(self, partial: dict) -> None:
         super().merge(partial)

@@ -11,6 +11,7 @@ import pytest
 
 from cellfree import campaign, topology
 from cellfree.campaign import _batch_sizes, emit_results, run_campaign
+from cellfree.clustering import AdmissionError
 from cellfree.combining import DegeneratePrecoderError, compute_combiners
 from cellfree.estimation import EstimationBundle
 from cellfree.power import dl_centralized_equal, per_ap_dl_power
@@ -73,6 +74,14 @@ class TestCampaign:
         cfg = make_cfg(mode=mode, genie_dl=genie, ul_data_len=0, num_realizations=48,
                        schemes=("LP-MMSE",))
         with pytest.raises(NumericError, match="^setup 0, scheme LP-MMSE: injected$"):
+            run_campaign(cfg)
+
+    def test_admission_failure_names_setup_and_ue(self):
+        # more than pilot_len UEs appoint AP 58 their master
+        cfg = make_cfg(num_aps=60, num_ues=40, pilot_len=3, area_side_km=1.0, antennas_per_ap=1,
+                       seed=5)
+        with pytest.raises(AdmissionError, match="^setup 0, UE 24: master at capacity: "
+                                                 "AP 58 is master on all pilots$"):
             run_campaign(cfg)
 
 
@@ -203,6 +212,8 @@ class TestOnePassDownlink:
 
     @staticmethod
     def _draws(monkeypatch, cfg):
+        """Passes over the realizations, counted by realizations drawn: each
+        pass draws every batch, whole or a chunk of its rows per call."""
         calls = []
 
         def counting(*args, **kwargs):
@@ -211,8 +222,10 @@ class TestOnePassDownlink:
 
         monkeypatch.setattr(campaign, "sample_channels", counting)
         run_campaign(cfg)
-        passes, rest = divmod(len(calls), len(_batch_sizes(cfg)))
-        assert rest == 0 and calls == _batch_sizes(cfg) * passes
+        passes, rest = divmod(sum(calls), cfg.num_realizations)
+        # no call straddles two batches
+        batch_ends = np.cumsum(_batch_sizes(cfg) * passes)
+        assert rest == 0 and set(batch_ends) <= set(np.cumsum(calls))
         return passes
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -340,45 +353,50 @@ class TestDownlinkOnlyDistributed:
 
 class TestBatchMemory:
     """Traced peak of a campaign's batches, in (B, K, L, N) batch arrays above
-    what the setup holds: at most three (the channels, the estimates and the
-    combiners), plus the budget of one step's temporaries and as much again
-    for numpy's working buffers and the batch's small outputs (gains, SINRs,
-    partial sums). Batches of 256 realizations of a network with K << L: a
-    batch array takes 8 MiB, sixteen budgets."""
+    what the setup holds: at most three of a chunk's arrays (its channels,
+    estimates and combiners; a chunk is the whole batch except on the
+    distributed single pass), or two next to the block moments, whose
+    temporaries take about one batch array; plus the budget of one step's
+    temporaries and as much again for numpy's working buffers and the
+    batch's small outputs (gains, SINRs, partial sums). Batches of 256
+    realizations of a network with K << L: a batch array takes 8 MiB,
+    sixteen budgets, and a chunk of the distributed uplink one budget."""
 
     BATCH = 256
     NETWORK = dict(num_aps=256, num_ues=8, pilot_len=2, antennas_per_ap=1, area_side_km=1.0,
                    max_neighbors=5, seed=7, num_realizations=2 * BATCH)
-    # route: (config, channel draws per batch)
+    # route: (config, passes over the realizations, whether the downlink takes
+    # the block moments)
     ROUTES = {
         "centralized-mmse-all-ul": (dict(mode="centralized", schemes=("MMSE",),
-                                         all_serve_all=True, dl_data_len=0), 1),
+                                         all_serve_all=True, dl_data_len=0), 1, False),
         "centralized-p-mmse-ul": (dict(mode="centralized", schemes=("P-MMSE",),
-                                       dl_data_len=0), 1),
+                                       dl_data_len=0), 1, False),
         "distributed-lp-mmse-ul": (dict(mode="distributed", schemes=("LP-MMSE",),
-                                        dl_data_len=0), 1),
-        "distributed-mr-ul": (dict(mode="distributed", schemes=("MR",), dl_data_len=0), 1),
+                                        dl_data_len=0), 1, False),
+        "distributed-mr-ul": (dict(mode="distributed", schemes=("MR",), dl_data_len=0), 1, False),
         "distributed-genie-dl-two-pass": (dict(mode="distributed", schemes=("LP-MMSE",),
-                                               ul_data_len=0, genie_dl=True), 2),
+                                               ul_data_len=0, genie_dl=True), 2, False),
         "distributed-dl-block-moments": (dict(mode="distributed", schemes=("LP-MMSE",),
-                                              ul_data_len=0), 1),
+                                              ul_data_len=0), 1, True),
         "centralized-genie-dl-single-pass": (dict(mode="centralized", schemes=("P-MMSE",),
-                                                  ul_data_len=0, genie_dl=True), 1),
+                                                  ul_data_len=0, genie_dl=True), 1, True),
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     def test_peak_within_three_batch_arrays(self, monkeypatch, route):
-        kw, passes = self.ROUTES[route]
+        kw, passes, block_moments = self.ROUTES[route]
         cfg = make_cfg(**{**self.NETWORK, **kw})
         monkeypatch.setattr(campaign, "_batch_sizes", lambda cfg: [self.BATCH] * 2)
         run_campaign(cfg)                       # imports and caches of a first run
-        seen = {"draws": 0}
+        seen = {"drawn": 0, "chunk": 0}
 
         def drawing(*args, **kwargs):
-            if not seen["draws"]:
+            if not seen["drawn"]:
                 seen["setup"] = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-            seen["draws"] += 1
+            seen["drawn"] += args[2]
+            seen["chunk"] = max(seen["chunk"], args[2])
             return sample_channels(*args, **kwargs)
 
         def context(*args, build=campaign.SetupContext, **kwargs):
@@ -393,7 +411,7 @@ class TestBatchMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seen["draws"] == 2 * passes
+        assert seen["drawn"] == passes * cfg.num_realizations
         # setup statistics built on first use, and the genie powers kept
         ctx = seen["ctx"]
         held = ctx.topology.correlation_sqrt().nbytes
@@ -404,7 +422,12 @@ class TestBatchMemory:
         batch_array = self.BATCH * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap * 16
         above = (peak - seen["setup"] - held) / batch_array
         budget = BLOCK_VALUES * 16 / batch_array
-        assert above <= 3 + 2 * budget, f"{above:.3f} batch arrays"
+        chunk = seen["chunk"] / self.BATCH
+        chunked = route in ("distributed-lp-mmse-ul", "distributed-mr-ul",
+                            "distributed-dl-block-moments")
+        assert (chunk < 1) == chunked
+        arrays = max(3 * chunk, 2 * chunk + 1) if block_moments else 3 * chunk
+        assert above <= arrays + 2 * budget, f"{above:.3f} batch arrays"
 
     @pytest.mark.parametrize("antennas", [1, 2])
     @pytest.mark.parametrize("kw", [
@@ -412,7 +435,9 @@ class TestBatchMemory:
         dict(mode="centralized", schemes=("MMSE", "MR"), all_serve_all=True),
         dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE"), genie_dl=True),
         dict(mode="distributed", schemes=("LP-MMSE", "MR"), max_neighbors=0),
-    ], ids=["centralized-genie", "all-serve-all", "distributed-genie", "block-moments"])
+        dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE"), dl_data_len=0),
+    ], ids=["centralized-genie", "all-serve-all", "distributed-genie", "block-moments",
+            "distributed-uplink"])
     def test_blocks_of_one_realization_change_no_byte(self, monkeypatch, tmp_path, antennas, kw):
         # every budget-sized block holds one realization (or one estimate pair)
         cfg = make_cfg(num_aps=12, num_ues=8, pilot_len=3, antennas_per_ap=antennas, seed=3,

@@ -54,6 +54,11 @@ def test_traced_campaign_runs_on_every_route():
                                         genie_dl=True),
         "centralized": dict(base, mode="centralized", schemes=["MMSE", "P-MMSE"],
                             genie_dl=True),
+        # batches of 32 realizations of 2048 values, taken in two chunks of 16
+        "distributed, uplink only": dict(base, num_aps=32, antennas_per_ap=4, num_ues=16,
+                                         area_side_km=1.0, num_realizations=512,
+                                         dl_data_len=0, mode="distributed",
+                                         schemes=["MR", "LP-MMSE"]),
     }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run(
@@ -73,6 +78,9 @@ def test_traced_campaign_runs_on_every_route():
                                     {"combining.build_precoders"}),
         "centralized": ({"se.instantaneous_sinr", "se.finalize"},
                         {"se.uatf_partial", "se.downlink_partial"}),
+        # each chunk's sums are added in the traced uplink partial
+        "distributed, uplink only": ({"estimation.despread", "se.uatf_partial", "se.finalize"},
+                                     {"se.downlink_partial", "se.instantaneous_sinr"}),
     }
     for route, (ran, skipped) in expected.items():
         assert ran <= set(names[route]), (route, names[route])
