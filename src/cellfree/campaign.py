@@ -85,7 +85,7 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import AdmissionError, build_assignment
-from .combining import compute_combiners, estimate_demand_mask, precoder_scales
+from .combining import compute_combiners, precoder_scales
 from .config import SimulationConfig
 from .estimation import EstimationBundle, SetupContext
 from .power import dl_centralized_equal, dl_distributed_proportional, ul_full_power
@@ -251,7 +251,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
 
     # every estimate a batch uses (the centralized uplink's SINR reads them
     # all), computed once when the batch's bundle is built
-    schemes_demand = np.logical_or.reduce([estimate_demand_mask(x, ctx) for x in cfg.schemes])
+    schemes_demand = np.logical_or.reduce([ctx.demand_mask(x) for x in cfg.schemes])
     pass1_demand = np.ones_like(schemes_demand) if centralized and need_ul else schemes_demand
     last = cfg.schemes[-1]
 

@@ -73,17 +73,27 @@ class ClusterAssignment:
         return replace(self, serves=serves, all_serve_all=True)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """json.dumps of the assignment's fields, with each distinct serving
+        row encoded once (an all-serve-all assignment has one)."""
+        encoded, rows = {}, []
+        for column in np.ascontiguousarray(self.serves.T):
+            aps = np.flatnonzero(column)
+            key = aps.tobytes()
+            if key not in encoded:
+                encoded[key] = json.dumps(aps.tolist(), separators=(",", ":"))
+            rows.append(encoded[key])
+        text = json.dumps(
             {
                 "pilot_len": self.pilot_len,
                 "all_serve_all": self.all_serve_all,
                 "pilot_of": self.pilot_of.tolist(),
                 "master_of": self.master_of.tolist(),
-                "serving_aps": [self.serving_aps(k).tolist() for k in range(self.num_ues)],
+                "serving_aps": None,
                 "num_aps": int(self.num_aps),
             },
             separators=(",", ":"),
         )
+        return text.replace('"serving_aps":null', '"serving_aps":[' + ",".join(rows) + "]", 1)
 
     @classmethod
     def from_json(cls, text: str) -> "ClusterAssignment":

@@ -82,29 +82,12 @@ def _solve_hermitian(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.einsum("...nm,...mk->...nk", vecs, inv_vals[..., None] * proj)
 
 
-def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:
-    """(K, L) mask of channel estimates the scheme's combiners consume."""
-    serves = ctx.assignment.serves
-    K = serves.shape[1]
-    if scheme in ("MR", "LP-MMSE"):
-        return serves.T.copy()
-    if scheme in ("MMSE", "L-MMSE"):
-        # every UE's estimate at every AP that serves anyone
-        mask = np.zeros((K, serves.shape[0]), dtype=bool)
-        mask[:, serves.any(axis=1)] = True
-        return mask
-    if scheme == "P-MMSE":
-        # float counts (<= K, so exact) let the product run on BLAS
-        return (ctx.partners().astype(float) @ serves.T) > 0
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def compute_combiners(scheme: str, bundle: EstimationBundle) -> np.ndarray:
     """(B, K, L, N) combining vectors, exactly zero outside serving APs.
 
     Raises ValueError when the bundle lacks an estimate the scheme reads.
     """
-    bundle.require(estimate_demand_mask(scheme, bundle.ctx), f"{scheme} combining")
+    bundle.require(bundle.ctx.demand_mask(scheme), f"{scheme} combining")
     if scheme == "MR":
         return mr_combiner(bundle)
     if scheme in ("LP-MMSE", "L-MMSE"):
@@ -133,20 +116,16 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
 
     All APs are solved at once: each AP's served UEs are gathered into a
     table padded to the largest |D_l|, with zero weight on the padding.
-    L-MMSE sums over all K UEs at every AP instead. The gathers and solves
-    run a row block of realizations at a time.
+    L-MMSE sums over all K UEs at every AP instead. The tables and the
+    statistical sums come once per setup (SetupContext.local_statistics);
+    the gathers and solves run a row block of realizations at a time.
     """
     ctx = bundle.ctx
-    K, L = ctx.topology.beta.shape
+    L = ctx.topology.beta.shape[1]
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
-    served, valid = ctx.assignment.served_table()                  # (L, T)
+    served, valid, members, weight, statistics = ctx.local_statistics(all_ues)
     aps = np.arange(L)[:, None]
-    if all_ues:
-        members, weight = np.broadcast_to(np.arange(K), (L, K)), np.broadcast_to(p, (L, K))
-    else:
-        members, weight = served, p[served] * valid
-    statistics = np.einsum("ls,lsmn->lmn", weight, ctx.C[members, aps])
     ls, ts = np.nonzero(valid)
     ues = served[ls, ts]
     v = np.zeros_like(bundle.hhat)

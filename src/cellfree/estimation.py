@@ -1,10 +1,13 @@
 """Pilot despreading and per-AP MMSE channel estimation.
 
 Everything that depends only on channel statistics is computed once per
-setup: the pilot-correlation matrices Psi_tl, the estimation filters
-sqrt(p_k*tau_p) R_kl Psi_tl^{-1}, the estimate covariances
-B_kl = p_k*tau_p R_kl Psi_tl^{-1} R_kl, and the error covariances
-C_kl = R_kl - B_kl. Per coherence block only the despreaded pilot signal and
+setup, which keeps what its batches read: the pilot-correlation matrices
+Psi_tl, the despreading weights, the estimation filters
+sqrt(p_k*tau_p) R_kl Psi_tl^{-1}, and the error covariances C_kl = R_kl - B_kl
+with their power-weighted sum. Psi^{-1} R and the estimate covariances
+B_kl = p_k*tau_p R_kl Psi_tl^{-1} R_kl, which only the MR closed forms read,
+are built on first read by the constructor's expressions, with its bits.
+Per coherence block only the despreaded pilot signal and
 the filter multiply remain: a batch's estimates are computed once, when its
 bundle is built, for exactly the (UE, AP) pairs its processing schemes
 demand. A campaign in distributed operation with one pass builds one bundle
@@ -15,6 +18,8 @@ elementwise whole-table pass straight into the estimate array, with +0.0 at
 the pairs outside it, instead of pair by pair.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .config import SimulationConfig
@@ -23,8 +28,22 @@ from .rng import complex_normal
 from .topology import Topology, row_blocks
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """0.5 * (a + a^H) over the last two axes. From 256 KiB on, numpy adds
+    into the temporary a^H and halves it in place, so this holds one array
+    next to a; the result then has a^H's layout, which the SINR einsum over
+    C_weighted_sum reads, so its bits depend on it."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
 class SetupContext:
-    """Statistics shared by all channel realizations of one setup."""
+    """Statistics shared by all channel realizations of one setup, and its
+    clustering view (partners, demand_mask, local_statistics, noise_matrix),
+    each entry built once, on first use.
+
+    Construction releases each (K, L, N, N) intermediate once the next one
+    exists: from 256 KiB arrays on, it holds at most three above R and psi.
+    """
 
     def __init__(self, topology: Topology, assignment: ClusterAssignment,
                  ul_power: np.ndarray, cfg: SimulationConfig):
@@ -50,30 +69,67 @@ class SetupContext:
         self.psi = np.einsum("tk,klmn->tlmn", weights, R) + cfg.noise_ul_w * eye
 
         # statistical filters A_kl = sqrt(p_k tau_p) R_kl Psi_{t_k l}^{-1},
-        # precomputed once; R Psi^{-1} = (Psi^{-1} R)^H for Hermitian inputs
-        psi_of_ue = self.psi[self.pilot_of]                    # (K, L, N, N)
-        if N == 1:
-            # Psi is real: complex division multiplies by 1/Psi, as the solve does
-            self.psi_inv_R = R / psi_of_ue
-        else:
-            self.psi_inv_R = np.linalg.solve(psi_of_ue, R)     # Psi_{t_k l}^{-1} R_kl
-        scale = np.sqrt(self.ul_power * tau_p)[:, None, None, None]
-        self.filter = scale * np.conj(np.swapaxes(self.psi_inv_R, -1, -2))
-        # estimate covariance B and error covariance C = R - B
-        self.B = scale * self.filter @ R
-        self.B = 0.5 * (self.B + np.conj(np.swapaxes(self.B, -1, -2)))
-        self.C = R - self.B
-        self.C = 0.5 * (self.C + np.conj(np.swapaxes(self.C, -1, -2)))
+        # precomputed once; R Psi^{-1} = (Psi^{-1} R)^H for Hermitian inputs,
+        # scaled in the memory of the conjugate transpose
+        self._scale = np.sqrt(self.ul_power * tau_p)[:, None, None, None]
+        self.filter = np.conj(np.swapaxes(self._psi_inv_R(), -1, -2))
+        np.multiply(self._scale, self.filter, out=self.filter)
+        # error covariance C = R - B; B goes once C exists
+        self.C = _hermitian_part(R - self._estimate_covariance())
         # sum_i p_i C_il, the statistical part of the centralized noise matrix
         self.C_weighted_sum = np.einsum("k,klmn->lmn", self.ul_power, self.C)
 
-        self._partners = None
-        self._noise_cache = {}
+        self._views = {}
+
+    def _psi_inv_R(self) -> np.ndarray:
+        R = self.topology.R
+        psi_of_ue = self.psi[self.pilot_of]                    # (K, L, N, N)
+        if R.shape[-1] == 1:
+            # Psi is real: complex division multiplies by 1/Psi, as the solve does
+            return np.divide(R, psi_of_ue, out=psi_of_ue)
+        return np.linalg.solve(psi_of_ue, R)                   # Psi_{t_k l}^{-1} R_kl
+
+    def _estimate_covariance(self) -> np.ndarray:
+        return _hermitian_part(self._scale * self.filter @ self.topology.R)
+
+    @cached_property
+    def psi_inv_R(self) -> np.ndarray:
+        return self._psi_inv_R()
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return self._estimate_covariance()
+
+    def _view(self, key, build):
+        if key not in self._views:
+            self._views[key] = build()
+        return self._views[key]
 
     def partners(self) -> np.ndarray:
-        if self._partners is None:
-            self._partners = compute_partners(self.assignment)
-        return self._partners
+        return self._view("partners", lambda: compute_partners(self.assignment))
+
+    def demand_mask(self, scheme: str) -> np.ndarray:
+        """estimate_demand_mask(scheme, self); readers do not write into it."""
+        return self._view(("demand", scheme), lambda: estimate_demand_mask(scheme, self))
+
+    def local_statistics(self, all_ues: bool = False) -> tuple:
+        """(served, valid, members, weight, statistics) of LP-MMSE, or of
+        L-MMSE with all_ues, built once: served and valid are
+        assignment.served_table(), the (L, T) indices of D_l and their mask;
+        members and weight are the (L, S) UEs each AP's Gram matrix sums over
+        and their powers (zero on the padding); statistics is the (L, N, N)
+        sum_s weight_ls C_{members_ls, l}."""
+        def build():
+            K, L = self.topology.beta.shape
+            served, valid = self.assignment.served_table()
+            if all_ues:
+                members = np.broadcast_to(np.arange(K), (L, K))
+                weight = np.broadcast_to(self.ul_power, (L, K))
+            else:
+                members, weight = served, self.ul_power[served] * valid
+            statistics = np.einsum("ls,lsmn->lmn", weight, self.C[members, np.arange(L)[:, None]])
+            return served, valid, members, weight, statistics
+        return self._view(("local", all_ues), build)
 
     def noise_matrix(self, k: int, partner_only: bool = False) -> np.ndarray:
         """Z_k on UE k's subspace: blockdiag of sum_i p_i C_il + sigma^2 I.
@@ -86,9 +142,9 @@ class SetupContext:
         `C_weighted_sum` instead, and the SINR evaluation works on the full
         L*N space with `C_weighted_sum`; neither caches anything per UE.
         """
-        key = (k, partner_only)
-        if key in self._noise_cache:
-            return self._noise_cache[key]
+        key = ("noise", k, partner_only)
+        if key in self._views:
+            return self._views[key]
         aps = self.assignment.serving_aps(k)
         N = self.topology.antennas_per_ap
         if partner_only:
@@ -101,8 +157,25 @@ class SetupContext:
         for j, block in enumerate(csum):
             Z[j * N:(j + 1) * N, j * N:(j + 1) * N] = block
         Z[np.diag_indices(n)] += self.cfg.noise_ul_w
-        self._noise_cache[key] = Z
+        self._views[key] = Z
         return Z
+
+
+def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:
+    """(K, L) mask of channel estimates the scheme's combiners consume."""
+    serves = ctx.assignment.serves
+    K = serves.shape[1]
+    if scheme in ("MR", "LP-MMSE"):
+        return serves.T.copy()
+    if scheme in ("MMSE", "L-MMSE"):
+        # every UE's estimate at every AP that serves anyone
+        mask = np.zeros((K, serves.shape[0]), dtype=bool)
+        mask[:, serves.any(axis=1)] = True
+        return mask
+    if scheme == "P-MMSE":
+        # float counts (<= K, so exact) let the product run on BLAS
+        return (ctx.partners().astype(float) @ serves.T) > 0
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def despread(ctx: SetupContext, channels: np.ndarray, rng) -> np.ndarray:

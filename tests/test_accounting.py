@@ -9,8 +9,7 @@ from cellfree.accounting import (
     multiplication_count,
 )
 from cellfree.clustering import ClusterAssignment, compute_partners
-from cellfree.combining import estimate_demand_mask
-from cellfree.estimation import EstimationBundle
+from cellfree.estimation import EstimationBundle, estimate_demand_mask
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.topology import sample_channels
 

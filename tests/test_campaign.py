@@ -415,8 +415,10 @@ class TestBatchMemory:
         # setup statistics built on first use, and the genie powers kept
         ctx = seen["ctx"]
         held = ctx.topology.correlation_sqrt().nbytes
-        held += sum(z.nbytes for z in ctx._noise_cache.values())
-        held += 0 if ctx._partners is None else ctx._partners.nbytes
+        # the clustering view's entries (noise matrices, partners, LP-MMSE
+        # statistics), each array once
+        views = [x for v in ctx._views.values() for x in (v if isinstance(v, tuple) else (v,))]
+        held += sum({id(x): x.nbytes for x in views}.values())
         if cfg.genie_dl and cfg.mode == "centralized":
             held += cfg.num_realizations * cfg.num_ues**2 * 8
         batch_array = self.BATCH * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap * 16

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -240,6 +241,45 @@ class TestAllServeAll:
         assert np.array_equal(again.serves, assignment.serves)
         assert np.array_equal(again.pilot_of, assignment.pilot_of)
         assert np.array_equal(again.master_of, assignment.master_of)
+
+
+def _json_by_dumps(a: ClusterAssignment) -> str:
+    """The record as one json.dumps call of its fields."""
+    return json.dumps(
+        {
+            "pilot_len": a.pilot_len,
+            "all_serve_all": a.all_serve_all,
+            "pilot_of": a.pilot_of.tolist(),
+            "master_of": a.master_of.tolist(),
+            "serving_aps": [a.serving_aps(k).tolist() for k in range(a.num_ues)],
+            "num_aps": int(a.num_aps),
+        },
+        separators=(",", ":"),
+    )
+
+
+class TestJsonRecord:
+    """to_json encodes each distinct serving row once and joins the strings;
+    the bytes stay those of one json.dumps call."""
+
+    @pytest.mark.parametrize("kind", ["dcc", "all-serve-all", "partly-admitted",
+                                      "partly-admitted-all-serve-all"])
+    def test_equals_json_dumps_of_the_fields(self, kind):
+        cfg = make_cfg(num_aps=30, num_ues=20, pilot_len=3, area_side_km=0.5,
+                       all_serve_all=kind == "all-serve-all")
+        state, topo = make_state(cfg, seed=4)
+        admitted = cfg.num_ues if kind in ("dcc", "all-serve-all") else 11
+        for k in range(admitted):
+            admit_ue(state, k, forced_pilot=k if k < cfg.pilot_len else None)
+        assignment = state.assignment
+        if kind.endswith("all-serve-all"):
+            assignment = assignment.served_by_all()
+            # one serving row, and the empty one of the UEs not admitted
+            distinct = {assignment.serves[:, k].tobytes() for k in range(cfg.num_ues)}
+            assert len(distinct) == (1 if kind == "all-serve-all" else 2)
+        assert assignment.to_json() == _json_by_dumps(assignment)
+        again = ClusterAssignment.from_json(assignment.to_json())
+        assert np.array_equal(again.serves, assignment.serves)
 
 
 # ---------------------------------------------------------------------------

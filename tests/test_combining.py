@@ -8,11 +8,10 @@ from cellfree.combining import (
     build_precoders_distributed,
     combiner_single,
     compute_combiners,
-    estimate_demand_mask,
     local_mmse_combiner,
     optimal_sinr,
 )
-from cellfree.estimation import EstimationBundle, SetupContext
+from cellfree.estimation import EstimationBundle, SetupContext, estimate_demand_mask
 from cellfree.rng import CHANNEL, PILOT_NOISE, complex_normal, stream
 from cellfree.se import combiner_norms, combining_gains, instantaneous_sinr
 from cellfree.topology import sample_channels

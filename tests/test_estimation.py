@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,11 +261,65 @@ class TestWholeTablePass:
         assert set(vars(bundle)) == {"ctx", "channels", "hhat", "_computed"}
 
 
+def _statistics_by_formula(ctx):
+    """Psi^-1 R (by the solve), the filters, B and C, each step a new array."""
+    R = ctx.topology.R
+    psi_inv_R = np.linalg.solve(ctx.psi[ctx.pilot_of], R)
+    scale = np.sqrt(ctx.ul_power * ctx.cfg.pilot_len)[:, None, None, None]
+    filt = scale * np.conj(np.swapaxes(psi_inv_R, -1, -2))
+    B = scale * filt @ R
+    B = 0.5 * (B + np.conj(np.swapaxes(B, -1, -2)))
+    C = R - B
+    C = 0.5 * (C + np.conj(np.swapaxes(C, -1, -2)))
+    return psi_inv_R, filt, B, C
+
+
+def _check_lazy_statistics(ctx):
+    """Psi^-1 R and B are not kept until read, and then have the formulas' bits."""
+    assert not {"psi_inv_R", "B"} & set(vars(ctx))
+    psi_inv_R, filt, B, C = _statistics_by_formula(ctx)
+    assert same_bits(ctx.filter, filt) and same_bits(ctx.C, C)
+    assert same_bits(ctx.psi_inv_R, psi_inv_R) and same_bits(ctx.B, B)
+    assert {"psi_inv_R", "B"} <= set(vars(ctx))
+    assert ctx.B is ctx.B
+
+
 class TestSingleAntennaFilters:
     @pytest.mark.parametrize("scale", ["desk", "full"])
     def test_psi_inv_R_equals_the_solve(self, scale):
-        # setup-i: 100 single-antenna APs and 40 UEs, or 400 and 100
+        # setup-i: 100 single-antenna APs and 40 UEs, or 400 and 100; the
+        # division gives the solve's bits, and the lazy B the formula's
         cfg = getattr(SCENARIOS["setup-i-ul"], scale)
-        topo, _, ctx = make_setup(cfg)
-        expected = np.linalg.solve(ctx.psi[ctx.pilot_of], topo.R)
-        assert same_bits(ctx.psi_inv_R, expected)
+        _, _, ctx = make_setup(cfg)
+        _check_lazy_statistics(ctx)
+
+
+class TestLeanStatistics:
+    """A SetupContext keeps filter, C, C_weighted_sum, psi and the
+    despreading weights; construction holds at most three (K, L, N, N)
+    arrays above R and psi. The networks have 512 KiB arrays: from 256 KiB
+    on numpy adds into a temporary in place, which the bound relies on."""
+
+    NETWORKS = {1: dict(num_aps=512, num_ues=64, pilot_len=8, area_side_km=1.5),
+                4: dict(num_aps=64, num_ues=32, pilot_len=8, area_side_km=0.8)}
+
+    @pytest.mark.parametrize("antennas", [1, 4])
+    def test_construction_peak_and_what_is_kept(self, antennas):
+        cfg = make_cfg(antennas_per_ap=antennas, **self.NETWORKS[antennas])
+        topo, assignment, first = make_setup(cfg)
+        array = topo.R.nbytes
+        assert array == 512 * 1024
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ctx = SetupContext(topo, assignment, first.ul_power, cfg)
+            kept, peak = (x - start for x in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        arrays = (ctx.filter, ctx.C, ctx.C_weighted_sum, ctx.psi, ctx._despread, ctx._scale)
+        small = 32 * 1024        # the object, its dicts and the scalars
+        assert kept <= sum(x.nbytes for x in arrays) + small
+        # and numpy's iterator buffers for the mixed-layout adds
+        buffers = 2 * np.getbufsize() * 16
+        assert peak <= 3 * array + ctx.psi.nbytes + buffers + small, peak / array
+        _check_lazy_statistics(ctx)
