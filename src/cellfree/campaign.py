@@ -13,7 +13,11 @@ batch partials in one loop (with two passes, pass 1 also merges the
 combiner-norm sums there), and one loop finalizes every bound, tagging a
 failure with its setup and scheme.
 
-Pass 1 accumulates the uplink bound of every scheme. The downlink precoders
+Pass 1 accumulates the uplink bound of every scheme. In centralized
+operation that is the instantaneous SINR of each combiner
+(se.instantaneous_sinr), except for MMSE combining with every AP serving
+every UE, which attains the maximal SINR x_k / (1 - x_k) and takes
+1 - x_k from its own K x K solve. The downlink precoders
 are the combiners normalized by E{v^H D v}, per UE in centralized operation
 and per AP in distributed operation, as Monte-Carlo means over the whole
 setup. The hardening bound is linear in those normalization scales, so
@@ -305,10 +309,17 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     def pass1_chunk(h, noise, out):
         bundle = EstimationBundle(ctx, h, noise, pass1_demand)
         for scheme in cfg.schemes:
-            v = compute_combiners(scheme, bundle)
             ul = acc.get((scheme, "ul"))
-            if ul is not None and centralized:
-                out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
+            if ul is not None and centralized and scheme == "MMSE" and assignment.all_serve_all:
+                # MMSE combining with every AP serving every UE gives the
+                # centralized bound's SINRs from its own solve
+                sinr = np.empty(h.shape[:2])
+                v = compute_combiners(scheme, bundle, sinr)
+                out[(scheme, "ul")] = ul.batch_partial(sinr)
+            else:
+                v = compute_combiners(scheme, bundle)
+                if ul is not None and centralized:
+                    out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
             if scheme == last:
                 del bundle
             if two_pass:

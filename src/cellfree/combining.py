@@ -82,18 +82,23 @@ def _solve_hermitian(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.einsum("...nm,...mk->...nk", vecs, inv_vals[..., None] * proj)
 
 
-def compute_combiners(scheme: str, bundle: EstimationBundle) -> np.ndarray:
+def compute_combiners(scheme: str, bundle: EstimationBundle, sinr: np.ndarray = None) -> np.ndarray:
     """(B, K, L, N) combining vectors, exactly zero outside serving APs.
 
-    Raises ValueError when the bundle lacks an estimate the scheme reads.
+    sinr, a (B, K) array, is for MMSE combining on an all-serve-all network
+    only, which writes there the centralized bound's instantaneous SINRs
+    from its own solve (centralized_mmse_combiner). Raises ValueError when
+    the bundle lacks an estimate the scheme reads.
     """
     bundle.require(bundle.ctx.demand_mask(scheme), f"{scheme} combining")
+    if sinr is not None and not (scheme == "MMSE" and bundle.ctx.assignment.all_serve_all):
+        raise ValueError(f"{scheme} combining here gives no SINR of its own")
     if scheme == "MR":
         return mr_combiner(bundle)
     if scheme in ("LP-MMSE", "L-MMSE"):
         return local_mmse_combiner(bundle, all_ues=(scheme == "L-MMSE"))
     if scheme in ("MMSE", "P-MMSE"):
-        return centralized_mmse_combiner(bundle, partial=(scheme == "P-MMSE"))
+        return centralized_mmse_combiner(bundle, partial=(scheme == "P-MMSE"), sinr=sinr)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -143,8 +148,15 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
     return v
 
 
-def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -> np.ndarray:
-    """MMSE / P-MMSE combining on each UE's compacted subspace."""
+def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False,
+                              sinr: np.ndarray = None) -> np.ndarray:
+    """MMSE / P-MMSE combining on each UE's compacted subspace.
+
+    When every AP serves every UE, sinr (B, K), if given, receives the
+    maximal instantaneous SINR x_k / (1 - x_k) that MMSE combining attains,
+    x_k = p_k h_k^H (Z + H P H^H)^-1 h_k, with 1 - x_k = [A^-1]_kk from the
+    K x K solve.
+    """
     ctx = bundle.ctx
     K, L = ctx.topology.beta.shape
     N = ctx.topology.antennas_per_ap
@@ -173,7 +185,13 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False) -
             hh = hhat.reshape(b, K, L * N)
             A = s[:, None] * (np.conj(hh) @ np.swapaxes(x, 1, 2)) * s  # S H^H Z^-1 H S
             A += np.eye(K)
-            sm = s[:, None] * _solve_hermitian(A, np.diag(s))          # S A^-1 S
+            sm = _solve_hermitian(A, np.diag(s))                       # A^-1 S
+            if sinr is not None:
+                # 1 - x_k; A's row of a UE without power is e_k, so x_k = 0
+                d = np.divide(np.real(np.diagonal(sm, axis1=1, axis2=2)), s,
+                              out=np.ones((b, K)), where=s > 0)
+                sinr[rows] = (1 - d) / d
+            sm = s[:, None] * sm                                       # S A^-1 S
             np.matmul(np.swapaxes(sm, 1, 2), x, out=v[rows].reshape(b, K, L * N))
             del x               # before the next block's exists
         return v

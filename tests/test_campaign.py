@@ -17,7 +17,7 @@ from cellfree.estimation import EstimationBundle
 from cellfree.power import dl_centralized_equal, per_ap_dl_power
 from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.se import (DownlinkAccumulator, DownlinkBlockMoments, NumericError,
-                         UatfAccumulator, combiner_norms)
+                         UatfAccumulator, combiner_norms, instantaneous_sinr)
 from cellfree.topology import BLOCK_VALUES, sample_channels
 
 from conftest import make_cfg, make_setup, same_bits
@@ -75,6 +75,24 @@ class TestCampaign:
                        schemes=("LP-MMSE",))
         with pytest.raises(NumericError, match="^setup 0, scheme LP-MMSE: injected$"):
             run_campaign(cfg)
+
+    def test_mmse_all_takes_its_uplink_sinr_from_its_solve(self, monkeypatch):
+        # the centralized uplink of MMSE on an all-serve-all network reads its
+        # SINRs from its combiners' K x K solve; P-MMSE there evaluates them
+        cfg = make_cfg(mode="centralized", all_serve_all=True, schemes=("MMSE", "P-MMSE"),
+                       dl_data_len=0, num_realizations=48)
+        evaluated = []
+
+        def counting(v, bundle, p):
+            evaluated.append(v.shape[0])
+            return instantaneous_sinr(v, bundle, p)
+
+        monkeypatch.setattr(campaign, "instantaneous_sinr", counting)
+        report = run_campaign(cfg)
+        assert sum(evaluated) == cfg.num_realizations      # P-MMSE's alone
+        # the same SINRs to within rounding: MMSE and P-MMSE have the same combiners
+        np.testing.assert_allclose(report.values("MMSE", "ul"), report.values("P-MMSE", "ul"),
+                                   rtol=1e-9, atol=0)
 
     def test_admission_failure_names_setup_and_ue(self):
         # more than pilot_len UEs appoint AP 58 their master

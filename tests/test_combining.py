@@ -265,6 +265,27 @@ class TestAllServeAllPushThrough:
         sinr = instantaneous_sinr(v, bundle, ctx.ul_power)
         np.testing.assert_allclose(sinr, optimal_sinr_all(bundle, ctx), rtol=1e-9, atol=0)
 
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("zero_power_ue", [None, 1])
+    @pytest.mark.parametrize("antennas", [1, 4])
+    def test_sinr_from_the_solve_equals_instantaneous_sinr(self, antennas, zero_power_ue, shape):
+        # SINR_k = x_k / (1 - x_k), with 1 - x_k = [A^-1]_kk of the K x K solve
+        ctx, bundle = self._bundle(shape, antennas, 3, zero_power_ue)
+        sinr = np.full(bundle.hhat.shape[:2], np.nan)
+        v = compute_combiners("MMSE", bundle, sinr)
+        assert same_bits(v, compute_combiners("MMSE", bundle))
+        expected = instantaneous_sinr(v, bundle, ctx.ul_power)
+        np.testing.assert_allclose(sinr, expected, rtol=1e-9, atol=0)
+        assert np.all(expected > 0) if zero_power_ue is None else np.all(sinr[:, 1] == 0)
+
+    def test_only_mmse_on_all_serve_all_gives_its_sinr(self):
+        ctx, bundle = self._bundle("K<LN", 1, 2)
+        with pytest.raises(ValueError, match="no SINR"):
+            compute_combiners("P-MMSE", bundle, np.empty((2, 4)))
+        _, _, _, _, dcc = make_bundle(make_cfg(mode="centralized", schemes=("MMSE",)))
+        with pytest.raises(ValueError, match="no SINR"):
+            compute_combiners("MMSE", dcc, np.empty((6, 6)))
+
 
 SCHEMES = ["MR", "LP-MMSE", "L-MMSE", "MMSE", "P-MMSE"]
 
