@@ -101,15 +101,18 @@ class SetupContext:
         return self._estimate_covariance()
 
     def _view(self, key, build):
+        # every caller gets the same arrays: they are made read-only
         if key not in self._views:
-            self._views[key] = build()
+            value = self._views[key] = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.flags.writeable = False
         return self._views[key]
 
     def partners(self) -> np.ndarray:
         return self._view("partners", lambda: compute_partners(self.assignment))
 
     def demand_mask(self, scheme: str) -> np.ndarray:
-        """estimate_demand_mask(scheme, self); readers do not write into it."""
+        """estimate_demand_mask(scheme, self)."""
         return self._view(("demand", scheme), lambda: estimate_demand_mask(scheme, self))
 
     def local_statistics(self, all_ues: bool = False) -> tuple:
