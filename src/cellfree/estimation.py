@@ -145,23 +145,21 @@ class SetupContext:
         `C_weighted_sum` instead, and the SINR evaluation works on the full
         L*N space with `C_weighted_sum`; neither caches anything per UE.
         """
-        key = ("noise", k, partner_only)
-        if key in self._views:
-            return self._views[key]
-        aps = self.assignment.serving_aps(k)
-        N = self.topology.antennas_per_ap
-        if partner_only:
-            members = np.flatnonzero(self.partners()[k])
-            csum = np.einsum("k,klmn->lmn", self.ul_power[members], self.C[members][:, aps])
-        else:
-            csum = self.C_weighted_sum[aps]
-        n = N * len(aps)
-        Z = np.zeros((n, n), dtype=complex)
-        for j, block in enumerate(csum):
-            Z[j * N:(j + 1) * N, j * N:(j + 1) * N] = block
-        Z[np.diag_indices(n)] += self.cfg.noise_ul_w
-        self._views[key] = Z
-        return Z
+        def build():
+            aps = self.assignment.serving_aps(k)
+            N = self.topology.antennas_per_ap
+            if partner_only:
+                members = np.flatnonzero(self.partners()[k])
+                csum = np.einsum("k,klmn->lmn", self.ul_power[members], self.C[members][:, aps])
+            else:
+                csum = self.C_weighted_sum[aps]
+            n = N * len(aps)
+            Z = np.zeros((n, n), dtype=complex)
+            for j, block in enumerate(csum):
+                Z[j * N:(j + 1) * N, j * N:(j + 1) * N] = block
+            Z[np.diag_indices(n)] += self.cfg.noise_ul_w
+            return Z
+        return self._view(("noise", k, partner_only), build)
 
 
 def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:

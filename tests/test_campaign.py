@@ -433,8 +433,7 @@ class TestBatchMemory:
         # setup statistics built on first use, and the genie powers kept
         ctx = seen["ctx"]
         held = ctx.topology.correlation_sqrt().nbytes
-        # the clustering view's entries (noise matrices, partners, LP-MMSE
-        # statistics), each array once
+        # the clustering view's entries, each array once
         views = [x for v in ctx._views.values() for x in (v if isinstance(v, tuple) else (v,))]
         held += sum({id(x): x.nbytes for x in views}.values())
         if cfg.genie_dl and cfg.mode == "centralized":
