@@ -55,12 +55,13 @@ and the combiners and SINRs only read the bundle.
 
 A batch holds at most three (batch, K, L, N) arrays: its channels, its
 estimates and one scheme's combiners. Every other per-batch temporary is
-formed a row block of realizations (or of estimate pairs) at a time, about
-topology.BLOCK_VALUES values (at least one realization). The estimates go
-once the last scheme's combiners (and the centralized uplink, which reads
-them) are done, so the single-pass downlink's block moments, whose chunk
-takes up to one batch array, run next to two. Accumulators keep their
-sums, and the genie's gain powers, across batches.
+formed a row block of realizations (or of estimate pairs, or where one
+realization exceeds the budget, of UE rows) at a time, about
+topology.BLOCK_VALUES values (at least one realization or two UE rows).
+The estimates go once the last scheme's combiners (and the centralized
+uplink, which reads them) are done, so the centralized single pass's block
+moments run next to two, with temporaries below one batch array.
+Accumulators keep their sums, and the genie's gain powers, across batches.
 
 In distributed operation with one pass, every combiner, gain and moment
 of a realization depends on that realization alone, so each batch is
@@ -74,9 +75,12 @@ its bits at one antenna (an uplink with one UE keeps whole batches: numpy
 sums a single column pairwise). At N > 1 the channel and estimate products
 take the chunk's realizations as a matrix dimension, and their last bits
 can move. The batch's replica is formed from its sums after the last
-chunk. Such a batch holds three arrays of one chunk, or two next to the
-block moments. Centralized operation and the second pass take whole
-batches.
+chunk. Such a batch holds three arrays of one chunk. With a downlink, each
+scheme first forms the chunk's per-AP gain table (PrecoderBlocks.gains),
+then drops its combiners, and after the last scheme the chunk's estimates
+and channels, before the block pair products run from the table alone
+(DownlinkBlockMoments.chunk_sums). Centralized operation and the second
+pass take whole batches.
 """
 
 import concurrent.futures
@@ -306,7 +310,8 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
     # combiners: the estimates go once the last combiners (and the
     # centralized uplink, which reads them) are done, and each scheme's
     # combiners before the next scheme's are built
-    def pass1_chunk(h, noise, out):
+    def pass1_chunk(channels, count, noise, out):
+        h = sample_channels(topology, channels, count)
         bundle = EstimationBundle(ctx, h, noise, pass1_demand)
         for scheme in cfg.schemes:
             ul = acc.get((scheme, "ul"))
@@ -329,7 +334,14 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
                 if ul is not None and not centralized:
                     out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
             elif chunked and need_dl:
-                out[(scheme, "dl")] = acc[(scheme, "dl")].chunk_sums(v, h, out.get((scheme, "dl")))
+                # the pair products read the gain table alone: the combiners,
+                # and after the last scheme the channels, go before they run
+                gains = blocks.gains(v, h)
+                del v
+                if scheme == last:
+                    del h
+                out[(scheme, "dl")] = acc[(scheme, "dl")].chunk_sums(gains, out.get((scheme, "dl")))
+                continue
             elif need_dl:
                 out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(v, h)
             elif chunked:
@@ -343,7 +355,7 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         # each chunk draws the next rows of the batch's streams (a Generator
         # fills in C order): the batch's draws
         for rows in chunks(sizes[b]):
-            pass1_chunk(sample_channels(topology, channels, rows.stop - rows.start), noise, out)
+            pass1_chunk(channels, rows.stop - rows.start, noise, out)
         if not chunked:
             return out
         # a chunked batch's replicas, from its sums

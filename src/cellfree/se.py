@@ -100,12 +100,12 @@ def _hardening_terms(signal: np.ndarray, second: np.ndarray, noise_w: float) -> 
     return num, den
 
 
-def _power_sinr(q: np.ndarray, noise) -> np.ndarray:
+def _power_sinr(q: np.ndarray, noise, first: int = 0) -> np.ndarray:
     """Per-realization SINR q_kk / (sum_i q_ki - q_kk + noise) from the gain
     powers q[b, k, i] with the powers folded in: the genie-aided reference
     (q = |h_k^H D_i w_i|^2) and the centralized uplink (q = p_i |v_k^H h_i|^2,
-    with a noise term per UE)."""
-    num = np.diagonal(q, axis1=-2, axis2=-1)
+    with a noise term per UE). The rows of q may be UEs first, first + 1, ..."""
+    num = np.diagonal(q, first, axis1=-2, axis2=-1)
     return _safe_ratio(num, q.sum(axis=-1) - num + noise)
 
 
@@ -191,27 +191,31 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
     blockdiag_l(sum_i p_i C_il) + sigma^2 I to UE k's serving blocks, so for
     a v_k that is zero outside them the full-space quadratic form equals
     v_k^H Z_k v_k exactly, and v_k^H h_i equals v_k^H D_k h_i. The mask and
-    every term are applied a row block of realizations at a time: the
-    masked combiners and their conjugate, which the gains and the quadratic
-    form share, together take about one budget. Reads every estimate.
+    every term are applied a block at a time: the masked combiners and their
+    conjugate, which the gains and the quadratic form share, together take
+    about one budget. A block is a row block of realizations, or where one
+    realization exceeds the budget, a block of UE rows of one realization,
+    at least two (a one-row gain product can take another BLAS path); each
+    block builds its rows of the serving mask. Reads every estimate.
     """
     ctx = bundle.ctx
     bundle.require(np.ones_like(bundle._computed), "instantaneous_sinr")
     B, K = v.shape[:2]
-    # complex already, so that the products cast no mask values block by block
-    serving = ctx.assignment.serves.T[None, :, :, None].astype(complex)
+    serves = ctx.assignment.serves.T
     ht = np.swapaxes(bundle.hhat.reshape(B, K, -1), 1, 2)
     sinr = np.empty((B, K))
     for rows in row_blocks(B, 2 * v[0].size):
-        vm = v[rows] * serving
-        vc = np.conj(vm)
-        g = vc.reshape(len(vc), K, -1) @ ht[rows]             # combining_gains(vm, hhat)
-        zq = np.real(np.einsum("bklm,lmn,bkln->bk", vc, ctx.C_weighted_sum, vm))
-        del vc
-        energy = np.abs(vm)
-        zq += ctx.cfg.noise_ul_w * np.sum(np.square(energy, out=energy), axis=(2, 3))
-        sinr[rows] = _power_sinr(ul_power[None, None, :] * np.abs(g) ** 2, zq)
-        del vm, energy          # before the next block's exist
+        for ues in row_blocks(K, 2 * v[0, 0].size, least=2):
+            # complex already, so that the product casts no mask values
+            vm = v[rows, ues] * serves[ues, :, None].astype(complex)
+            vc = np.conj(vm)
+            g = vc.reshape(vc.shape[0], vc.shape[1], -1) @ ht[rows]  # combining_gains(vm, hhat)
+            zq = np.real(np.einsum("bklm,lmn,bkln->bk", vc, ctx.C_weighted_sum, vm))
+            del vc
+            energy = np.abs(vm)
+            zq += ctx.cfg.noise_ul_w * np.sum(np.square(energy, out=energy), axis=(2, 3))
+            sinr[rows, ues] = _power_sinr(ul_power[None, None, :] * np.abs(g) ** 2, zq, ues.start)
+            del vm, energy      # before the next block's exist
     return sinr
 
 
@@ -446,12 +450,16 @@ class PrecoderBlocks:
     make block p UE ues[p]'s combiner at its serving AP aps[p] (distributed
     operation). Blocks are ordered by UE. The block second moments of UE i
     are kept for every ordered pair of its blocks, K * sum_i |M_i|^2 values.
+
+    A chunk's moments take two steps, gains and sums, so a caller can drop
+    the combiners and channels in between; per AP a chunk holds its gain
+    table and one UE group's gains, never the (K, P, b) gains of all blocks.
     """
 
     def __init__(self, assignment, rho: np.ndarray):
         K = assignment.num_ues
         if rho.ndim == 1:
-            self.ues, self.aps = np.arange(K), None
+            self.ues, self.aps, self.slots = np.arange(K), None, None
             self.rho = rho
             self._table_width = 0
         else:
@@ -481,50 +489,73 @@ class PrecoderBlocks:
                            first_pair[ues][:, None] + np.arange(m * m)))
         return groups
 
-    def _gains(self, v: np.ndarray, h: np.ndarray) -> tuple:
-        """g[k, p, b] = h_k^H v_p for every UE k and block p, and the block
-        energies sum_b ||v_p||^2."""
+    def gains(self, v: np.ndarray, h: np.ndarray) -> tuple:
+        """The first step of moments on one chunk of realizations: (its
+        realization count, its gains, the block energies sum_b ||v_p||^2).
+
+        One block per UE: the gains g[k, p, b] = h_k^H v_p. Per AP: the
+        conjugate gain table t[b, l, k, s] = conj(h_kl^H v_ul) of the UE u
+        in slot s of AP l, (b, L, K, T). Nothing returned refers to v or h.
+        """
         if self.aps is None:
-            return np.moveaxis(combining_gains(h, v), 0, -1), combiner_norms(v)[0]
+            return v.shape[0], np.moveaxis(combining_gains(h, v), 0, -1), combiner_norms(v)[0]
         vD = v[:, self.served, np.arange(v.shape[2])[:, None], :]        # (b, L, T, N)
-        conj_g = np.swapaxes(h, 1, 2) @ np.conj(np.swapaxes(vD, -1, -2))  # (b, L, K, T)
-        g = np.conj(conj_g[:, self.aps, :, self.slots])                     # (P, b, K)
         energy = np.sum(np.abs(vD) ** 2, axis=(0, 3))[self.aps, self.slots]
-        return np.ascontiguousarray(np.moveaxis(g, -1, 0)), energy
+        np.conj(vD, out=vD)
+        return v.shape[0], np.swapaxes(h, 1, 2) @ np.swapaxes(vD, -1, -2), energy
 
     def chunks(self, shape: tuple) -> list:
         """Slices of a (B, K, L, N) batch into the chunks that moments takes
-        one at a time, whose temporaries together take about as much memory
-        as the batch: a copy of the channels, the per-AP gain table
-        (distributed operation) and two copies of the block gains."""
+        one at a time. The boundaries fix the order of every sum over
+        realizations, so they keep the size that a copy of the channels, the
+        gain table and two (K, P, b) gain copies in one batch array gave;
+        the temporaries now stay below one batch array."""
         B, K, L, N = shape
         temporaries = K * L * N + K * L * self._table_width + 2 * K * self.ues.size
         chunk = -(-B // -(-temporaries // (K * L * N)))
         return [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
 
     def moments(self, v: np.ndarray, h: np.ndarray, powers: bool = False) -> tuple:
-        """Sums of the blocks over one chunk of realizations (see chunks):
+        """The block sums of one chunk of realizations (see chunks): sums of
+        gains(v, h)."""
+        return self.sums(self.gains(v, h), powers)
+
+    def sums(self, gains: tuple, powers: bool = False) -> tuple:
+        """Sums of the blocks over one chunk of realizations, from its gains:
         sig[p] = sum_b h_i^H v_p over UE i's own blocks p,
         S[k, q] = Re sum_b g[k, a, b] conj(g[k, a', b]) over the block pairs
         q = (a, a') of one UE, and the energies sum_b ||v_p||^2. The fourth
         value holds each realization's gain powers |g[k, p, b]|^2 as
-        (b, K, P) when powers is set, and is None otherwise.
+        (b, K, P) when powers is set (one block per UE), and is None
+        otherwise. Per AP, sig and each UE group's contiguous (K, n, m, b)
+        gains are read from the table with the values and layouts that a
+        (K, P, b) gain array gave.
 
         S, and the products it sums, hold K * sum_i |M_i|^2 values, which
         grow with the cluster sizes and not with the realizations; the
         campaign takes this path only when that count is at most a quarter
         of the batch array.
         """
-        K = v.shape[1]
-        P = self.ues.size
+        _, table, energy = gains
+        K, aps, slots = self.num_ues, self.aps, self.slots
         S = np.zeros((K, self.num_pairs))
-        g, energy = self._gains(v, h)
-        sig = g[self.ues, np.arange(P)].sum(axis=-1)
+        if aps is None:
+            sig = table[self.ues, self.ues].sum(axis=-1)
+        else:
+            sig = np.conj(np.ascontiguousarray(table[:, aps, self.ues, slots].T)).sum(axis=-1)
         for _, blocks, pairs in self.groups:
-            gm = g[:, blocks]                                           # (K, n, m, b)
-            prod = np.conj(gm) @ np.swapaxes(gm, -1, -2)               # (K, n, m, m)
+            if aps is None:
+                gm = table[:, blocks]                                   # (K, n, m, b)
+                cgm = np.conj(gm)
+            else:
+                picked = table[:, aps[blocks], :, slots[blocks]]        # (n, m, b, K)
+                cgm = np.ascontiguousarray(np.moveaxis(picked, -1, 0))
+                del picked
+                gm = np.conj(cgm)
+            prod = cgm @ np.swapaxes(gm, -1, -2)                        # (K, n, m, m)
             S[:, pairs] += np.real(prod).reshape(K, *pairs.shape)
-        return sig, S, energy, np.abs(np.moveaxis(g, -1, 0)) ** 2 if powers else None
+            del gm, cgm, prod                   # before the next group's exist
+        return sig, S, energy, np.abs(np.moveaxis(table, -1, 0)) ** 2 if powers else None
 
     def contract(self, c: np.ndarray, sig: np.ndarray, S: np.ndarray) -> tuple:
         """Apply block scales c to the sums: signal[k] = sum_p c_p sig[p]
@@ -569,18 +600,18 @@ class DownlinkBlockMoments(_RatioOfMeans):
         batch's gain powers a (B, K, K)."""
         sums = None
         for rows in self.blocks.chunks(v.shape):
-            sums = self.chunk_sums(v[rows], h[rows], sums)
+            sums = self.chunk_sums(self.blocks.gains(v[rows], h[rows]), sums)
         return self.with_replica(sums)
 
-    def chunk_sums(self, v: np.ndarray, h: np.ndarray, earlier: dict = None) -> dict:
+    def chunk_sums(self, gains: tuple, earlier: dict = None) -> dict:
         """The block sums of one chunk of a batch's realizations (see
-        PrecoderBlocks.chunks), added to earlier, the sums of the batch's
-        chunks before it, in place; with the genie on, the chunk's gain
-        powers follow earlier's."""
-        sig, S, norm, powers = self.blocks.moments(v, h, powers=self.genie)
+        PrecoderBlocks.chunks), from its PrecoderBlocks.gains, added to
+        earlier, the sums of the batch's chunks before it, in place; with
+        the genie on, the chunk's gain powers follow earlier's."""
+        sig, S, norm, powers = self.blocks.sums(gains, powers=self.genie)
         if earlier is None:
-            return {"n": v.shape[0], "sig": sig, "S": S, "norm": norm, "powers": powers}
-        earlier["n"] += v.shape[0]
+            return {"n": gains[0], "sig": sig, "S": S, "norm": norm, "powers": powers}
+        earlier["n"] += gains[0]
         earlier["sig"] += sig
         earlier["S"] += S
         earlier["norm"] += norm

@@ -165,11 +165,15 @@ def spatial_correlation_matrix(beta, nominal_angle_rad, angular_spread_rad, num_
 BLOCK_VALUES = 2 ** 15
 
 
-def row_blocks(count: int, per_row: int) -> list:
+def row_blocks(count: int, per_row: int, least: int = 1) -> list:
     """Slices over count rows of per_row values each, about BLOCK_VALUES
-    values a block and at least one row."""
-    rows = max(1, BLOCK_VALUES // max(1, per_row))
-    return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
+    values a block and at least least rows (a shorter remainder joins the
+    block before it; one block may have fewer when count has)."""
+    rows = max(least, BLOCK_VALUES // max(1, per_row))
+    starts = list(range(0, count, rows))
+    if len(starts) > 1 and count - starts[-1] < least:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
 
 
 def generate_topology(cfg: SimulationConfig, rng) -> Topology:

@@ -401,11 +401,12 @@ class TestBatchMemory:
                                                   ul_data_len=0, genie_dl=True), 1, True),
     }
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_peak_within_three_batch_arrays(self, monkeypatch, route):
-        kw, passes, block_moments = self.ROUTES[route]
-        cfg = make_cfg(**{**self.NETWORK, **kw})
-        monkeypatch.setattr(campaign, "_batch_sizes", lambda cfg: [self.BATCH] * 2)
+    @staticmethod
+    def _traced(monkeypatch, cfg, batch):
+        """(peak above the setup, one step's budget, the largest draw), the
+        first two in (batch, K, L, N) arrays and the last as a share of a
+        batch, of a campaign in two batches of batch realizations."""
+        monkeypatch.setattr(campaign, "_batch_sizes", lambda cfg: [batch] * 2)
         run_campaign(cfg)                       # imports and caches of a first run
         seen = {"drawn": 0, "chunk": 0}
 
@@ -429,7 +430,6 @@ class TestBatchMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert seen["drawn"] == passes * cfg.num_realizations
         # setup statistics built on first use, and the genie powers kept
         ctx = seen["ctx"]
         held = ctx.topology.correlation_sqrt().nbytes
@@ -438,15 +438,48 @@ class TestBatchMemory:
         held += sum({id(x): x.nbytes for x in views}.values())
         if cfg.genie_dl and cfg.mode == "centralized":
             held += cfg.num_realizations * cfg.num_ues**2 * 8
-        batch_array = self.BATCH * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap * 16
+        batch_array = batch * cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap * 16
         above = (peak - seen["setup"] - held) / batch_array
-        budget = BLOCK_VALUES * 16 / batch_array
-        chunk = seen["chunk"] / self.BATCH
+        assert seen["drawn"] % cfg.num_realizations == 0
+        return above, BLOCK_VALUES * 16 / batch_array, seen["chunk"] / batch, \
+            seen["drawn"] // cfg.num_realizations
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_peak_within_three_batch_arrays(self, monkeypatch, route):
+        kw, passes, block_moments = self.ROUTES[route]
+        cfg = make_cfg(**{**self.NETWORK, **kw})
+        above, budget, chunk, drawn = self._traced(monkeypatch, cfg, self.BATCH)
+        assert drawn == passes
         chunked = route in ("distributed-lp-mmse-ul", "distributed-mr-ul",
                             "distributed-dl-block-moments")
         assert (chunk < 1) == chunked
         arrays = max(3 * chunk, 2 * chunk + 1) if block_moments else 3 * chunk
         assert above <= arrays + 2 * budget, f"{above:.3f} batch arrays"
+
+    def test_dense_clusters_keep_no_block_gain_copies(self, monkeypatch):
+        # the criterion-2 network, whose clusters hold most APs: a (K, P, b)
+        # copy of the block gains is about as large as a chunk array. At most
+        # four chunk arrays: the chunk's channels, its estimates (MR's
+        # combiners are the estimates), the gathered combiners and the gain
+        # table (each at most one, since T <= tau_p = N), plus two budgets;
+        # the (K, P, b) copies took 5.59 chunk arrays here
+        cfg = make_cfg(num_aps=16, num_ues=8, pilot_len=4, antennas_per_ap=4, area_side_km=0.4,
+                       seed=7, num_realizations=2 * 1024, mode="distributed", schemes=("MR",))
+        above, budget, chunk, drawn = self._traced(monkeypatch, cfg, 1024)
+        assert drawn == 1 and chunk < 1
+        assert above <= 4 * chunk + 2 * budget, f"{above / chunk:.3f} chunk arrays"
+
+    def test_sinr_of_a_realization_over_the_budget(self, monkeypatch):
+        # one realization's masked combiners and their conjugate exceed a
+        # budget: the centralized SINR takes blocks of UE rows, within the
+        # routes' bound
+        cfg = make_cfg(**{**self.NETWORK, "num_aps": 1024, "num_ues": 32, "num_realizations": 32},
+                       mode="centralized", schemes=("P-MMSE",), dl_data_len=0)
+        assert 2 * cfg.num_ues * cfg.num_aps > BLOCK_VALUES
+        above, budget, chunk, drawn = self._traced(monkeypatch, cfg, 16)
+        assert drawn == 1 and chunk == 1
+        # whole realizations with the whole mask took 3.09 budgets above three
+        assert above <= 3 + 2 * budget, f"{above:.3f} batch arrays"
 
     @pytest.mark.parametrize("antennas", [1, 2])
     @pytest.mark.parametrize("kw", [

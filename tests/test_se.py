@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cellfree import topology
 from cellfree.campaign import run_campaign
 from cellfree.clustering import ClusterAssignment
 from cellfree.combining import (
@@ -275,6 +276,27 @@ class TestFullSpaceSinr:
         assert instantaneous_sinr(v, bundle, ctx.ul_power).shape == (5, 6)
 
 
+class TestSinrInBlocksOfUeRows:
+    """Where one realization exceeds the budget, the centralized SINR takes
+    blocks of at least two UE rows with the bits of the whole product."""
+
+    @pytest.mark.parametrize("budget", [1, 64, 96, 224])
+    @pytest.mark.parametrize("all_serve_all", [False, True])
+    @pytest.mark.parametrize("scheme", ["MMSE", "P-MMSE", "MR"])
+    def test_keeps_every_bit(self, monkeypatch, scheme, all_serve_all, budget):
+        # nine UEs at 2 * L * N = 32 values a row: blocks of 2 + 2 + 2 + 3,
+        # 3 + 3 + 3 and 7 + 2 rows
+        cfg = make_cfg(num_aps=8, num_ues=9, pilot_len=3, antennas_per_ap=2, area_side_km=0.4,
+                       mode="centralized", all_serve_all=all_serve_all, schemes=(scheme,))
+        topo, assignment, ctx = make_setup(cfg)
+        h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 6)
+        bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
+        v = compute_combiners(scheme, bundle)
+        whole = instantaneous_sinr(v, bundle, ctx.ul_power)
+        monkeypatch.setattr(topology, "BLOCK_VALUES", budget)
+        assert same_bits(instantaneous_sinr(v, bundle, ctx.ul_power), whole)
+
+
 class TestDistributedBenchmarks:
     def test_local_mmse_beats_mr_on_average(self):
         cfg = make_cfg(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2,
@@ -479,6 +501,63 @@ class TestDownlinkBlockMoments:
         assert per_ap.rho.tolist() == [0.0, 1.0, 4.0, 5.0]
         assert per_ap.slots.tolist() == [0, 0, 1, 0]
         assert per_ap.num_pairs == 8
+
+
+class TestTableMoments:
+    """Distributed block sums taken from the per-AP gain table have the bits
+    of the contiguous (K, P, b) block gains they were once summed from."""
+
+    @staticmethod
+    def _reference(blocks, v, h):
+        """sig, S and the energies from a (K, P, b) copy of the block gains."""
+        vD = v[:, blocks.served, np.arange(v.shape[2])[:, None], :]        # (b, L, T, N)
+        conj_g = np.swapaxes(h, 1, 2) @ np.conj(np.swapaxes(vD, -1, -2))  # (b, L, K, T)
+        g = np.conj(conj_g[:, blocks.aps, :, blocks.slots])                 # (P, b, K)
+        g = np.ascontiguousarray(np.moveaxis(g, -1, 0))                     # (K, P, b)
+        energy = np.sum(np.abs(vD) ** 2, axis=(0, 3))[blocks.aps, blocks.slots]
+        K = v.shape[1]
+        S = np.zeros((K, blocks.num_pairs))
+        sig = g[blocks.ues, np.arange(blocks.ues.size)].sum(axis=-1)
+        for _, members, pairs in blocks.groups:
+            gm = g[:, members]                                              # (K, n, m, b)
+            S[:, pairs] += np.real(np.conj(gm) @ np.swapaxes(gm, -1, -2)).reshape(K, *pairs.shape)
+        return sig, S, energy
+
+    def _check(self, blocks, v, h, min_chunks=1):
+        chunks = blocks.chunks(v.shape)
+        assert len(chunks) >= min_chunks
+        for rows in chunks:
+            *got, powers = blocks.moments(v[rows], h[rows])
+            assert powers is None
+            expected = self._reference(blocks, v[rows], h[rows])
+            for name, a, b in zip(("sig", "S", "energy"), got, expected):
+                assert same_bits(a, b), name
+
+    @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE"])
+    @pytest.mark.parametrize("all_serve_all", [False, True])
+    @pytest.mark.parametrize("antennas", [1, 2, 4])
+    def test_equals_the_block_gain_formulation(self, antennas, all_serve_all, scheme):
+        # the criterion-2 network; a batch of 600 realizations in several chunks
+        cfg = make_cfg(num_aps=16, num_ues=8, pilot_len=4, antennas_per_ap=antennas,
+                       area_side_km=0.4, all_serve_all=all_serve_all, schemes=(scheme,))
+        topo, assignment, ctx = make_setup(cfg)
+        assert assignment.serves.all() == all_serve_all
+        blocks = PrecoderBlocks(assignment, dl_distributed_proportional(assignment, topo, cfg))
+        h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 600)
+        v = compute_combiners(scheme, EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0)))
+        self._check(blocks, v, h, min_chunks=2)
+
+    @pytest.mark.parametrize("batch", [1, 9, 300])
+    @pytest.mark.parametrize("antennas", [1, 2, 4])
+    def test_ue_with_a_single_block(self, rng, antennas, batch):
+        # UE 0 is served by AP 0 alone; UEs 1 and 2 by three APs each
+        serves = _assignment([[True, True, False], [False, True, True],
+                              [False, False, True], [False, True, True]])
+        blocks = PrecoderBlocks(serves, np.ones((3, 4)))
+        assert sorted(blocks._counts.tolist()) == [1, 3, 3]
+        v = complex_normal(rng, (batch, 3, 4, antennas))
+        h = complex_normal(rng, (batch, 3, 4, antennas))
+        self._check(blocks, v, h)
 
 
 def _assignment(serves):

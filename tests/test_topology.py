@@ -13,12 +13,29 @@ from cellfree.topology import (
     hermitian_sqrt,
     large_scale_coefficient,
     place_entities,
+    row_blocks,
     sample_channels,
     spatial_correlation_matrix,
     toroidal_distance,
 )
 
 from conftest import make_cfg, same_bits
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("count, per_row, least, sizes", [
+        (10, BLOCK_VALUES // 4, 1, [4, 4, 2]),
+        (9, BLOCK_VALUES // 4, 1, [4, 4, 1]),
+        (9, BLOCK_VALUES // 4, 2, [4, 5]),          # a one-row remainder joins its block
+        (9, BLOCK_VALUES, 2, [2, 2, 2, 3]),         # at least two rows over the budget
+        (3, 2 * BLOCK_VALUES, 2, [3]),
+        (1, 2 * BLOCK_VALUES, 2, [1]),              # fewer rows than least: one block
+        (0, 8, 2, []),
+    ])
+    def test_sizes(self, count, per_row, least, sizes):
+        blocks = row_blocks(count, per_row, least)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
 
 
 class TestWraparound:
