@@ -15,12 +15,12 @@ failure with its setup and scheme.
 
 Pass 1 accumulates the uplink bound of every scheme. In centralized
 operation that is the instantaneous SINR of each combiner
-(se.instantaneous_sinr), except for MMSE combining with every AP serving
-every UE, which attains the maximal SINR x_k / (1 - x_k) and takes
-1 - x_k from its own K x K solve. The downlink precoders
-are the combiners normalized by E{v^H D v}, per UE in centralized operation
-and per AP in distributed operation, as Monte-Carlo means over the whole
-setup. The hardening bound is linear in those normalization scales, so
+(se.instantaneous_sinr), except for MMSE and P-MMSE combining with every
+AP serving every UE (where they coincide), which attain the maximal SINR
+x_k / (1 - x_k) and take 1 - x_k from their own K x K solve. The downlink
+precoders are the combiners normalized by E{v^H D v}, per UE in
+centralized operation and per AP in distributed operation, as Monte-Carlo
+means over the whole setup. The hardening bound is linear in those normalization scales, so
 pass 1 can also accumulate it per precoder block (se.DownlinkBlockMoments)
 and apply the scales once the setup's last batch is in. In distributed
 operation the use-and-then-forget uplink then comes from the same block
@@ -315,9 +315,10 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
         bundle = EstimationBundle(ctx, h, noise, pass1_demand)
         for scheme in cfg.schemes:
             ul = acc.get((scheme, "ul"))
-            if ul is not None and centralized and scheme == "MMSE" and assignment.all_serve_all:
-                # MMSE combining with every AP serving every UE gives the
-                # centralized bound's SINRs from its own solve
+            if (ul is not None and centralized and scheme in ("MMSE", "P-MMSE")
+                    and assignment.all_serve_all):
+                # MMSE and P-MMSE combining with every AP serving every UE
+                # give the centralized bound's SINRs from their own solve
                 sinr = np.empty(h.shape[:2])
                 v = compute_combiners(scheme, bundle, sinr)
                 out[(scheme, "ul")] = ul.batch_partial(sinr)

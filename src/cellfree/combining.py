@@ -85,13 +85,15 @@ def _solve_hermitian(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def compute_combiners(scheme: str, bundle: EstimationBundle, sinr: np.ndarray = None) -> np.ndarray:
     """(B, K, L, N) combining vectors, exactly zero outside serving APs.
 
-    sinr, a (B, K) array, is for MMSE combining on an all-serve-all network
-    only, which writes there the centralized bound's instantaneous SINRs
-    from its own solve (centralized_mmse_combiner). Raises ValueError when
-    the bundle lacks an estimate the scheme reads.
+    sinr, a (B, K) array, is for MMSE and P-MMSE combining on an
+    all-serve-all network only (where P-MMSE is MMSE), which write there
+    the centralized bound's instantaneous SINRs from their own solve
+    (centralized_mmse_combiner). Raises ValueError when the bundle lacks an
+    estimate the scheme reads.
     """
     bundle.require(bundle.ctx.demand_mask(scheme), f"{scheme} combining")
-    if sinr is not None and not (scheme == "MMSE" and bundle.ctx.assignment.all_serve_all):
+    if sinr is not None and not (scheme in ("MMSE", "P-MMSE")
+                                 and bundle.ctx.assignment.all_serve_all):
         raise ValueError(f"{scheme} combining here gives no SINR of its own")
     if scheme == "MR":
         return mr_combiner(bundle)

@@ -77,10 +77,11 @@ class TestCampaign:
             run_campaign(cfg)
 
     def test_mmse_all_takes_its_uplink_sinr_from_its_solve(self, monkeypatch):
-        # the centralized uplink of MMSE on an all-serve-all network reads its
-        # SINRs from its combiners' K x K solve; P-MMSE there evaluates them
-        cfg = make_cfg(mode="centralized", all_serve_all=True, schemes=("MMSE", "P-MMSE"),
-                       dl_data_len=0, num_realizations=48)
+        # the centralized uplink of MMSE and of P-MMSE on an all-serve-all
+        # network reads its SINRs from the combiners' K x K solve; LP-MMSE
+        # there evaluates them
+        cfg = make_cfg(mode="centralized", all_serve_all=True,
+                       schemes=("MMSE", "P-MMSE", "LP-MMSE"), dl_data_len=0, num_realizations=48)
         evaluated = []
 
         def counting(v, bundle, p):
@@ -89,10 +90,23 @@ class TestCampaign:
 
         monkeypatch.setattr(campaign, "instantaneous_sinr", counting)
         report = run_campaign(cfg)
-        assert sum(evaluated) == cfg.num_realizations      # P-MMSE's alone
-        # the same SINRs to within rounding: MMSE and P-MMSE have the same combiners
-        np.testing.assert_allclose(report.values("MMSE", "ul"), report.values("P-MMSE", "ul"),
-                                   rtol=1e-9, atol=0)
+        assert sum(evaluated) == cfg.num_realizations      # LP-MMSE's alone
+        # MMSE and P-MMSE have the same combiners and the same solve
+        mmse, pmmse = report.entries[("MMSE", "ul")], report.entries[("P-MMSE", "ul")]
+        assert same_bits(mmse.se, pmmse.se) and same_bits(mmse.stderr, pmmse.stderr)
+        # the same SEs to within rounding as with the SINRs of instantaneous_sinr
+
+        def evaluating(scheme, bundle, sinr=None):
+            v = compute_combiners(scheme, bundle)
+            if sinr is not None:
+                sinr[:] = instantaneous_sinr(v, bundle, bundle.ctx.ul_power)
+            return v
+
+        monkeypatch.setattr(campaign, "compute_combiners", evaluating)
+        reference = run_campaign(cfg)
+        for scheme in cfg.schemes:
+            np.testing.assert_allclose(report.values(scheme, "ul"), reference.values(scheme, "ul"),
+                                       rtol=1e-9, atol=0)
 
     def test_admission_failure_names_setup_and_ue(self):
         # more than pilot_len UEs appoint AP 58 their master

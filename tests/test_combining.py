@@ -278,13 +278,21 @@ class TestAllServeAllPushThrough:
         np.testing.assert_allclose(sinr, expected, rtol=1e-9, atol=0)
         assert np.all(expected > 0) if zero_power_ue is None else np.all(sinr[:, 1] == 0)
 
-    def test_only_mmse_on_all_serve_all_gives_its_sinr(self):
+    def test_only_all_serve_all_gives_its_sinr(self):
+        # P-MMSE is MMSE when every AP serves every UE: the same combiners
+        # and SINRs, bit for bit
         ctx, bundle = self._bundle("K<LN", 1, 2)
-        with pytest.raises(ValueError, match="no SINR"):
-            compute_combiners("P-MMSE", bundle, np.empty((2, 4)))
+        sinr, psinr = np.full((2, 4), np.nan), np.full((2, 4), np.nan)
+        v = compute_combiners("MMSE", bundle, sinr)
+        assert same_bits(compute_combiners("P-MMSE", bundle, psinr), v)
+        assert same_bits(psinr, sinr)
+        for scheme in ("MR", "LP-MMSE", "L-MMSE"):
+            with pytest.raises(ValueError, match="no SINR"):
+                compute_combiners(scheme, bundle, np.empty((2, 4)))
         _, _, _, _, dcc = make_bundle(make_cfg(mode="centralized", schemes=("MMSE",)))
-        with pytest.raises(ValueError, match="no SINR"):
-            compute_combiners("MMSE", dcc, np.empty((6, 6)))
+        for scheme in ("MMSE", "P-MMSE"):
+            with pytest.raises(ValueError, match="no SINR"):
+                compute_combiners(scheme, dcc, np.empty((6, 6)))
 
 
 SCHEMES = ["MR", "LP-MMSE", "L-MMSE", "MMSE", "P-MMSE"]
