@@ -388,11 +388,13 @@ class TestBatchMemory:
     what the setup holds: at most three of a chunk's arrays (its channels,
     estimates and combiners; a chunk is the whole batch except on the
     distributed single pass), or two next to the block moments, whose
-    temporaries take about one batch array; plus the budget of one step's
+    temporaries take at most one batch array; plus the budget of one step's
     temporaries and as much again for numpy's working buffers and the
     batch's small outputs (gains, SINRs, partial sums). Batches of 256
     realizations of a network with K << L: a batch array takes 8 MiB,
-    sixteen budgets, and a chunk of the distributed uplink one budget."""
+    sixteen budgets, and a chunk of the distributed uplink one budget. Two
+    more networks pin the block moments where clusters are dense and the
+    centralized SINR where one realization exceeds a budget."""
 
     BATCH = 256
     NETWORK = dict(num_aps=256, num_ues=8, pilot_len=2, antennas_per_ap=1, area_side_km=1.0,
@@ -417,9 +419,9 @@ class TestBatchMemory:
 
     @staticmethod
     def _traced(monkeypatch, cfg, batch):
-        """(peak above the setup, one step's budget, the largest draw), the
-        first two in (batch, K, L, N) arrays and the last as a share of a
-        batch, of a campaign in two batches of batch realizations."""
+        """(peak above the setup, one step's budget, the largest draw, the
+        passes drawn) of a campaign in two batches of batch realizations: the
+        first two in (batch, K, L, N) arrays, the draw as a share of a batch."""
         monkeypatch.setattr(campaign, "_batch_sizes", lambda cfg: [batch] * 2)
         run_campaign(cfg)                       # imports and caches of a first run
         seen = {"drawn": 0, "chunk": 0}
