@@ -7,45 +7,13 @@ keyed by (seed, setup, purpose, batch), so batches can run on any number of
 threads - partial results are merged in batch order and outputs are
 byte-identical regardless of parallelism.
 
-Each setup holds one accumulator per reported bound, keyed like the report
-by (scheme, bound) and built with its constants; both passes merge their
-batch partials in one loop (with two passes, pass 1 also merges the
-combiner-norm sums there), and one loop finalizes every bound, tagging a
-failure with its setup and scheme.
-
-Pass 1 accumulates the uplink bound of every scheme. In centralized
-operation that is the instantaneous SINR of each combiner
-(se.instantaneous_sinr), except for MMSE and P-MMSE combining with every
-AP serving every UE (where they coincide), which attain the maximal SINR
-x_k / (1 - x_k) and take 1 - x_k from their own K x K solve. The downlink
-precoders are the combiners normalized by E{v^H D v}, per UE in
-centralized operation and per AP in distributed operation, as Monte-Carlo
-means over the whole setup. The hardening bound is linear in those normalization scales, so
-pass 1 can also accumulate it per precoder block (se.DownlinkBlockMoments)
-and apply the scales once the setup's last batch is in. In distributed
-operation the use-and-then-forget uplink then comes from the same block
-sums by uplink-downlink duality (se.UatfAccumulator.block_partial): with
-unit scales they are the uplink moments, so no uplink gains are formed. In
-centralized operation the genie-aided reference (genie_dl) only needs each
-realization's gain powers |h_k^H v_i|^2, n * K^2 values per setup and
-scheme, which pass 1 keeps unless they take more memory than the second
-pass would (_genie_powers_fit); the scales are applied to them at the end
-as well.
-
-Otherwise pass 1 sums the combiner norms (se.combiner_norms), which a
-distributed uplink reuses, and a second pass re-generates the same
-realizations to accumulate the hardening bound and the genie-aided
-reference. That happens with the genie on in distributed operation, whose
-genie needs each realization's complex gains per block and is not linear in
-the per-AP scales; with the genie on in centralized operation when the gain
-powers of all schemes are large (several schemes at full scale, or many
-realizations); and when the block moments would be large
-(_block_moments_fit): large distributed clusters, whose block moments cost
-more than the second pass. In every case each batch's stderr replica uses
-precoders normalized by that batch's own norm sums; both sets of scales go
-to se.DownlinkAccumulator.batch_partial, which takes per-UE scales as
-column scalings of one gain matrix h_k^H v_i and per-AP scales on the
-combiners a row block of realizations at a time.
+Each setup's route through its realizations is fixed before the first batch
+is drawn (SetupPlan, whose docstring names every route): one pass or two,
+whole batches or chunks, and how each bound is accumulated. The setup holds
+one accumulator per reported bound, keyed like the report by (scheme, bound)
+and built with its constants; both passes merge their batch partials in one
+loop, and one loop finalizes every bound, tagging a failure with its setup
+and scheme.
 
 A batch's estimates are built once, for a demand declared before any batch
 runs (the union of the schemes' demands, or every pair for a centralized
@@ -62,25 +30,6 @@ The estimates go once the last scheme's combiners (and the centralized
 uplink, which reads them) are done, so the centralized single pass's block
 moments run next to two, with temporaries below one batch array.
 Accumulators keep their sums, and the genie's gain powers, across batches.
-
-In distributed operation with one pass, every combiner, gain and moment
-of a realization depends on that realization alone, so each batch is
-drawn, despread, estimated and combined a chunk of realizations at a time:
-row blocks of topology.BLOCK_VALUES values for the use-and-then-forget
-uplink, the chunks of PrecoderBlocks.chunks for the block moments. Each
-chunk draws the next rows of the batch's channel and pilot-noise streams
-(a Generator fills in C order, so the chunks draw the batch's values), and
-its sums are added to the batch's in realization order, so the batch keeps
-its bits at one antenna (an uplink with one UE keeps whole batches: numpy
-sums a single column pairwise). At N > 1 the channel and estimate products
-take the chunk's realizations as a matrix dimension, and their last bits
-can move. The batch's replica is formed from its sums after the last
-chunk. Such a batch holds three arrays of one chunk. With a downlink, each
-scheme first forms the chunk's per-AP gain table (PrecoderBlocks.gains),
-then drops its combiners, and after the last scheme the chunk's estimates
-and channels, before the block pair products run from the table alone
-(DownlinkBlockMoments.chunk_sums). Centralized operation and the second
-pass take whole batches.
 """
 
 import concurrent.futures
@@ -222,7 +171,7 @@ def run_campaign(cfg: SimulationConfig, threads: int = 1) -> SEReport:
     }
     assignments = []
     for s in range(cfg.num_setups):
-        setup_results = _run_setup(cfg, s, threads, need_ul, need_dl)
+        setup_results = _run_setup(cfg, s, threads)
         assignments.append(setup_results.pop("assignment_json"))
         for key, (se, stderr) in setup_results.items():
             entries[key].se[s * K:(s + 1) * K] = se
@@ -242,162 +191,13 @@ def run_campaign(cfg: SimulationConfig, threads: int = 1) -> SEReport:
     )
 
 
-def _run_setup(cfg: SimulationConfig, s: int, threads: int,
-               need_ul: bool, need_dl: bool) -> dict:
-    topology = generate_topology(cfg, stream(cfg.seed, s, TOPOLOGY))
-    try:
-        assignment = build_assignment(cfg, topology)
-    except AdmissionError as exc:
-        _tag(exc, f"setup {s}, ")
-        raise
-    p = ul_full_power(cfg)
-    ctx = SetupContext(topology, assignment, p, cfg)
-    sizes = _batch_sizes(cfg)
-    prelog_ul = cfg.ul_data_len / cfg.coherence_len
-    prelog_dl = cfg.dl_data_len / cfg.coherence_len
-    centralized = cfg.mode == "centralized"
-
-    # every estimate a batch uses (the centralized uplink's SINR reads them
-    # all), computed once when the batch's bundle is built
-    schemes_demand = np.logical_or.reduce([ctx.demand_mask(x) for x in cfg.schemes])
-    pass1_demand = np.ones_like(schemes_demand) if centralized and need_ul else schemes_demand
-    last = cfg.schemes[-1]
-
-    two_pass = False
-    if need_dl:
-        if centralized:
-            rho = dl_centralized_equal(cfg)
-        else:
-            rho = dl_distributed_proportional(assignment, topology, cfg)
-        # the genie reference needs each realization's gains after the
-        # setup-wide normalization: pass 1 keeps their powers in centralized
-        # operation, when they are small
-        genie_fits = not cfg.genie_dl or (centralized and _genie_powers_fit(cfg))
-        blocks = PrecoderBlocks(assignment, rho) if genie_fits else None
-        two_pass = blocks is None or not _block_moments_fit(cfg, blocks, sizes[0])
-
-    # distributed operation with one pass draws, estimates and combines each
-    # batch a chunk of realizations at a time, and adds every sum in
-    # realization order
-    chunked = not centralized and not two_pass
-
-    def chunks(batch):
-        if chunked and need_dl:
-            # the chunks the block moments take, so that their sums keep their order
-            return blocks.chunks((batch, cfg.num_ues, cfg.num_aps, cfg.antennas_per_ap))
-        if chunked and cfg.num_ues > 1:
-            # (numpy sums a single UE's column pairwise, which no chunks reproduce)
-            return row_blocks(batch, cfg.num_ues * cfg.num_aps * cfg.antennas_per_ap)
-        return [slice(0, batch)]
-
-    # one accumulator per bound, keyed like the report; with two passes,
-    # pass 1 sums the combiner norms that normalize the precoders of pass 2:
-    # per UE in centralized operation, per AP in distributed operation
-    acc = {}
-    for scheme in cfg.schemes:
-        if need_ul and centralized:
-            acc[(scheme, "ul")] = ErgodicLogAccumulator(prelog_ul)
-        elif need_ul:
-            acc[(scheme, "ul")] = UatfAccumulator(p, cfg.noise_ul_w, prelog_ul)
-        if two_pass:
-            acc[(scheme, "norm")] = BatchSums("norm")
-            acc[(scheme, "dl")] = DownlinkAccumulator(cfg.noise_dl_w, prelog_dl)
-        elif need_dl:
-            acc[(scheme, "dl")] = DownlinkBlockMoments(blocks, cfg.noise_dl_w, prelog_dl,
-                                                       cfg.genie_dl)
-
-    # a chunk holds at most its channels, its estimates and one scheme's
-    # combiners: the estimates go once the last combiners (and the
-    # centralized uplink, which reads them) are done, and each scheme's
-    # combiners before the next scheme's are built
-    def pass1_chunk(channels, count, noise, out):
-        h = sample_channels(topology, channels, count)
-        bundle = EstimationBundle(ctx, h, noise, pass1_demand)
-        for scheme in cfg.schemes:
-            ul = acc.get((scheme, "ul"))
-            if (ul is not None and centralized and scheme in ("MMSE", "P-MMSE")
-                    and assignment.all_serve_all):
-                # MMSE and P-MMSE combining with every AP serving every UE
-                # give the centralized bound's SINRs from their own solve
-                sinr = np.empty(h.shape[:2])
-                v = compute_combiners(scheme, bundle, sinr)
-                out[(scheme, "ul")] = ul.batch_partial(sinr)
-            else:
-                v = compute_combiners(scheme, bundle)
-                if ul is not None and centralized:
-                    out[(scheme, "ul")] = ul.batch_partial(instantaneous_sinr(v, bundle, p))
-            if scheme == last:
-                del bundle
-            if two_pass:
-                norm, norm_local = combiner_norms(v, per_ap=not centralized)
-                out[(scheme, "norm")] = {"n": v.shape[0],
-                                         "norm": norm if centralized else norm_local}
-                if ul is not None and not centralized:
-                    out[(scheme, "ul")] = ul.batch_partial(v, h, norm=norm)
-            elif chunked and need_dl:
-                # the pair products read the gain table alone: the combiners,
-                # and after the last scheme the channels, go before they run
-                gains = blocks.gains(v, h)
-                del v
-                if scheme == last:
-                    del h
-                out[(scheme, "dl")] = acc[(scheme, "dl")].chunk_sums(gains, out.get((scheme, "dl")))
-                continue
-            elif need_dl:
-                out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(v, h)
-            elif chunked:
-                out[(scheme, "ul")] = ul.batch_partial(v, h, earlier=out.get((scheme, "ul")),
-                                                       replica=False)
-            del v
-
-    def pass1(b):
-        channels, noise = stream(cfg.seed, s, CHANNEL, b), stream(cfg.seed, s, PILOT_NOISE, b)
-        out = {}
-        # each chunk draws the next rows of the batch's streams (a Generator
-        # fills in C order): the batch's draws
-        for rows in chunks(sizes[b]):
-            pass1_chunk(channels, rows.stop - rows.start, noise, out)
-        if not chunked:
-            return out
-        # a chunked batch's replicas, from its sums
-        for scheme in cfg.schemes:
-            if need_dl:
-                out[(scheme, "dl")] = dl = acc[(scheme, "dl")].with_replica(out[(scheme, "dl")])
-            if need_dl and need_ul:
-                # uplink-downlink duality: the block sums give the moments
-                out[(scheme, "ul")] = acc[(scheme, "ul")].block_partial(dl, blocks)
-            elif need_ul:
-                out[(scheme, "ul")] = acc[(scheme, "ul")].with_replica(out[(scheme, "ul")])
-        return out
-
-    def pass2(b):
-        h = sample_channels(topology, stream(cfg.seed, s, CHANNEL, b), sizes[b])
-        bundle = EstimationBundle(ctx, h, stream(cfg.seed, s, PILOT_NOISE, b), schemes_demand)
-        out = {}
-        for scheme in cfg.schemes:
-            v = compute_combiners(scheme, bundle)
-            if scheme == last:
-                del bundle
-            norm, norm_local = combiner_norms(v, per_ap=not centralized)
-            batch_norm = (norm if centralized else norm_local) / v.shape[0]
-            out[(scheme, "dl")] = acc[(scheme, "dl")].batch_partial(
-                v, h, precoder_scales(rho, global_norm[scheme]), precoder_scales(rho, batch_norm)
-            )
-            del v
-        return out
-
-    def merge(pass_fn):
-        for partial in _map_batches(_with_context(pass_fn, s), len(sizes), threads):
-            for key, entry in partial.items():
-                acc[key].merge(entry)
-
-    merge(pass1)
-    if two_pass:
-        global_norm = {scheme: acc.pop((scheme, "norm")).means()[0] for scheme in cfg.schemes}
-        merge(pass2)
-
-    results = {"assignment_json": assignment.to_json()}
-    for (scheme, bound), bound_acc in acc.items():
+def _run_setup(cfg: SimulationConfig, s: int, threads: int) -> dict:
+    plan = SetupPlan(cfg, s)
+    _merge(plan, threads)
+    if plan.dl == "norms":
+        _merge(plan, threads, {x: plan.acc.pop((x, "norm")).means()[0] for x in cfg.schemes})
+    results = {"assignment_json": plan.ctx.assignment.to_json()}
+    for (scheme, bound), bound_acc in plan.acc.items():
         try:
             results[(scheme, bound)] = bound_acc.finalize()
             if bound == "dl" and cfg.genie_dl:
@@ -406,6 +206,200 @@ def _run_setup(cfg: SimulationConfig, s: int, threads: int,
             _tag(exc, f"setup {s}, scheme {scheme}: ")
             raise
     return results
+
+
+class SetupPlan:
+    """One setup's drop and statistics, its route through the realizations,
+    chosen before the first batch is drawn, and its accumulators (acc, one
+    per bound keyed like the report by (scheme, bound)).
+
+    The downlink precoders are the combiners normalized by E{v^H D v}, per
+    UE in centralized operation and per AP in distributed operation, as
+    Monte-Carlo means over the whole setup. The setup's downlink route, dl
+    (None without a downlink):
+    - "norms": two passes. Pass 1 sums the combiner norms; pass 2 draws the
+      same realizations again and accumulates the hardening bound and the
+      genie-aided reference with the setup's scales, and each batch's
+      replica with the batch's own (se.DownlinkAccumulator). Taken with the
+      genie on in distributed operation, whose genie is not linear in the
+      per-AP scales; with the genie on in centralized operation when the
+      gain powers of all schemes would be large (_genie_powers_fit); and
+      when the block moments would be (_block_moments_fit).
+    - "moments": centralized, one pass. The bound is linear in the scales,
+      so it is accumulated per precoder block, the scales applied once the
+      setup's last batch is in (se.DownlinkBlockMoments), each batch's sums
+      taken in the chunks of PrecoderBlocks.chunks. With the genie on, each
+      realization's gain powers |h_k^H v_i|^2 are kept for the end too.
+    - "table": distributed, one pass. The same block sums, from each
+      chunk's per-AP gain table (PrecoderBlocks.gains): each scheme drops
+      its combiners, and the last the chunk's channels, before the block
+      pair products run from the table alone.
+    The uplink route of each scheme, ul[scheme] (None without an uplink):
+    - "sinr": centralized; the ergodic bound of each combiner's
+      instantaneous SINR (se.instantaneous_sinr), which reads every estimate.
+    - "solve": MMSE and P-MMSE combining with every AP serving every UE,
+      centralized; they attain the maximal SINR x_k / (1 - x_k) and take
+      1 - x_k from their own K x K solve.
+    - "gains": distributed, on the "norms" route; the use-and-then-forget
+      sums of the gains v_k^H D_k h_i, with pass 1's combiner norms.
+    - "duality": distributed, on the "table" route; the same sums from the
+      block sums with unit scales (se.UatfAccumulator.block_partial), so no
+      uplink gains are formed.
+    - "chunks": distributed without a downlink; the same gain sums, a chunk
+      at a time.
+
+    On the routes "table" and "chunks" every value of a realization depends
+    on that realization alone, so each batch is drawn, despread, estimated
+    and combined a chunk at a time (chunks): the chunks of
+    PrecoderBlocks.chunks, or row blocks of topology.BLOCK_VALUES values. A
+    chunk draws the next rows of the batch's streams (a Generator fills in C
+    order) and its sums are added to the batch's in realization order, so
+    the batch keeps its bits at one antenna; an uplink with one UE keeps
+    whole batches (numpy sums a single column pairwise). At N > 1 the
+    channel and estimate products take the chunk's realizations as a matrix
+    dimension, and their last bits can move. The other routes take whole
+    batches. Pass 1 forms each batch's ratio-of-means replicas from its sums
+    once its last chunk is in (_batch).
+    """
+
+    def __init__(self, cfg: SimulationConfig, s: int):
+        self.cfg, self.s = cfg, s
+        topology = generate_topology(cfg, stream(cfg.seed, s, TOPOLOGY))
+        try:
+            assignment = build_assignment(cfg, topology)
+        except AdmissionError as exc:
+            _tag(exc, f"setup {s}, ")
+            raise
+        self.ctx = ctx = SetupContext(topology, assignment, ul_full_power(cfg), cfg)
+        self.sizes = _batch_sizes(cfg)
+        centralized = cfg.mode == "centralized"
+        self.rho = self.blocks = self.dl = None
+        if cfg.dl_data_len:
+            self.rho = (dl_centralized_equal(cfg) if centralized
+                        else dl_distributed_proportional(assignment, topology, cfg))
+            if not cfg.genie_dl or (centralized and _genie_powers_fit(cfg)):
+                self.blocks = PrecoderBlocks(assignment, self.rho)
+            if self.blocks is None or not _block_moments_fit(cfg, self.blocks, self.sizes[0]):
+                self.dl = "norms"
+            else:
+                self.dl = "moments" if centralized else "table"
+        ul = None
+        if cfg.ul_data_len and centralized:
+            ul = "sinr"
+        elif cfg.ul_data_len:
+            ul = {"norms": "gains", "table": "duality", None: "chunks"}[self.dl]
+        solve = ("MMSE", "P-MMSE") if ul == "sinr" and assignment.all_serve_all else ()
+        self.ul = {x: "solve" if x in solve else ul for x in cfg.schemes}
+        # every estimate a batch uses (the centralized uplink's SINR reads
+        # them all), computed once when the batch's bundle is built: pass 2
+        # takes the schemes' demands alone
+        self.dl_demand = np.logical_or.reduce([ctx.demand_mask(x) for x in cfg.schemes])
+        self.demand = np.ones_like(self.dl_demand) if ul == "sinr" else self.dl_demand
+        self.acc = {}
+        prelog_ul, prelog_dl = (n / cfg.coherence_len for n in (cfg.ul_data_len, cfg.dl_data_len))
+        for scheme in cfg.schemes:
+            if ul == "sinr":
+                self.acc[(scheme, "ul")] = ErgodicLogAccumulator(prelog_ul)
+            elif ul:
+                self.acc[(scheme, "ul")] = UatfAccumulator(ctx.ul_power, cfg.noise_ul_w, prelog_ul)
+            if self.dl == "norms":
+                # the combiner-norm sums that normalize the precoders of pass 2
+                self.acc[(scheme, "norm")] = BatchSums("norm")
+                self.acc[(scheme, "dl")] = DownlinkAccumulator(cfg.noise_dl_w, prelog_dl)
+            elif self.dl:
+                self.acc[(scheme, "dl")] = DownlinkBlockMoments(self.blocks, cfg.noise_dl_w,
+                                                                prelog_dl, cfg.genie_dl)
+
+    def chunks(self, batch: int) -> list:
+        """The slices of a batch that pass 1 draws one at a time."""
+        K, L, N = self.cfg.num_ues, self.cfg.num_aps, self.cfg.antennas_per_ap
+        if self.dl == "table":
+            # the chunks the block moments take, so that their sums keep their order
+            return self.blocks.chunks((batch, K, L, N))
+        if "chunks" in self.ul.values() and K > 1:
+            return row_blocks(batch, K * L * N)
+        return [slice(0, batch)]
+
+
+def _merge(plan: SetupPlan, threads: int, norms: dict = None) -> None:
+    """Merge one pass's batch partials into the plan's accumulators, in batch order."""
+    batch = _with_context(functools.partial(_batch, plan, norms=norms), plan.s)
+    for partial in _map_batches(batch, len(plan.sizes), threads):
+        for key, entry in partial.items():
+            plan.acc[key].merge(entry)
+
+
+def _batch(plan: SetupPlan, b: int, norms: dict = None) -> dict:
+    """Batch b's partials, keyed like plan.acc: of pass 1, or given the
+    setup's combiner norms per scheme, of pass 2 ("norms" route)."""
+    cfg = plan.cfg
+    channels, noise = (stream(cfg.seed, plan.s, purpose, b) for purpose in (CHANNEL, PILOT_NOISE))
+    out = {}
+    for rows in plan.chunks(plan.sizes[b]):
+        _chunk(plan, channels, noise, rows.stop - rows.start, out, norms)
+    if norms is not None:
+        return out
+    # the batch's replicas, from its sums
+    for scheme, route in plan.ul.items():
+        ul, dl = (scheme, "ul"), (scheme, "dl")
+        if plan.dl in ("moments", "table"):
+            out[dl] = plan.acc[dl].with_replica(out[dl])
+        if route == "duality":
+            out[ul] = plan.acc[ul].block_partial(out[dl], plan.blocks)
+        elif route in ("gains", "chunks"):
+            out[ul] = plan.acc[ul].with_replica(out[ul])
+    return out
+
+
+def _chunk(plan: SetupPlan, channels, noise, count: int, out: dict, norms: dict = None) -> None:
+    """Draw the next count realizations of a batch and add their partials
+    of every scheme to out.
+
+    A chunk holds at most its channels, its estimates and one scheme's
+    combiners: the estimates go once the last combiners (and the
+    centralized uplink, which reads them) are done, and each scheme's
+    combiners before the next scheme's are built.
+    """
+    h = sample_channels(plan.ctx.topology, channels, count)
+    bundle = EstimationBundle(plan.ctx, h, noise, plan.demand if norms is None else plan.dl_demand)
+    last, acc = plan.cfg.schemes[-1], plan.acc
+    for scheme in plan.cfg.schemes:
+        ul, dl = (scheme, "ul"), (scheme, "dl")
+        route = plan.ul[scheme] if norms is None else None
+        if route == "solve":
+            sinr = np.empty(h.shape[:2])
+            v = compute_combiners(scheme, bundle, sinr)
+        else:
+            v = compute_combiners(scheme, bundle)
+        if route == "sinr":
+            sinr = instantaneous_sinr(v, bundle, plan.ctx.ul_power)
+        if scheme == last:
+            del bundle
+        if route in ("solve", "sinr"):
+            out[ul] = acc[ul].batch_partial(sinr)
+        elif route == "chunks":
+            out[ul] = acc[ul].batch_partial(v, h, earlier=out.get(ul))
+        if plan.dl == "norms":
+            norm, local = combiner_norms(v, per_ap=plan.rho.ndim == 2)
+            block_norm = norm if local is None else local
+            if norms is not None:
+                out[dl] = acc[dl].batch_partial(v, h, precoder_scales(plan.rho, norms[scheme]),
+                                                precoder_scales(plan.rho, block_norm / count))
+            else:
+                out[(scheme, "norm")] = {"n": count, "norm": block_norm}
+                if route == "gains":
+                    out[ul] = acc[ul].batch_partial(v, h, norm=norm)
+        elif plan.dl == "moments":
+            for rows in plan.blocks.chunks(v.shape):
+                out[dl] = acc[dl].chunk_sums(plan.blocks.gains(v[rows], h[rows]), out.get(dl))
+        elif plan.dl == "table":
+            # the pair products read the gain table alone: the combiners,
+            # and after the last scheme the channels, go before they run
+            gains, v = plan.blocks.gains(v, h), None
+            if scheme == last:
+                del h
+            out[dl] = acc[dl].chunk_sums(gains, out.get(dl))
+        del v
 
 
 def _block_moments_fit(cfg: SimulationConfig, blocks: PrecoderBlocks, batch: int) -> bool:

@@ -350,27 +350,26 @@ class UatfAccumulator(_RatioOfMeans):
         self.noise_w = noise_w
 
     def batch_partial(self, v: np.ndarray, h: np.ndarray, norm: np.ndarray = None,
-                      earlier: dict = None, replica: bool = True) -> dict:
-        """The sums of the realizations v, h, and with replica the replica
-        of their SE.
+                      earlier: dict = None) -> dict:
+        """The sums of the realizations v, h; a batch's replica is formed
+        from its sums once its last realizations are in (with_replica).
 
         norm: the batch sums of ||D_k v_k||^2 when the caller has them
         (combiner_norms(v)[0]); computed here otherwise. earlier: the
         partial of the chunks of a batch before v, h; their sums are
         extended in realization order, the bits of one reduction over the
-        batch when K > 1. A batch taken a chunk at a time forms its replica
-        once, after the last chunk (with_replica).
+        batch when K > 1.
         """
         g = combining_gains(v, h)
         partial = _gain_sums(g, np.abs(g) ** 2, earlier)
         if norm is None:
             norm = combiner_norms(v, earlier=None if earlier is None else earlier["norm"])[0]
         partial["norm"] = norm
-        return self.with_replica(partial) if replica else partial
+        return partial
 
     def block_partial(self, dl: dict, blocks: "PrecoderBlocks") -> dict:
-        """The same sums by uplink-downlink duality, from the block sums of
-        the batch's DownlinkBlockMoments.batch_partial, with no gain product.
+        """The same sums and their replica by uplink-downlink duality, from
+        a batch's DownlinkBlockMoments sums, with no gain product.
 
         With unit block scales the downlink gains h_i^H v_p, summed over UE
         k's blocks p, are the conjugate uplink gains v_k^H D_k h_i: so
@@ -490,7 +489,7 @@ class PrecoderBlocks:
         return groups
 
     def gains(self, v: np.ndarray, h: np.ndarray) -> tuple:
-        """The first step of moments on one chunk of realizations: (its
+        """The first step of a chunk's block sums (see chunks and sums): (its
         realization count, its gains, the block energies sum_b ||v_p||^2).
 
         One block per UE: the gains g[k, p, b] = h_k^H v_p. Per AP: the
@@ -505,8 +504,8 @@ class PrecoderBlocks:
         return v.shape[0], np.swapaxes(h, 1, 2) @ np.swapaxes(vD, -1, -2), energy
 
     def chunks(self, shape: tuple) -> list:
-        """Slices of a (B, K, L, N) batch into the chunks that moments takes
-        one at a time. The boundaries fix the order of every sum over
+        """Slices of a (B, K, L, N) batch into the chunks whose block sums
+        are taken one at a time. The boundaries fix the order of every sum over
         realizations, so they keep the size that a copy of the channels, the
         gain table and two (K, P, b) gain copies in one batch array gave;
         the temporaries now stay below one batch array."""
@@ -514,11 +513,6 @@ class PrecoderBlocks:
         temporaries = K * L * N + K * L * self._table_width + 2 * K * self.ues.size
         chunk = -(-B // -(-temporaries // (K * L * N)))
         return [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
-
-    def moments(self, v: np.ndarray, h: np.ndarray, powers: bool = False) -> tuple:
-        """The block sums of one chunk of realizations (see chunks): sums of
-        gains(v, h)."""
-        return self.sums(self.gains(v, h), powers)
 
     def sums(self, gains: tuple, powers: bool = False) -> tuple:
         """Sums of the blocks over one chunk of realizations, from its gains:
@@ -594,15 +588,6 @@ class DownlinkBlockMoments(_RatioOfMeans):
         self.genie = genie
         self.powers = []
 
-    def batch_partial(self, v: np.ndarray, h: np.ndarray) -> dict:
-        """The partial of one batch, its sums taken in the chunks of
-        PrecoderBlocks.chunks. With the genie on, the partial also holds the
-        batch's gain powers a (B, K, K)."""
-        sums = None
-        for rows in self.blocks.chunks(v.shape):
-            sums = self.chunk_sums(self.blocks.gains(v[rows], h[rows]), sums)
-        return self.with_replica(sums)
-
     def chunk_sums(self, gains: tuple, earlier: dict = None) -> dict:
         """The block sums of one chunk of a batch's realizations (see
         PrecoderBlocks.chunks), from its PrecoderBlocks.gains, added to
@@ -620,8 +605,9 @@ class DownlinkBlockMoments(_RatioOfMeans):
         return earlier
 
     def with_replica(self, sums: dict) -> dict:
-        """A batch's partial: its sums and the replica of its SE, with the
-        batch's own scales."""
+        """A batch's partial: its sums (chunk_sums over its chunks; with
+        the genie on, also its gain powers a (B, K, K)) and the replica of
+        its SE, with the batch's own scales."""
         B = sums["n"]
         scales = precoder_scales(self.blocks.rho, sums["norm"] / B)
         signal, second = self.blocks.contract(scales, sums["sig"], sums["S"])

@@ -399,29 +399,32 @@ class TestBatchMemory:
     BATCH = 256
     NETWORK = dict(num_aps=256, num_ues=8, pilot_len=2, antennas_per_ap=1, area_side_km=1.0,
                    max_neighbors=5, seed=7, num_realizations=2 * BATCH)
-    # route: (config, passes over the realizations, whether the downlink takes
-    # the block moments)
+    # name: (config, passes over the realizations, the plan's (uplink,
+    # downlink) route)
     ROUTES = {
         "centralized-mmse-all-ul": (dict(mode="centralized", schemes=("MMSE",),
-                                         all_serve_all=True, dl_data_len=0), 1, False),
+                                         all_serve_all=True, dl_data_len=0), 1, ("solve", None)),
         "centralized-p-mmse-ul": (dict(mode="centralized", schemes=("P-MMSE",),
-                                       dl_data_len=0), 1, False),
+                                       dl_data_len=0), 1, ("sinr", None)),
         "distributed-lp-mmse-ul": (dict(mode="distributed", schemes=("LP-MMSE",),
-                                        dl_data_len=0), 1, False),
-        "distributed-mr-ul": (dict(mode="distributed", schemes=("MR",), dl_data_len=0), 1, False),
+                                        dl_data_len=0), 1, ("chunks", None)),
+        "distributed-mr-ul": (dict(mode="distributed", schemes=("MR",), dl_data_len=0), 1,
+                              ("chunks", None)),
         "distributed-genie-dl-two-pass": (dict(mode="distributed", schemes=("LP-MMSE",),
-                                               ul_data_len=0, genie_dl=True), 2, False),
+                                               ul_data_len=0, genie_dl=True), 2, (None, "norms")),
         "distributed-dl-block-moments": (dict(mode="distributed", schemes=("LP-MMSE",),
-                                              ul_data_len=0), 1, True),
+                                              ul_data_len=0), 1, (None, "table")),
         "centralized-genie-dl-single-pass": (dict(mode="centralized", schemes=("P-MMSE",),
-                                                  ul_data_len=0, genie_dl=True), 1, True),
+                                                  ul_data_len=0, genie_dl=True), 1,
+                                             (None, "moments")),
     }
 
     @staticmethod
     def _traced(monkeypatch, cfg, batch):
         """(peak above the setup, one step's budget, the largest draw, the
-        passes drawn) of a campaign in two batches of batch realizations: the
-        first two in (batch, K, L, N) arrays, the draw as a share of a batch."""
+        passes drawn, the setup's plan) of a campaign in two batches of batch
+        realizations: the first two in (batch, K, L, N) arrays, the draw as a
+        share of a batch."""
         monkeypatch.setattr(campaign, "_batch_sizes", lambda cfg: [batch] * 2)
         run_campaign(cfg)                       # imports and caches of a first run
         seen = {"drawn": 0, "chunk": 0}
@@ -434,12 +437,12 @@ class TestBatchMemory:
             seen["chunk"] = max(seen["chunk"], args[2])
             return sample_channels(*args, **kwargs)
 
-        def context(*args, build=campaign.SetupContext, **kwargs):
-            seen["ctx"] = build(*args, **kwargs)
-            return seen["ctx"]
+        def planning(*args, build=campaign.SetupPlan, **kwargs):
+            seen["plan"] = build(*args, **kwargs)
+            return seen["plan"]
 
         monkeypatch.setattr(campaign, "sample_channels", drawing)
-        monkeypatch.setattr(campaign, "SetupContext", context)
+        monkeypatch.setattr(campaign, "SetupPlan", planning)
         tracemalloc.start()
         try:
             run_campaign(cfg)
@@ -447,7 +450,7 @@ class TestBatchMemory:
         finally:
             tracemalloc.stop()
         # setup statistics built on first use, and the genie powers kept
-        ctx = seen["ctx"]
+        ctx = seen["plan"].ctx
         held = ctx.topology.correlation_sqrt().nbytes
         # the clustering view's entries, each array once
         views = [x for v in ctx._views.values() for x in (v if isinstance(v, tuple) else (v,))]
@@ -458,17 +461,17 @@ class TestBatchMemory:
         above = (peak - seen["setup"] - held) / batch_array
         assert seen["drawn"] % cfg.num_realizations == 0
         return above, BLOCK_VALUES * 16 / batch_array, seen["chunk"] / batch, \
-            seen["drawn"] // cfg.num_realizations
+            seen["drawn"] // cfg.num_realizations, seen["plan"]
 
-    @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_peak_within_three_batch_arrays(self, monkeypatch, route):
-        kw, passes, block_moments = self.ROUTES[route]
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    def test_peak_within_three_batch_arrays(self, monkeypatch, name):
+        kw, passes, route = self.ROUTES[name]
         cfg = make_cfg(**{**self.NETWORK, **kw})
-        above, budget, chunk, drawn = self._traced(monkeypatch, cfg, self.BATCH)
+        above, budget, chunk, drawn, plan = self._traced(monkeypatch, cfg, self.BATCH)
+        assert {(ul, plan.dl) for ul in plan.ul.values()} == {route}
         assert drawn == passes
-        chunked = route in ("distributed-lp-mmse-ul", "distributed-mr-ul",
-                            "distributed-dl-block-moments")
-        assert (chunk < 1) == chunked
+        assert (chunk < 1) == (len(plan.chunks(self.BATCH)) > 1)
+        block_moments = plan.dl in ("moments", "table")
         arrays = max(3 * chunk, 2 * chunk + 1) if block_moments else 3 * chunk
         assert above <= arrays + 2 * budget, f"{above:.3f} batch arrays"
 
@@ -481,7 +484,7 @@ class TestBatchMemory:
         # the (K, P, b) copies took 5.59 chunk arrays here
         cfg = make_cfg(num_aps=16, num_ues=8, pilot_len=4, antennas_per_ap=4, area_side_km=0.4,
                        seed=7, num_realizations=2 * 1024, mode="distributed", schemes=("MR",))
-        above, budget, chunk, drawn = self._traced(monkeypatch, cfg, 1024)
+        above, budget, chunk, drawn, _ = self._traced(monkeypatch, cfg, 1024)
         assert drawn == 1 and chunk < 1
         assert above <= 4 * chunk + 2 * budget, f"{above / chunk:.3f} chunk arrays"
 
@@ -492,7 +495,7 @@ class TestBatchMemory:
         cfg = make_cfg(**{**self.NETWORK, "num_aps": 1024, "num_ues": 32, "num_realizations": 32},
                        mode="centralized", schemes=("P-MMSE",), dl_data_len=0)
         assert 2 * cfg.num_ues * cfg.num_aps > BLOCK_VALUES
-        above, budget, chunk, drawn = self._traced(monkeypatch, cfg, 16)
+        above, budget, chunk, drawn, _ = self._traced(monkeypatch, cfg, 16)
         assert drawn == 1 and chunk == 1
         # whole realizations with the whole mask took 3.09 budgets above three
         assert above <= 3 + 2 * budget, f"{above:.3f} batch arrays"
@@ -504,16 +507,29 @@ class TestBatchMemory:
         dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE"), genie_dl=True),
         dict(mode="distributed", schemes=("LP-MMSE", "MR"), max_neighbors=0),
         dict(mode="distributed", schemes=("MR", "LP-MMSE", "L-MMSE"), dl_data_len=0),
+        # one UE: in blocks of one realization its sums would change bits
+        # from batches of 9 on (at 48 realizations, batches of 3, they do not)
+        dict(mode="distributed", schemes=("MR", "LP-MMSE"), dl_data_len=0, num_ues=1,
+             num_realizations=144),
     ], ids=["centralized-genie", "all-serve-all", "distributed-genie", "block-moments",
-            "distributed-uplink"])
+            "distributed-uplink", "one-ue-uplink"])
     def test_blocks_of_one_realization_change_no_byte(self, monkeypatch, tmp_path, antennas, kw):
         # every budget-sized block holds one realization (or one estimate pair)
-        cfg = make_cfg(num_aps=12, num_ues=8, pilot_len=3, antennas_per_ap=antennas, seed=3,
-                       num_realizations=48, **kw)
-        emit_results(run_campaign(cfg), tmp_path / "whole")
+        cfg = make_cfg(**{**dict(num_aps=12, num_ues=8, pilot_len=3, antennas_per_ap=antennas,
+                                 seed=3, num_realizations=48), **kw})
+        whole = run_campaign(cfg)
+        emit_results(whole, tmp_path / "whole")
         monkeypatch.setattr(topology, "BLOCK_VALUES", 1)
-        emit_results(run_campaign(cfg, threads=2), tmp_path / "blocks")
+        blocks = run_campaign(cfg, threads=2)
+        emit_results(blocks, tmp_path / "blocks")
         assert read_tree(tmp_path / "whole") == read_tree(tmp_path / "blocks")
+        if cfg.num_ues == 1:
+            # the uplink of one UE keeps whole batches, and so every bit
+            # below the files' 12 digits, which its sums in blocks of one
+            # realization would change
+            for key, entry in whole.entries.items():
+                assert same_bits(entry.se, blocks.entries[key].se), key
+                assert same_bits(entry.stderr, blocks.entries[key].stderr), key
 
 
 class TestPerApPowerConstraint:

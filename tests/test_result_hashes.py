@@ -7,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from cellfree.campaign import SetupPlan
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "result_hashes.py"
 CAMPAIGN = "desk/setup-i-ul/mr-all"
+# every (uplink, downlink) route of SetupPlan: in centralized operation any
+# uplink route with any downlink route; in distributed operation the
+# downlink route fixes the uplink's
+ROUTES = ({(ul, dl) for ul in ("sinr", "solve", None) for dl in ("norms", "moments", None)}
+          - {(None, None)}
+          | {("gains", "norms"), ("duality", "table"), ("chunks", None), (None, "table")})
 
 
 def _tool():
@@ -39,10 +47,20 @@ def test_campaign_list():
     assert len(names) == len(set(names))
     assert CAMPAIGN in names
     # ul-full's variants at two seeds, both full-scale uplink scenarios, the
-    # three desk scenarios and the criterion-2 network at three antenna counts
+    # three desk scenarios, the criterion-2 network at three antenna counts
+    # and the routes the others miss
     for prefix, count in (("ul-full/", 8), ("ii-ul-full/", 4), ("desk/", 11),
-                          ("mr-closed-form/", 6), ("mixed/", 16)):
+                          ("mr-closed-form/", 6), ("mixed/", 16), ("routes/", 3)):
         assert sum(name.startswith(prefix) for name in names) == count, prefix
+
+
+def test_every_route_is_taken_by_a_listed_campaign():
+    taken = set()
+    for cfg in _tool().campaigns().values():
+        for s in range(cfg.num_setups):
+            plan = SetupPlan(cfg, s)
+            taken |= {(ul, plan.dl) for ul in plan.ul.values()}
+    assert taken == ROUTES
 
 
 @pytest.mark.parametrize("args", [["no/such/campaign"], ["--threads", "0", CAMPAIGN]])

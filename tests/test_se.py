@@ -156,7 +156,7 @@ class TestPerfectCsiOracle:
         acc = UatfAccumulator(np.array([p]), s2, 1.0)
         for start in range(0, n, 50_000):
             chunk = h[start:start + 50_000]
-            acc.merge(acc.batch_partial(chunk, chunk))
+            acc.merge(acc.with_replica(acc.batch_partial(chunk, chunk)))
         se, err = acc.finalize()
         predicted = np.log2(1.0 + p * beta / (p * beta + s2))
         assert se[0] == pytest.approx(predicted, abs=3 * max(err[0], 1e-4))
@@ -177,7 +177,7 @@ class TestBoundOrdering:
             v = compute_combiners("LP-MMSE", bundle)
             erg.merge(ErgodicLogAccumulator.batch_partial(
                 instantaneous_sinr(v, bundle, ctx.ul_power)))
-            uatf.merge(uatf.batch_partial(v, h))
+            uatf.merge(uatf.with_replica(uatf.batch_partial(v, h)))
         se1, err1 = erg.finalize()
         se2, err2 = uatf.finalize()
         assert np.all(se1 >= se2 - 3 * (err1 + err2))
@@ -432,8 +432,9 @@ class TestUplinkByDuality:
         h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), batch)
         v = compute_combiners(scheme, EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0)))
         uatf = UatfAccumulator(ctx.ul_power, cfg.noise_ul_w, 0.95)
-        expected = uatf.batch_partial(v, h)
-        dl = DownlinkBlockMoments(blocks, cfg.noise_dl_w, 0.95).batch_partial(v, h)
+        expected = uatf.with_replica(uatf.batch_partial(v, h))
+        moments = DownlinkBlockMoments(blocks, cfg.noise_dl_w, 0.95)
+        dl = moments.with_replica(moments.chunk_sums(blocks.gains(v, h)))
         got = uatf.block_partial(dl, blocks)
         assert got.keys() == expected.keys() and got["n"] == batch
         for key in ("signal", "cross", "norm", "den_replica", "se_replica"):
@@ -461,7 +462,7 @@ class TestDownlinkBlockMoments:
         if mode == "distributed":
             served, _ = assignment.served_table()
             assert served.shape[1] > cfg.antennas_per_ap, "fixture should need several chunks"
-        sig, S, energy, _ = blocks.moments(v, h)
+        sig, S, energy, _ = blocks.sums(blocks.gains(v, h))
         scales = precoder_scales(blocks.rho, energy / B)
         signal, second = blocks.contract(scales, sig, S)
         g = combining_gains(h, w)
@@ -479,7 +480,7 @@ class TestDownlinkBlockMoments:
             h.append(sample_channels(topo, stream(cfg.seed, 0, CHANNEL, b), 7))
             bundle = EstimationBundle(ctx, h[-1], stream(cfg.seed, 0, PILOT_NOISE, b))
             v.append(compute_combiners("P-MMSE", bundle))
-            acc.merge(acc.batch_partial(v[-1], h[-1]))
+            acc.merge(acc.with_replica(acc.chunk_sums(blocks.gains(v[-1], h[-1]))))
         norm = sum(combiner_norms(x)[0] for x in v) / 14
         reference = DownlinkAccumulator(cfg.noise_dl_w, 1.0)
         scales = precoder_scales(rho, norm)
@@ -527,7 +528,7 @@ class TestTableMoments:
         chunks = blocks.chunks(v.shape)
         assert len(chunks) >= min_chunks
         for rows in chunks:
-            *got, powers = blocks.moments(v[rows], h[rows])
+            *got, powers = blocks.sums(blocks.gains(v[rows], h[rows]))
             assert powers is None
             expected = self._reference(blocks, v[rows], h[rows])
             for name, a, b in zip(("sig", "S", "energy"), got, expected):

@@ -19,7 +19,13 @@ The campaigns:
 - `mr-closed-form/N{1,2,4}/s{1,7}`: the criterion-2 network (16 APs, 8 UEs,
   tau_p 4), distributed MR, 10 000 realizations;
 - `mixed/N{2,4}/<mode>/{dcc,asa}/genie{0,1}`: 48 APs, 30 UEs, tau_p 6, every
-  scheme of the mode, uplink and downlink, 2 setups of 32 realizations.
+  scheme of the mode, uplink and downlink, 2 setups of 32 realizations;
+- `routes/...`: the routes of `campaign.SetupPlan` that no campaign above
+  takes: the centralized two passes (64 APs, 64 UEs, tau_p 16, MMSE and MR
+  with every AP serving every UE, the genie on, 2100 realizations), the
+  distributed downlink alone in one pass (the criterion-2 network at N = 2,
+  MR and LP-MMSE, 4096 realizations) and the uplink of one UE (12 APs,
+  MR and LP-MMSE, 256 realizations).
 """
 
 import argparse
@@ -73,6 +79,18 @@ def campaigns() -> dict:
                         area_side_km=1.0, ul_data_len=95, dl_data_len=95, num_setups=2,
                         num_realizations=32, schemes=mode_schemes, mode=mode,
                         all_serve_all=clusters == "asa", genie_dl=bool(genie), seed=1).validate()
+    table["routes/centralized-two-pass"] = SimulationConfig(
+        num_aps=64, num_ues=64, antennas_per_ap=1, pilot_len=16, ul_data_len=90, dl_data_len=90,
+        num_setups=1, num_realizations=2100, schemes=("MMSE", "MR"), mode="centralized",
+        all_serve_all=True, genie_dl=True, seed=1).validate()
+    table["routes/distributed-downlink-one-pass"] = SimulationConfig(
+        num_aps=16, num_ues=8, antennas_per_ap=2, pilot_len=4, area_side_km=0.4, ul_data_len=0,
+        dl_data_len=95, num_setups=1, num_realizations=4096, schemes=("MR", "LP-MMSE"),
+        mode="distributed", seed=1).validate()
+    table["routes/one-ue-uplink"] = SimulationConfig(
+        num_aps=12, num_ues=1, antennas_per_ap=1, pilot_len=3, area_side_km=0.5, ul_data_len=95,
+        dl_data_len=0, num_setups=1, num_realizations=256, schemes=("MR", "LP-MMSE"),
+        mode="distributed", seed=1).validate()
     return table
 
 
