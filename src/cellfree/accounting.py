@@ -49,8 +49,10 @@ def multiplication_count(scheme: str, k: int, assignment, cfg: SimulationConfig)
     """
     aps = assignment.serving_aps(k)
     K = assignment.num_ues
-    gram_ues = int(assignment.serves[aps].any(axis=0).sum()) if scheme == "P-MMSE" else K
-    served_sum = int(assignment.serves[aps].sum()) if scheme == "LP-MMSE" else K * aps.size
+    # served_ues(aps) lists D_l of every l in M_k, one after another
+    gram_ues = (np.count_nonzero(np.bincount(assignment.served_ues(aps), minlength=K))
+                if scheme == "P-MMSE" else K)
+    served_sum = assignment.served_ues(aps).size if scheme == "LP-MMSE" else K * aps.size
     return _scheme_cost(scheme, cfg, aps.size, gram_ues, served_sum)
 
 

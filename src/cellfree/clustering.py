@@ -5,7 +5,10 @@ as its master, gets the pilot on which that AP currently sees the least pilot
 power, and is then picked up by neighboring APs that either have the pilot
 slot free or prefer the new UE's channel. An AP serves at most one UE per
 pilot, so every AP serves at most pilot_len UEs no matter how many UEs the
-network admits - this is what keeps per-AP cost bounded.
+network admits - this is what keeps per-AP cost bounded. Admission keeps
+one slot per AP and pilot; the assignment it returns stores each AP's D_l,
+an (L, T) table with T = max_l |D_l| <= pilot_len, and derives the dense
+(L, K) serving mask only when it is read.
 
 The benchmark "all APs serve all UEs" mode of the unscalable reference
 schemes is derived from the same admission: it keeps every pilot and master
@@ -28,56 +31,92 @@ class AdmissionError(RuntimeError):
 
 @dataclass
 class ClusterAssignment:
-    """Pilot indices, serving sets, and master APs for all admitted UEs."""
+    """Pilot indices, serving sets, and master APs for all admitted UEs.
+
+    The serving sets are stored per AP: row l of served holds D_l in
+    ascending order, padded with -1 to T = max_l |D_l| (at most pilot_len
+    after admission), so a clustered assignment holds O(L * pilot_len + K)
+    entries whatever the network's size. An all-serve-all assignment stores
+    no table (served is None): every AP serves every admitted UE. The dense
+    (L, K) mask `serves` is derived on each read and never kept.
+    """
 
     pilot_len: int
     pilot_of: np.ndarray          # (K,) pilot index, -1 while unadmitted
     master_of: np.ndarray         # (K,) AP index, -1 while unadmitted
-    serves: np.ndarray            # (L, K) bool, serves[l, k] iff AP l serves UE k
-    all_serve_all: bool = False
+    num_aps: int
+    served: np.ndarray            # (L, T) D_l ascending, padded with -1; None if all serve all
 
     @property
-    def num_aps(self):
-        return self.serves.shape[0]
+    def all_serve_all(self) -> bool:
+        return self.served is None
 
     @property
     def num_ues(self):
-        return self.serves.shape[1]
+        return self.pilot_of.shape[0]
+
+    @property
+    def serves(self) -> np.ndarray:
+        """(L, K) bool, serves[l, k] iff AP l serves UE k: a read-only array
+        built on each read, so per-setup code reads SetupContext.serves()."""
+        mask = np.zeros((self.num_aps, self.num_ues), dtype=bool)
+        table = self._table()
+        ls, ts = np.nonzero(table >= 0)
+        mask[ls, table[ls, ts]] = True
+        mask.flags.writeable = False
+        return mask
+
+    def _table(self) -> np.ndarray:
+        # the all-serve-all table is a broadcast view of the admitted UEs
+        if self.served is not None:
+            return self.served
+        admitted = np.flatnonzero(self.pilot_of >= 0)
+        return np.broadcast_to(admitted, (self.num_aps, admitted.size))
 
     def serving_aps(self, k: int) -> np.ndarray:
-        """M_k: indices of APs serving UE k."""
-        return np.flatnonzero(self.serves[:, k])
+        """M_k: indices of APs serving UE k, ascending (k sits in a row once)."""
+        if self.all_serve_all:
+            return np.arange(self.num_aps if self.pilot_of[k] >= 0 else 0)
+        return np.flatnonzero(self.served == k) // self.served.shape[1]
 
-    def served_ues(self, l: int) -> np.ndarray:
-        """D_l: indices of UEs served by AP l."""
-        return np.flatnonzero(self.serves[l])
+    def served_ues(self, l) -> np.ndarray:
+        """D_l: indices of UEs served by AP l; for an array of APs, their
+        sets one after another."""
+        rows = self._table()[l]
+        return rows[rows >= 0]
 
     def served_table(self) -> tuple:
         """(L, T) indices of D_l for every AP, padded with UE 0 to
         T = max_l |D_l|, and the (L, T) mask of the real entries. UEs appear
         in ascending order, so UE k sits in slot |D_l ∩ {0..k}| - 1."""
-        counts = self.serves.sum(axis=1)
-        valid = np.arange(counts.max(initial=0))[None, :] < counts[:, None]
-        served = np.zeros(valid.shape, dtype=int)
-        served[valid] = np.nonzero(self.serves)[1]
-        return served, valid
+        table = self._table()
+        valid = table >= 0
+        return np.where(valid, table, 0), valid
 
     def cluster_sizes(self) -> np.ndarray:
         """|D_l| for every AP."""
-        return self.serves.sum(axis=1)
+        return (self._table() >= 0).sum(axis=1)
 
     def served_by_all(self) -> "ClusterAssignment":
         """The all-serve-all assignment with these pilots and masters (the
         arrays are shared): every AP serves every admitted UE."""
-        serves = np.broadcast_to(self.pilot_of >= 0, self.serves.shape).copy()
-        return replace(self, serves=serves, all_serve_all=True)
+        return replace(self, served=None)
+
+    @classmethod
+    def from_mask(cls, pilot_len: int, pilot_of, master_of, serves) -> "ClusterAssignment":
+        """The assignment in which AP l serves UE k iff serves[l, k], any
+        (L, K) pattern (an AP may serve two UEs on one pilot)."""
+        serves = np.asarray(serves, dtype=bool)
+        return cls(pilot_len, np.asarray(pilot_of), np.asarray(master_of), serves.shape[0],
+                   _serving_table(np.where(serves, np.arange(serves.shape[1]), -1)))
 
     def to_json(self) -> str:
-        """json.dumps of the assignment's fields, with each distinct serving
-        row encoded once (an all-serve-all assignment has one)."""
+        """json.dumps of the assignment: pilots, masters and each UE's M_k,
+        with each distinct serving row encoded once (an all-serve-all
+        assignment has one)."""
         encoded, rows = {}, []
-        for column in np.ascontiguousarray(self.serves.T):
-            aps = np.flatnonzero(column)
+        for k in range(self.num_ues):
+            aps = self.serving_aps(k)
             key = aps.tobytes()
             if key not in encoded:
                 encoded[key] = json.dumps(aps.tolist(), separators=(",", ":"))
@@ -101,33 +140,50 @@ class ClusterAssignment:
         serves = np.zeros((data["num_aps"], len(data["pilot_of"])), dtype=bool)
         for k, aps in enumerate(data["serving_aps"]):
             serves[aps, k] = True
-        return cls(
-            pilot_len=data["pilot_len"],
-            pilot_of=np.asarray(data["pilot_of"], dtype=int),
-            master_of=np.asarray(data["master_of"], dtype=int),
-            serves=serves,
-            all_serve_all=data["all_serve_all"],
-        )
+        assignment = cls.from_mask(data["pilot_len"], np.asarray(data["pilot_of"], dtype=int),
+                                   np.asarray(data["master_of"], dtype=int), serves)
+        return assignment.served_by_all() if data["all_serve_all"] else assignment
+
+
+def _serving_table(slots: np.ndarray) -> np.ndarray:
+    """(L, T) table of D_l from (L, S) slots that hold UE indices or -1 in
+    any order: each row's UEs ascending, padded with -1 to T = max_l |D_l|."""
+    width = (slots >= 0).sum(axis=1).max(initial=0)
+    last = np.iinfo(slots.dtype).max    # sorts the padding behind every UE
+    table = np.sort(np.where(slots >= 0, slots, last), axis=1)[:, :width].copy()
+    table[table == last] = -1
+    return table
 
 
 def compute_partners(assignment: ClusterAssignment) -> np.ndarray:
     """(K, K) boolean partner matrix: UEs whose serving sets overlap.
 
-    Symmetric, and contains k itself for every admitted UE.
+    Symmetric, and contains k itself for every admitted UE. The pairs come
+    from each AP's row of the table, sum_l |D_l|^2 of them.
     """
-    # the overlap counts are at most L, so a float product is exact, and it
-    # runs on BLAS where an integer product does not
-    serves = assignment.serves.astype(float)
-    return (serves.T @ serves) > 0
+    if assignment.all_serve_all:
+        served = (assignment.pilot_of >= 0) & (assignment.num_aps > 0)
+        return served[:, None] & served[None, :]
+    table = assignment.served
+    width = table.shape[1]
+    i, j = np.repeat(table, width, axis=1), np.tile(table, width)   # (L, T*T)
+    both = (i >= 0) & (j >= 0)
+    K = assignment.num_ues
+    partners = np.zeros((K, K), dtype=bool)
+    partners[i[both], j[both]] = True
+    return partners
 
 
 @dataclass
 class AdmissionState:
-    """Mutable admission bookkeeping (single-writer)."""
+    """Mutable admission bookkeeping (single-writer). The serving sets live
+    in ue_on_pilot alone, one slot per AP and pilot; `assignment` forms the
+    table from it on each read."""
 
     cfg: SimulationConfig
     topology: Topology
-    assignment: ClusterAssignment
+    pilot_of: np.ndarray           # (K,) pilot index, -1 while unadmitted
+    master_of: np.ndarray          # (K,) AP index, -1 while unadmitted
     trace_psi: np.ndarray          # (pilot_len, L) running tr(Psi_tl)
     master_pilot_taken: np.ndarray  # (L, pilot_len) AP is master of a UE on that pilot
     ue_on_pilot: np.ndarray        # (L, pilot_len) UE the AP serves on that pilot, or -1
@@ -136,12 +192,6 @@ class AdmissionState:
     @classmethod
     def empty(cls, cfg: SimulationConfig, topology: Topology):
         L, K = cfg.num_aps, cfg.num_ues
-        assignment = ClusterAssignment(
-            pilot_len=cfg.pilot_len,
-            pilot_of=np.full(K, -1, dtype=int),
-            master_of=np.full(K, -1, dtype=int),
-            serves=np.zeros((L, K), dtype=bool),
-        )
         # with no UEs assigned, tr(Psi_tl) = N * sigma_ul^2 on every pilot
         trace_psi = np.full((cfg.pilot_len, L), cfg.antennas_per_ap * cfg.noise_ul_w)
         # a master is argmax_l beta_kl whatever has been admitted, so the
@@ -149,9 +199,15 @@ class AdmissionState:
         # all-serve-all admission has no Step 3
         neighbors = {} if cfg.all_serve_all else _neighbor_table(
             cfg, topology, np.unique(np.argmax(topology.beta, axis=1)))
-        return cls(cfg, topology, assignment, trace_psi,
-                   np.zeros((L, cfg.pilot_len), dtype=bool),
+        return cls(cfg, topology, np.full(K, -1, dtype=int), np.full(K, -1, dtype=int),
+                   trace_psi, np.zeros((L, cfg.pilot_len), dtype=bool),
                    np.full((L, cfg.pilot_len), -1, dtype=int), neighbors)
+
+    @property
+    def assignment(self) -> ClusterAssignment:
+        """The assignment so far (its pilot_of and master_of are the state's)."""
+        return ClusterAssignment(self.cfg.pilot_len, self.pilot_of, self.master_of,
+                                 self.ue_on_pilot.shape[0], _serving_table(self.ue_on_pilot))
 
     def _register_pilot(self, k: int, t: int):
         # UE k joins S_t: tau_p * p_k * tr(R_kl) is its share of tr(Psi_tl)
@@ -220,8 +276,7 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
     if beta_kl > beta_jl, and never if it is j's master AP. The APs are
     distinct, so each decides on its own slot independently of the others.
     """
-    assignment = state.assignment
-    serves, master_of = assignment.serves, assignment.master_of
+    master_of = state.master_of
     beta = state.topology.beta
     on_pilot = state.ue_on_pilot[:, pilot]  # a view: writes land in the state
     # .item() reads Python scalars, which index and compare faster than
@@ -235,11 +290,9 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
                 continue  # never drop a UE from its own master
             if l != master and beta.item(k, l) <= beta.item(occupant, l):
                 continue
-            serves[l, occupant] = False
-        serves[l, k] = True
         on_pilot[l] = k
-    assignment.pilot_of[k] = pilot
-    assignment.master_of[k] = master
+    state.pilot_of[k] = pilot
+    master_of[k] = master
     state.master_pilot_taken[master, pilot] = True
     state._register_pilot(k, pilot)
 
@@ -247,7 +300,7 @@ def form_cluster(state: AdmissionState, k: int, pilot: int, master: int,
 def admit_ue(state: AdmissionState, k: int, forced_pilot: int = None) -> None:
     """Run the three-step access procedure for UE k. A master at capacity
     raises AdmissionError tagged with the UE: "UE k: master at capacity: ..."."""
-    if state.assignment.pilot_of[k] >= 0:
+    if state.pilot_of[k] >= 0:
         raise AdmissionError(f"UE {k} is already admitted")
     master = appoint_master(state, k)
     if forced_pilot is None:

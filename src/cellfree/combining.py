@@ -112,7 +112,7 @@ def mr_combiner(bundle: EstimationBundle) -> np.ndarray:
     still zero and the mask changes nothing: the result is bundle.hhat
     itself, not a copy. Callers read combiners and never write into them.
     """
-    serving = bundle.ctx.assignment.serves.T
+    serving = bundle.ctx.serves().T
     if not np.any(bundle._computed & ~serving):
         return bundle.hhat
     return bundle.hhat * serving[None, :, :, None]
@@ -199,11 +199,11 @@ def centralized_mmse_combiner(bundle: EstimationBundle, partial: bool = False,
         return v
 
     v = np.zeros_like(bundle.hhat)
-    partners = ctx.partners()
+    serves, partners = ctx.serves(), ctx.partners()
     # the estimates with (UE, AP) pairs on one axis: each UE's gather is one take
     pairs = bundle.hhat.reshape(B, K * L, N)
     for k in range(K):
-        aps = ctx.assignment.serving_aps(k)
+        aps = np.flatnonzero(serves[:, k])
         if aps.size == 0:
             continue
         members = np.flatnonzero(partners[k]) if partial else np.arange(K)
@@ -227,7 +227,7 @@ def optimal_sinr(bundle: EstimationBundle, k: int) -> np.ndarray:
     ctx = bundle.ctx
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
-    bundle.require(ctx.assignment.serves[:, k], "optimal_sinr")    # every UE at M_k
+    bundle.require(ctx.serves()[:, k], "optimal_sinr")    # every UE at M_k
     aps = ctx.assignment.serving_aps(k)
     B = bundle.hhat.shape[0]
     n = N * aps.size

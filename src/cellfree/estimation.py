@@ -38,7 +38,8 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 class SetupContext:
     """Statistics shared by all channel realizations of one setup, and its
-    clustering view (partners, demand_mask, local_statistics, noise_matrix),
+    clustering view (serves, partners, demand_mask, local_statistics,
+    noise_matrix),
     each entry built once, on first use.
 
     Construction releases each (K, L, N, N) intermediate once the next one
@@ -108,6 +109,11 @@ class SetupContext:
                 array.flags.writeable = False
         return self._views[key]
 
+    def serves(self) -> np.ndarray:
+        """The (L, K) serving mask assignment.serves, built once per setup:
+        the one dense mask that per-setup and per-batch code reads."""
+        return self._view("serves", lambda: self.assignment.serves)
+
     def partners(self) -> np.ndarray:
         return self._view("partners", lambda: compute_partners(self.assignment))
 
@@ -164,7 +170,7 @@ class SetupContext:
 
 def estimate_demand_mask(scheme: str, ctx: SetupContext) -> np.ndarray:
     """(K, L) mask of channel estimates the scheme's combiners consume."""
-    serves = ctx.assignment.serves
+    serves = ctx.serves()
     K = serves.shape[1]
     if scheme in ("MR", "LP-MMSE"):
         return serves.T.copy()

@@ -39,8 +39,11 @@ def dl_distributed_proportional(assignment: ClusterAssignment, topology: Topolog
     Each AP spends exactly its budget, split in favor of served UEs with
     stronger channels; UEs outside D_l get exactly zero.
     """
-    serves = assignment.serves.T  # (K, L)
-    root_beta = np.sqrt(topology.beta) * serves
+    served, valid = assignment.served_table()
+    aps, slots = np.nonzero(valid)
+    ues = served[aps, slots]
+    root_beta = np.zeros(topology.beta.shape)
+    root_beta[ues, aps] = np.sqrt(topology.beta[ues, aps])
     totals = root_beta.sum(axis=0)  # per AP
     rho = np.zeros_like(root_beta)
     active = totals > 0

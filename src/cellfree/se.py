@@ -201,7 +201,7 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
     ctx = bundle.ctx
     bundle.require(np.ones_like(bundle._computed), "instantaneous_sinr")
     B, K = v.shape[:2]
-    serves = ctx.assignment.serves.T
+    serves = ctx.serves().T
     ht = np.swapaxes(bundle.hhat.reshape(B, K, -1), 1, 2)
     sinr = np.empty((B, K))
     for rows in row_blocks(B, 2 * v[0].size):
@@ -462,12 +462,14 @@ class PrecoderBlocks:
             self.rho = rho
             self._table_width = 0
         else:
-            self.ues, self.aps = np.nonzero(assignment.serves.T)
-            self.rho = rho[self.ues, self.aps]
             # the gains are computed per AP for its served UEs, where block
             # p sits in slot slots[p] of AP aps[p]
-            self.served, _ = assignment.served_table()
-            self.slots = (np.cumsum(assignment.serves, axis=1) - 1)[self.aps, self.ues]
+            self.served, valid = assignment.served_table()
+            aps, slots = np.nonzero(valid)
+            ues = self.served[aps, slots]
+            order = np.lexsort((aps, ues))
+            self.ues, self.aps, self.slots = ues[order], aps[order], slots[order]
+            self.rho = rho[self.ues, self.aps]
             self._table_width = self.served.shape[1]
         self.num_ues = K
         self._counts = np.bincount(self.ues, minlength=K)

@@ -162,11 +162,10 @@ def test_criterion_4_pmmse_coincides_with_mmse_when_everyone_serves():
             assert np.allclose(v_pmmse, v_mmse, rtol=1e-12, atol=1e-12 * scale)
 
             # same identity through the per-UE subspace path
-            manual = ClusterAssignment(
+            manual = ClusterAssignment.from_mask(
                 pilot_len=cfg.pilot_len, pilot_of=assignment.pilot_of.copy(),
                 master_of=assignment.master_of.copy(),
                 serves=np.ones_like(assignment.serves),
-                all_serve_all=False,
             )
             ctx2 = SetupContext(topo, manual, ul_full_power(cfg), cfg)
             bundle2 = EstimationBundle(ctx2, h, stream(cfg.seed, 0, PILOT_NOISE, 0))

@@ -18,13 +18,12 @@ from conftest import make_cfg, make_setup
 
 def manual_assignment(serves, pilot_len, pilots=None):
     serves = np.asarray(serves, dtype=bool)
-    L, K = serves.shape
+    K = serves.shape[1]
     pilots = np.zeros(K, int) if pilots is None else np.asarray(pilots)
     masters = np.array([
         aps[0] if (aps := np.flatnonzero(serves[:, k])).size else 0 for k in range(K)
     ])
-    return ClusterAssignment(pilot_len, pilots, masters, serves,
-                             np.full((L, pilot_len), -1))
+    return ClusterAssignment.from_mask(pilot_len, pilots, masters, serves)
 
 
 class TestFronthaul:

@@ -112,6 +112,17 @@ def test_assignment_survives_a_json_round_trip(params):
     assert again.to_json() == a.to_json()
 
 
+@given(hnp.arrays(bool, st.tuples(st.integers(1, 8), st.integers(1, 8))))
+def test_any_serving_pattern_survives_a_json_round_trip(serves):
+    """Hand-built masks too, such as an AP serving two UEs on one pilot."""
+    K = serves.shape[1]
+    a = ClusterAssignment.from_mask(1, np.zeros(K, dtype=int), np.zeros(K, dtype=int), serves)
+    again = ClusterAssignment.from_json(a.to_json())
+    assert np.array_equal(again.served, a.served)
+    assert np.array_equal(again.serves, serves)
+    assert again.to_json() == a.to_json()
+
+
 @given(CLUSTERED)
 def test_all_serve_all_keeps_the_pilots_and_masters(params):
     """The all-serve-all drop has the clustered drop's pilots and masters, with
@@ -165,6 +176,6 @@ def test_served_table_of_admitted_networks(params):
 def test_served_table_of_any_serving_pattern(serves):
     """Every (L, K) pattern, idle APs and APs that serve everyone included."""
     K = serves.shape[1]
-    _check_served_table(ClusterAssignment(
+    _check_served_table(ClusterAssignment.from_mask(
         pilot_len=1, pilot_of=np.zeros(K, dtype=int), master_of=np.zeros(K, dtype=int),
         serves=serves))

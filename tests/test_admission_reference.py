@@ -73,6 +73,23 @@ def test_drop_matches_frozen_digest(name):
     assert _digest(name) == json.loads(DATA.read_text())[name]
 
 
+def test_a_400_ue_drop_keeps_its_serving_sets_compact():
+    """The assignment holds D_l per AP, O(L tau_p + K) entries, and no (L, K)
+    array; its derived mask is the one whose to_json the digest pins."""
+    name = "criterion-6-k400-rep0"
+    cfg, key = DROPS[name]
+    assert _digest(name) == json.loads(DATA.read_text())[name]
+    assignment = build_assignment(cfg, generate_topology(cfg, stream(*key, TOPOLOGY)))
+    L, K = cfg.num_aps, cfg.num_ues
+    held = [v for v in vars(assignment).values() if isinstance(v, np.ndarray)]
+    assert all(v.shape != (L, K) for v in held)
+    assert sum(v.size for v in held) <= L * cfg.pilot_len + 2 * K
+    mask = np.zeros((L, K), dtype=bool)
+    for k, aps in enumerate(json.loads(assignment.to_json())["serving_aps"]):
+        mask[aps, k] = True
+    assert np.array_equal(assignment.serves, mask)
+
+
 def test_reference_covers_every_drop():
     assert sorted(json.loads(DATA.read_text())) == sorted(DROPS)
 

@@ -159,7 +159,7 @@ class TestAdmission:
 
 class TestPartners:
     def test_disjoint_serving_sets(self):
-        a = ClusterAssignment(
+        a = ClusterAssignment.from_mask(
             pilot_len=2,
             pilot_of=np.array([0, 0]),
             master_of=np.array([0, 1]),
@@ -170,7 +170,8 @@ class TestPartners:
 
     def test_everyone_served_everywhere(self):
         serves = np.ones((3, 4), dtype=bool)
-        a = ClusterAssignment(2, np.zeros(4, int), np.zeros(4, int), serves, all_serve_all=True)
+        a = ClusterAssignment.from_mask(2, np.zeros(4, int), np.zeros(4, int), serves)
+        a = a.served_by_all()
         assert compute_partners(a).all()
 
     def test_matches_bruteforce_oracle(self):
@@ -311,8 +312,6 @@ def _loop_form_cluster(state, k, pilot, master, neighbors):
                 continue
             if l != master and beta[k, l] <= beta[occupant, l]:
                 continue
-            assignment.serves[l, occupant] = False
-        assignment.serves[l, k] = True
         state.ue_on_pilot[l, pilot] = k
     assignment.pilot_of[k] = pilot
     assignment.master_of[k] = master

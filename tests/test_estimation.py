@@ -25,7 +25,7 @@ def scalar_setup(noise_w=1.0, gain=2.0, ue_power=0.1, pilot_len=10):
         beta=np.array([[gain]]), R=np.full((1, 1, 1, 1), gain, dtype=complex),
         area_side_km=cfg.area_side_km,
     )
-    assignment = ClusterAssignment(
+    assignment = ClusterAssignment.from_mask(
         pilot_len=cfg.pilot_len, pilot_of=np.array([0]), master_of=np.array([0]),
         serves=np.array([[True]]),
     )

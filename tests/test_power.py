@@ -44,7 +44,7 @@ class TestHeuristics:
         cfg = make_cfg(num_aps=1, num_ues=2, pilot_len=2, ap_power_w=1.0)
         topo, assignment, _ = make_setup(cfg)
         topo.beta = np.array([[4.0], [1.0]])
-        assignment.serves[:] = True
+        assignment = assignment.served_by_all()
         rho = dl_distributed_proportional(assignment, topo, cfg)
         assert rho[0, 0] == pytest.approx(2.0 / 3.0)
         assert rho[1, 0] == pytest.approx(1.0 / 3.0)

@@ -564,8 +564,8 @@ class TestTableMoments:
 def _assignment(serves):
     serves = np.array(serves)
     K = serves.shape[1]
-    return ClusterAssignment(pilot_len=K, pilot_of=np.arange(K), master_of=np.argmax(serves, axis=0),
-                             serves=serves)
+    return ClusterAssignment.from_mask(pilot_len=K, pilot_of=np.arange(K),
+                                       master_of=np.argmax(serves, axis=0), serves=serves)
 
 
 class TestCdf:
