@@ -136,11 +136,15 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
     ls, ts = np.nonzero(valid)
     ues = served[ls, ts]
     v = np.zeros_like(bundle.hhat)
+    # the estimates with (UE, AP) pairs on one axis: the Gram's gather is one
+    # take, C-ordered whatever the block, so its sums keep their order
+    pairs = bundle.hhat.reshape(bundle.hhat.shape[0], -1, N)
+    gather = members * L + aps
     # next to the estimates and the combiners, a block's temporaries (at
     # most four (L, S, N) arrays a realization at once) share one budget
     for rows in row_blocks(v.shape[0], 4 * L * members.shape[1] * N):
         hhat = bundle.hhat[rows]
-        gram = _gram(weight[:, None, :], hhat[:, members, aps, :])  # gathers (b, L, S, N)
+        gram = _gram(weight[:, None, :], np.take(pairs[rows], gather, axis=1))  # (b, L, S, N)
         gram += statistics
         gram += ctx.cfg.noise_ul_w * np.eye(N)
         rhs = np.swapaxes(hhat[:, served, aps, :], -1, -2)          # (b, L, N, T)
