@@ -40,33 +40,34 @@ def fronthaul_load(mode: str, assignment, cfg: SimulationConfig) -> np.ndarray:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def multiplication_count(scheme: str, k: int, assignment, cfg: SimulationConfig) -> dict:
-    """Complex multiplications per coherence block for UE k's processing.
+def multiplication_count(scheme: str, assignment, cfg: SimulationConfig) -> dict:
+    """Complex multiplications per coherence block for every UE's processing,
+    {"estimation", "combining"} as (K,) integer arrays.
 
-    The Gram matrix holds UE k's partners (the UEs served by any AP of M_k)
-    under P-MMSE and all K UEs under MMSE; the local solves run over
+    The Gram matrix of UE k holds its partners P_k (the UEs served by any AP
+    of M_k) under P-MMSE and all K UEs under MMSE; the local solves run over
     sum_{l in M_k} |D_l| UEs under LP-MMSE and K |M_k| under L-MMSE.
     """
-    aps = assignment.serving_aps(k)
+    ues, aps, _ = assignment.pairs()
     K = assignment.num_ues
-    # served_ues(aps) lists D_l of every l in M_k, one after another
-    gram_ues = (np.count_nonzero(np.bincount(assignment.served_ues(aps), minlength=K))
-                if scheme == "P-MMSE" else K)
-    served_sum = assignment.served_ues(aps).size if scheme == "LP-MMSE" else K * aps.size
-    return _scheme_cost(scheme, cfg, aps.size, gram_ues, served_sum)
+    num_aps = np.bincount(ues, minlength=K)
+    gram_ues = clustering.compute_partners(assignment).sum(axis=1) if scheme == "P-MMSE" else K
+    served_sum = (np.bincount(ues, weights=assignment.cluster_sizes()[aps], minlength=K)
+                  .astype(int) if scheme == "LP-MMSE" else K * num_aps)
+    return _scheme_cost(scheme, cfg, num_aps, gram_ues, served_sum)
 
 
 def _scheme_cost(scheme: str, cfg: SimulationConfig, num_aps: int, gram_ues: int,
                  served_sum: int) -> dict:
     """Costs of a UE with num_aps serving APs, gram_ues UEs in its Gram matrix
-    and served_sum UEs over its local solves. Estimation costs (N*tau_p + N^2)
-    per demanded estimate; combining follows the Hermitian outer-product /
-    factor-and-solve convention (see OpCounter)."""
+    and served_sum UEs over its local solves, ints or arrays of UEs alike.
+    Estimation costs (N*tau_p + N^2) per demanded estimate; combining follows
+    the Hermitian outer-product / factor-and-solve convention (see OpCounter)."""
     N = cfg.antennas_per_ap
     est_unit = N * cfg.pilot_len + N * N
     n = N * num_aps
     if scheme == "MR":
-        return {"estimation": est_unit * num_aps, "combining": 0}
+        return {"estimation": est_unit * num_aps, "combining": 0 * num_aps}
     if scheme in ("MMSE", "P-MMSE"):
         return {
             "estimation": est_unit * gram_ues * num_aps,
@@ -128,10 +129,8 @@ def assert_scalable(cfg: SimulationConfig, ue_counts) -> tuple:
         assignment = clustering.build_assignment(scaled, topo)
         sizes = assignment.cluster_sizes()
         loads = fronthaul_load("distributed", assignment, scaled)[:, 1:].sum(axis=1)
-        pm = max(sum(multiplication_count("P-MMSE", k, assignment, scaled).values())
-                 for k in range(scaled.num_ues))
-        lm = max(sum(multiplication_count("LP-MMSE", k, assignment, scaled).values())
-                 for k in range(scaled.num_ues))
+        pm, lm = (int(sum(multiplication_count(scheme, assignment, scaled).values()).max())
+                  for scheme in ("P-MMSE", "LP-MMSE"))
         ok = (
             int(sizes.max()) <= scaled.pilot_len
             and int(loads.max()) <= fronthaul_bound
@@ -153,18 +152,15 @@ def multiplication_bound(scheme: str, cfg: SimulationConfig, m_cap: int, p_cap: 
 def cost_table_rows(assignment, cfg: SimulationConfig) -> list:
     """CSV rows (entity, index, scheme, metric, value) for the account command."""
     rows = []
-    mode_loads = {
-        "centralized": fronthaul_load("centralized", assignment, cfg),
-        "distributed": fronthaul_load("distributed", assignment, cfg),
-    }
     metrics = ("fronthaul_pilot", "fronthaul_ul", "fronthaul_dl")
-    for mode, loads in mode_loads.items():
-        for l in range(assignment.num_aps):
-            for metric, value in zip(metrics, loads[l]):
-                rows.append(("ap", l, mode, metric, int(value)))
+    for mode in ("centralized", "distributed"):
+        for l, loads in enumerate(fronthaul_load(mode, assignment, cfg).tolist()):
+            for metric, value in zip(metrics, loads):
+                rows.append(("ap", l, mode, metric, value))
     for scheme in cfg.schemes:
-        for k in range(assignment.num_ues):
-            counts = multiplication_count(scheme, k, assignment, cfg)
-            rows.append(("ue", k, scheme, "estimation_mults", counts["estimation"]))
-            rows.append(("ue", k, scheme, "combining_mults", counts["combining"]))
+        counts = multiplication_count(scheme, assignment, cfg)
+        for k, (est, comb) in enumerate(zip(counts["estimation"].tolist(),
+                                            counts["combining"].tolist())):
+            rows.append(("ue", k, scheme, "estimation_mults", est))
+            rows.append(("ue", k, scheme, "combining_mults", comb))
     return rows

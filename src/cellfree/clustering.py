@@ -60,9 +60,8 @@ class ClusterAssignment:
         """(L, K) bool, serves[l, k] iff AP l serves UE k: a read-only array
         built on each read, so per-setup code reads SetupContext.serves()."""
         mask = np.zeros((self.num_aps, self.num_ues), dtype=bool)
-        table = self._table()
-        ls, ts = np.nonzero(table >= 0)
-        mask[ls, table[ls, ts]] = True
+        ues, aps, _ = self.pairs()
+        mask[aps, ues] = True
         mask.flags.writeable = False
         return mask
 
@@ -79,11 +78,10 @@ class ClusterAssignment:
             return np.arange(self.num_aps if self.pilot_of[k] >= 0 else 0)
         return np.flatnonzero(self.served == k) // self.served.shape[1]
 
-    def served_ues(self, l) -> np.ndarray:
-        """D_l: indices of UEs served by AP l; for an array of APs, their
-        sets one after another."""
-        rows = self._table()[l]
-        return rows[rows >= 0]
+    def served_ues(self, l: int) -> np.ndarray:
+        """D_l: indices of UEs served by AP l, ascending."""
+        row = self._table()[l]
+        return row[row >= 0]
 
     def served_table(self) -> tuple:
         """(L, T) indices of D_l for every AP, padded with UE 0 to
@@ -92,6 +90,19 @@ class ClusterAssignment:
         table = self._table()
         valid = table >= 0
         return np.where(valid, table, 0), valid
+
+    def pairs(self) -> tuple:
+        """(ues, aps, slots) of every served pair, ordered by UE and then by
+        AP (M_0, then M_1, ...): UE ues[p] sits in slot slots[p] of AP
+        aps[p]'s row of served_table(). The one place that turns the D_l
+        table into pairs; built on each call and never stored
+        (SetupContext.pairs() keeps a setup's copy)."""
+        table = self._table()
+        aps, slots = np.nonzero(table >= 0)
+        ues = table[aps, slots]
+        # aps ascend already, so a stable sort by UE orders each M_k by AP
+        order = np.argsort(ues, kind="stable")
+        return ues[order], aps[order], slots[order]
 
     def cluster_sizes(self) -> np.ndarray:
         """|D_l| for every AP."""
@@ -115,11 +126,11 @@ class ClusterAssignment:
         with each distinct serving row encoded once (an all-serve-all
         assignment has one)."""
         encoded, rows = {}, []
-        for k in range(self.num_ues):
-            aps = self.serving_aps(k)
-            key = aps.tobytes()
+        ues, aps, _ = self.pairs()
+        for m_k in np.split(aps, np.cumsum(np.bincount(ues, minlength=self.num_ues))[:-1]):
+            key = m_k.tobytes()
             if key not in encoded:
-                encoded[key] = json.dumps(aps.tolist(), separators=(",", ":"))
+                encoded[key] = json.dumps(m_k.tolist(), separators=(",", ":"))
             rows.append(encoded[key])
         text = json.dumps(
             {

@@ -123,18 +123,18 @@ def local_mmse_combiner(bundle: EstimationBundle, all_ues: bool = False) -> np.n
 
     All APs are solved at once: each AP's served UEs are gathered into a
     table padded to the largest |D_l|, with zero weight on the padding.
-    L-MMSE sums over all K UEs at every AP instead. The tables and the
-    statistical sums come once per setup (SetupContext.local_statistics);
+    L-MMSE sums over all K UEs at every AP instead. The tables, the
+    statistical sums and the serving pairs come once per setup
+    (SetupContext.local_statistics and SetupContext.pairs);
     the gathers and solves run a row block of realizations at a time.
     """
     ctx = bundle.ctx
     L = ctx.topology.beta.shape[1]
     N = ctx.topology.antennas_per_ap
     p = ctx.ul_power
-    served, valid, members, weight, statistics = ctx.local_statistics(all_ues)
+    served, members, weight, statistics = ctx.local_statistics(all_ues)
+    ues, ls, ts = ctx.pairs()
     aps = np.arange(L)[:, None]
-    ls, ts = np.nonzero(valid)
-    ues = served[ls, ts]
     v = np.zeros_like(bundle.hhat)
     # the estimates with (UE, AP) pairs on one axis: the Gram's gather is one
     # take, C-ordered whatever the block, so its sums keep their order

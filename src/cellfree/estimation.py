@@ -38,9 +38,8 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 
 class SetupContext:
     """Statistics shared by all channel realizations of one setup, and its
-    clustering view (serves, partners, demand_mask, local_statistics,
-    noise_matrix),
-    each entry built once, on first use.
+    clustering view (serves, pairs, partners, demand_mask, local_statistics,
+    noise_matrix), each entry built once, on first use.
 
     Construction releases each (K, L, N, N) intermediate once the next one
     exists: from 256 KiB arrays on, it holds at most three above R and psi.
@@ -114,6 +113,11 @@ class SetupContext:
         the one dense mask that per-setup and per-batch code reads."""
         return self._view("serves", lambda: self.assignment.serves)
 
+    def pairs(self) -> tuple:
+        """The serving pairs (ues, aps, slots) of assignment.pairs(), built
+        once per setup."""
+        return self._view("pairs", self.assignment.pairs)
+
     def partners(self) -> np.ndarray:
         return self._view("partners", lambda: compute_partners(self.assignment))
 
@@ -122,12 +126,11 @@ class SetupContext:
         return self._view(("demand", scheme), lambda: estimate_demand_mask(scheme, self))
 
     def local_statistics(self, all_ues: bool = False) -> tuple:
-        """(served, valid, members, weight, statistics) of LP-MMSE, or of
-        L-MMSE with all_ues, built once: served and valid are
-        assignment.served_table(), the (L, T) indices of D_l and their mask;
-        members and weight are the (L, S) UEs each AP's Gram matrix sums over
-        and their powers (zero on the padding); statistics is the (L, N, N)
-        sum_s weight_ls C_{members_ls, l}."""
+        """(served, members, weight, statistics) of LP-MMSE, or of L-MMSE
+        with all_ues, built once: served is assignment.served_table()'s
+        (L, T) indices of D_l; members and weight are the (L, S) UEs each
+        AP's Gram matrix sums over and their powers (zero on the padding);
+        statistics is the (L, N, N) sum_s weight_ls C_{members_ls, l}."""
         def build():
             K, L = self.topology.beta.shape
             served, valid = self.assignment.served_table()
@@ -137,7 +140,7 @@ class SetupContext:
             else:
                 members, weight = served, self.ul_power[served] * valid
             statistics = np.einsum("ls,lsmn->lmn", weight, self.C[members, np.arange(L)[:, None]])
-            return served, valid, members, weight, statistics
+            return served, members, weight, statistics
         return self._view(("local", all_ues), build)
 
     def noise_matrix(self, k: int, partner_only: bool = False) -> np.ndarray:

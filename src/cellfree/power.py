@@ -39,9 +39,7 @@ def dl_distributed_proportional(assignment: ClusterAssignment, topology: Topolog
     Each AP spends exactly its budget, split in favor of served UEs with
     stronger channels; UEs outside D_l get exactly zero.
     """
-    served, valid = assignment.served_table()
-    aps, slots = np.nonzero(valid)
-    ues = served[aps, slots]
+    ues, aps, _ = assignment.pairs()
     root_beta = np.zeros(topology.beta.shape)
     root_beta[ues, aps] = np.sqrt(topology.beta[ues, aps])
     totals = root_beta.sum(axis=0)  # per AP

@@ -464,11 +464,8 @@ class PrecoderBlocks:
         else:
             # the gains are computed per AP for its served UEs, where block
             # p sits in slot slots[p] of AP aps[p]
-            self.served, valid = assignment.served_table()
-            aps, slots = np.nonzero(valid)
-            ues = self.served[aps, slots]
-            order = np.lexsort((aps, ues))
-            self.ues, self.aps, self.slots = ues[order], aps[order], slots[order]
+            self.served = assignment.served_table()[0]
+            self.ues, self.aps, self.slots = assignment.pairs()
             self.rho = rho[self.ues, self.aps]
             self._table_width = self.served.shape[1]
         self.num_ues = K
@@ -665,8 +662,8 @@ def mr_closed_form_terms(ctx, scales: np.ndarray) -> tuple:
     trB = np.real(np.trace(B, axis1=-2, axis2=-1))
     signal = np.zeros(K)
     second = np.zeros((K, K))
-    for i in range(K):
-        aps = ctx.assignment.serving_aps(i)
+    ues, pair_aps, _ = ctx.pairs()
+    for i, aps in enumerate(np.split(pair_aps, np.cumsum(np.bincount(ues, minlength=K))[:-1])):
         c = scales[i, aps]
         signal[i] = c @ trB[i, aps]
         second[:, i] = np.real(np.einsum("klmn,lnm->kl", R[:, aps], B[i, aps])) @ c**2

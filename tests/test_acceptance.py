@@ -272,13 +272,11 @@ def test_criterion_8_accounting_exactness():
                 continue  # infeasible density; criterion targets valid clusters
             h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 1)
             bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
-            for k in range(cfg.num_ues):
-                for scheme in ("MR", "LP-MMSE"):
+            for scheme in ("MR", "LP-MMSE", "MMSE", "P-MMSE"):
+                counts = multiplication_count(scheme, assignment, cfg)
+                for k in range(cfg.num_ues):
                     assert measured_counts(scheme, k, ctx, bundle.hhat[0]) == \
-                        multiplication_count(scheme, k, assignment, cfg)
-                for scheme in ("MMSE", "P-MMSE"):
-                    assert measured_counts(scheme, k, ctx, bundle.hhat[0]) == \
-                        multiplication_count(scheme, k, assignment, cfg)
+                        {name: values[k] for name, values in counts.items()}
             # fronthaul: exact Table-scheme values
             N = cfg.antennas_per_ap
             central = fronthaul_load("centralized", assignment, cfg)

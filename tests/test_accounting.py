@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cellfree.accounting import (
+    COUNTED_SCHEMES,
     assert_scalable,
     cost_table_rows,
     fronthaul_load,
@@ -14,6 +15,11 @@ from cellfree.rng import CHANNEL, PILOT_NOISE, stream
 from cellfree.topology import sample_channels
 
 from conftest import make_cfg, make_setup
+
+
+def _ue(counts, k):
+    """UE k's entry of multiplication_count's per-UE arrays."""
+    return {name: values[k] for name, values in counts.items()}
 
 
 def manual_assignment(serves, pilot_len, pilots=None):
@@ -72,8 +78,8 @@ class TestTableFormulas:
         cfg = make_cfg(num_aps=5, num_ues=1, antennas_per_ap=4, pilot_len=10,
                        ul_data_len=95, dl_data_len=95)
         a = manual_assignment(np.ones((5, 1)), 10)
-        counts = multiplication_count("MR", 0, a, cfg)
-        assert counts == {"estimation": 280, "combining": 0}
+        counts = multiplication_count("MR", a, cfg)
+        assert _ue(counts, 0) == {"estimation": 280, "combining": 0}
 
     def test_lpmmse_estimation_row(self):
         # (N tau_p + N^2) sum |D_l| = 56 * 12
@@ -81,26 +87,26 @@ class TestTableFormulas:
                        ul_data_len=95, dl_data_len=95)
         serves = np.ones((4, 3), dtype=bool)  # UE 0: M_k = 4 APs x |D_l| = 3
         a = manual_assignment(serves, 10)
-        counts = multiplication_count("LP-MMSE", 0, a, cfg)
-        assert counts["estimation"] == 56 * 12
+        counts = multiplication_count("LP-MMSE", a, cfg)
+        assert counts["estimation"][0] == 56 * 12
 
     def test_mmse_equals_pmmse_when_partners_cover_everyone(self):
         cfg = make_cfg(num_aps=3, num_ues=4, antennas_per_ap=2, pilot_len=4,
                        ul_data_len=95, dl_data_len=95)
         a = manual_assignment(np.ones((3, 4)), 4, pilots=np.arange(4))
+        mmse, pmmse = (multiplication_count(s, a, cfg) for s in ("MMSE", "P-MMSE"))
         for k in range(4):
-            assert multiplication_count("MMSE", k, a, cfg) == \
-                multiplication_count("P-MMSE", k, a, cfg)
+            assert _ue(mmse, k) == _ue(pmmse, k)
 
     def test_unknown_scheme(self):
         cfg = make_cfg()
         a = manual_assignment(np.ones((2, 1)), cfg.pilot_len)
         with pytest.raises(ValueError, match="unknown scheme"):
-            multiplication_count("ZF", 0, a, cfg)
+            multiplication_count("ZF", a, cfg)
 
 
 class TestInstrumentedCounters:
-    @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE", "MMSE", "P-MMSE"])
+    @pytest.mark.parametrize("scheme", ["MR", "LP-MMSE", "L-MMSE", "MMSE", "P-MMSE"])
     def test_measured_equals_formula(self, scheme):
         cfg = make_cfg(num_aps=7, num_ues=6, pilot_len=3, antennas_per_ap=2,
                        area_side_km=0.4, mode="centralized", schemes=("MMSE",))
@@ -109,9 +115,10 @@ class TestInstrumentedCounters:
         bundle = EstimationBundle(ctx, h, stream(2, 0, PILOT_NOISE, 0))
         partners = compute_partners(assignment)
         est_unit = cfg.antennas_per_ap * cfg.pilot_len + cfg.antennas_per_ap**2
+        counts = multiplication_count(scheme, assignment, cfg)
         for k in range(cfg.num_ues):
             measured = measured_counts(scheme, k, ctx, bundle.hhat[0])
-            predicted = multiplication_count(scheme, k, assignment, cfg)
+            predicted = _ue(counts, k)
             assert measured == predicted
             if scheme == "P-MMSE":
                 # P_k counted from UE k's serving APs equals its partner-matrix row
@@ -156,3 +163,18 @@ class TestCostTable:
         ue_rows = [r for r in rows if r[0] == "ue"]
         assert len(ap_rows) == 2 * 3 * 3  # two modes, three APs, three metrics
         assert len(ue_rows) == 2 * 2 * 2  # two schemes, two UEs, two metrics
+
+    def test_every_count_is_a_python_int(self):
+        # a numpy integer prints as an int but is not one
+        cfg = make_cfg(num_aps=16, num_ues=8, pilot_len=3, area_side_km=0.5,
+                       ul_data_len=95, dl_data_len=95, mode="centralized",
+                       schemes=COUNTED_SCHEMES)
+        _, assignment, _ = make_setup(cfg)
+        rows = cost_table_rows(assignment, cfg)
+        assert {scheme for entity, _, scheme, _, _ in rows if entity == "ue"} == set(cfg.schemes)
+        assert all(type(index) is int and type(value) is int for _, index, _, _, value in rows)
+        _, ladder = assert_scalable(cfg, [8, 16])
+        for row in ladder:
+            counts = (row.num_ues, row.num_aps, row.max_cluster_size, row.max_fronthaul,
+                      row.max_pmmse_mults, row.max_lpmmse_mults)
+            assert all(type(count) is int for count in counts), row

@@ -8,7 +8,8 @@ unadmitted; the properties are stated for the UEs that were admitted.
 Properties of the admission state hold on clustered networks; those of the
 assignment also hold on its all-serve-all form, which keeps the admitted
 pilots and masters. The padded served table is checked against its loop
-definition, on admitted networks and on arbitrary serving patterns.
+definition, and the serving pairs against the mask, the table and each
+UE's M_k, on admitted networks and on arbitrary serving patterns.
 """
 
 import dataclasses
@@ -165,11 +166,27 @@ def _check_served_table(a):
     # slot order: UE k sits in slot |D_l ∩ {0..k}| - 1 of AP l
     for l, k in zip(*np.nonzero(a.serves)):
         assert served[l, a.serves[l, :k + 1].sum() - 1] == k
+    # the pairs: ordered by UE, then AP; each in its table slot; split per UE, M_k
+    ues, aps, slots = a.pairs()
+    expected_ues, expected_aps = np.nonzero(a.serves.T)
+    assert np.array_equal(ues, expected_ues) and np.array_equal(aps, expected_aps)
+    assert np.all(valid[aps, slots]) and np.array_equal(served[aps, slots], ues)
+    per_ue = np.split(aps, np.cumsum(np.bincount(ues, minlength=a.num_ues))[:-1])
+    assert len(per_ue) == a.num_ues
+    for k, m_k in enumerate(per_ue):
+        assert np.array_equal(m_k, a.serving_aps(k))
 
 
 @given(ANY_MODE)
 def test_served_table_of_admitted_networks(params):
     _check_served_table(_assignment(params))
+
+
+def test_served_table_of_all_serve_all_with_an_unadmitted_ue():
+    a = ClusterAssignment.from_mask(1, np.array([0, -1, 0]), np.array([0, -1, 1]),
+                                    np.ones((2, 3), dtype=bool)).served_by_all()
+    _check_served_table(a)
+    assert a.pairs()[0].tolist() == [0, 0, 2, 2]
 
 
 @given(hnp.arrays(bool, st.tuples(st.integers(1, 8), st.integers(1, 8))))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cellfree import cli
 from cellfree.campaign import SetupPlan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +62,16 @@ def test_every_route_is_taken_by_a_listed_campaign():
             plan = SetupPlan(cfg, s)
             taken |= {(ul, plan.dl) for ul in plan.ul.values()}
     assert taken == ROUTES
+
+
+def test_account_text_is_what_cellfree_account_prints(tmp_path, capsys):
+    tool = _tool()
+    assert list(tool.accounts()) == ["account/k50", "account/k100", "account/k125"]
+    cfg = tool.accounts()["account/k50"]
+    path = tmp_path / "k50.cfg"
+    path.write_text("\n".join(cfg.to_lines()) + "\n")
+    assert cli.main(["account", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == tool.account_text(cfg)
 
 
 @pytest.mark.parametrize("args", [["no/such/campaign"], ["--threads", "0", CAMPAIGN]])

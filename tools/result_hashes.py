@@ -33,9 +33,13 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+from cellfree.accounting import COUNTED_SCHEMES, cost_table_rows
 from cellfree.campaign import emit_results, run_campaign
+from cellfree.clustering import build_assignment
 from cellfree.config import SimulationConfig
+from cellfree.rng import TOPOLOGY, stream
 from cellfree.scenarios import SCENARIOS
+from cellfree.topology import generate_topology
 
 
 def _slug(label: str) -> str:
@@ -94,6 +98,23 @@ def campaigns() -> dict:
     return table
 
 
+def accounts() -> dict:
+    """Cost-table name -> config: `cellfree account` drops kept apart from
+    the campaigns, since they run no campaign."""
+    base = SCENARIOS["setup-i-ul"].desk.replace(
+        ul_data_len=95, dl_data_len=95, num_setups=1, schemes=COUNTED_SCHEMES, mode="centralized")
+    return {f"account/k{K}": base.replace(num_ues=K, num_aps=4 * K,
+                                          area_side_km=float((K / 25.0) ** 0.5)).validate()
+            for K in (50, 100, 125)}
+
+
+def account_text(cfg: SimulationConfig) -> str:
+    """The table `cellfree account` prints for cfg, newline-terminated."""
+    assignment = build_assignment(cfg, generate_topology(cfg, stream(cfg.seed, 0, TOPOLOGY)))
+    rows = [",".join(str(x) for x in row) for row in cost_table_rows(assignment, cfg)]
+    return "\n".join(["entity,index,scheme,metric,value", *rows]) + "\n"
+
+
 def hash_lines(names, threads: int = 1) -> list:
     """`sha256  campaign/file` lines of the named campaigns' result files,
     sorted by campaign and file."""
@@ -106,6 +127,12 @@ def hash_lines(names, threads: int = 1) -> list:
             for path in out.iterdir():
                 hashes[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return [f"{hashes[file]}  {file}" for file in sorted(hashes)]
+
+
+def account_lines() -> list:
+    """`sha256  account/k<K>` lines of the cost tables of accounts()."""
+    return [f"{hashlib.sha256(account_text(cfg).encode()).hexdigest()}  {name}"
+            for name, cfg in accounts().items()]
 
 
 def main(argv=None) -> int:
@@ -124,7 +151,8 @@ def main(argv=None) -> int:
         parser.error(f"unknown campaign {unknown[0]!r}; see --list")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
-    print("\n".join(hash_lines(args.names or list(table), args.threads)))
+    lines = hash_lines(args.names or list(table), args.threads)
+    print("\n".join(lines + ([] if args.names else account_lines())))
     return 0
 
 
