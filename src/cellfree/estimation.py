@@ -31,8 +31,7 @@ from .topology import Topology, row_blocks
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
     """0.5 * (a + a^H) over the last two axes. From 256 KiB on, numpy adds
     into the temporary a^H and halves it in place, so this holds one array
-    next to a; the result then has a^H's layout, which the SINR einsum over
-    C_weighted_sum reads, so its bits depend on it."""
+    next to a."""
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 

@@ -202,6 +202,9 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
     bundle.require(np.ones_like(bundle._computed), "instantaneous_sinr")
     B, K = v.shape[:2]
     serves = ctx.serves().T
+    # the einsum sums in stride order: C-ordered, its bits do not follow the
+    # layout that forming C left C_weighted_sum in
+    c_sum = np.ascontiguousarray(ctx.C_weighted_sum)
     ht = np.swapaxes(bundle.hhat.reshape(B, K, -1), 1, 2)
     sinr = np.empty((B, K))
     for rows in row_blocks(B, 2 * v[0].size):
@@ -210,7 +213,7 @@ def instantaneous_sinr(v: np.ndarray, bundle: EstimationBundle,
             vm = v[rows, ues] * serves[ues, :, None].astype(complex)
             vc = np.conj(vm)
             g = vc.reshape(vc.shape[0], vc.shape[1], -1) @ ht[rows]  # combining_gains(vm, hhat)
-            zq = np.real(np.einsum("bklm,lmn,bkln->bk", vc, ctx.C_weighted_sum, vm))
+            zq = np.real(np.einsum("bklm,lmn,bkln->bk", vc, c_sum, vm))
             del vc
             energy = np.abs(vm)
             zq += ctx.cfg.noise_ul_w * np.sum(np.square(energy, out=energy), axis=(2, 3))

@@ -297,6 +297,29 @@ class TestSinrInBlocksOfUeRows:
         assert same_bits(instantaneous_sinr(v, bundle, ctx.ul_power), whole)
 
 
+class TestSinrOfAnyNoiseLayout:
+    """The centralized SINR has the same bits whatever the memory layout of
+    C_weighted_sum, which follows how C was formed."""
+
+    def test_keeps_every_bit(self):
+        # C has 360 KiB here, where forming it leaves the conjugate transpose's layout
+        cfg = make_cfg(num_aps=48, num_ues=30, pilot_len=6, antennas_per_ap=4, area_side_km=1.0,
+                       seed=3, mode="centralized", schemes=("P-MMSE",))
+        topo, assignment, ctx = make_setup(cfg)
+        h = sample_channels(topo, stream(cfg.seed, 0, CHANNEL, 0), 16)
+        bundle = EstimationBundle(ctx, h, stream(cfg.seed, 0, PILOT_NOISE, 0))
+        v = compute_combiners("P-MMSE", bundle)
+        c = ctx.C_weighted_sum.copy(order="C")
+        layouts = {"Fortran": np.asfortranarray(c),
+                   "axis-swapped": np.swapaxes(np.swapaxes(c, 1, 2).copy(order="C"), 1, 2)}
+        ctx.C_weighted_sum = c
+        expected = instantaneous_sinr(v, bundle, ctx.ul_power)
+        for name, layout in layouts.items():
+            assert np.array_equal(layout, c) and not layout.flags.c_contiguous, name
+            ctx.C_weighted_sum = layout
+            assert same_bits(instantaneous_sinr(v, bundle, ctx.ul_power), expected), name
+
+
 class TestDistributedBenchmarks:
     def test_local_mmse_beats_mr_on_average(self):
         cfg = make_cfg(num_aps=8, num_ues=6, pilot_len=3, antennas_per_ap=2,
